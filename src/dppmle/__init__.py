@@ -75,7 +75,6 @@ from .sampling import (
     sample_batch,
     save_batch,
     spectral_sample,
-    split_rngs,
 )
 
 __version__ = "0.1.0"

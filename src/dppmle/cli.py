@@ -55,11 +55,19 @@ def _parse_inline_kernel(text: str) -> np.ndarray:
     return np.array([[float(x) for x in row.replace(",", " ").split()] for row in rows])
 
 
+def _parsed(what: str, parse, text):
+    """parse(text); a ValueError or TypeError there is bad input, reported as a ConfigError."""
+    try:
+        return parse(text)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid {what}: {exc}") from exc
+
+
 def _resolve_kernel(spec: str):
     path = Path(spec)
     if path.exists():
-        return load_kernel(path)
-    return validate_kernel(_parse_inline_kernel(spec), ENSEMBLE)
+        return _parsed(f"kernel file {spec}", load_kernel, path)
+    return _parsed(f"kernel {spec!r}", lambda t: validate_kernel(_parse_inline_kernel(t), ENSEMBLE), spec)
 
 
 def _cmd_sample(args) -> int:
@@ -73,7 +81,7 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    batch = load_batch(args.batch)
+    batch = _parsed(f"batch {args.batch}", load_batch, args.batch)
     table = empirical_distribution(batch)
     status = "ok"
     if args.method == experiments.NEWTON:
@@ -90,8 +98,9 @@ def _cmd_estimate(args) -> int:
         params, status = mle_2x2(table)
         entries = params.matrix()
     elif args.method == experiments.BLOCK:
-        structure = BlockStructure(tuple(tuple(b) for b in json.loads(args.blocks)))
-        entries = mle_block(batch, structure).entries
+        structure = _parsed("--blocks", lambda t: BlockStructure(tuple(tuple(b) for b in json.loads(t))),
+                            args.blocks)
+        entries = _parsed("--blocks", lambda blocks: mle_block(batch, blocks), structure).entries
     else:
         entries = moments_kernel(table).entries
     report = {"method": args.method, "status": status, "n": len(batch)}
@@ -114,7 +123,7 @@ def _cmd_experiment(args) -> int:
     else:
         raw = {}
         if args.config:
-            raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
+            raw = _parsed(f"config {args.config}", json.loads, Path(args.config).read_text(encoding="utf-8"))
         if args.kernel:
             raw["kernel"] = _resolve_kernel(args.kernel).entries.tolist()
         if args.method:
@@ -127,7 +136,7 @@ def _cmd_experiment(args) -> int:
             raw["iterations"] = args.iters
         if args.eta is not None:
             raw["eta"] = args.eta
-        configs = [experiments.config_from_dict(raw)]
+        configs = [_parsed("config", experiments.config_from_dict, raw)]
     results = [experiments.run_experiment(config) for config in configs]
     out_dir = args.out or next(
         (c.output_dir for c in configs if c.output_dir), "experiment-out"

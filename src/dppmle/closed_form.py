@@ -52,9 +52,6 @@ class TwoByTwoParams:
     def matrix(self) -> np.ndarray:
         return np.array([[self.a, self.b], [self.b, self.c]])
 
-    def kernel(self) -> KernelMatrix:
-        return KernelMatrix(2, self.matrix(), ENSEMBLE)
-
 
 def forward_probs_2x2(params: TwoByTwoParams) -> DistributionTable:
     """Exact 4-entry table of the 2x2 kernel, ordered (empty, {0}, {1}, {0,1})."""
@@ -74,20 +71,11 @@ def mle_2x2(table: DistributionTable) -> tuple[TwoByTwoParams, str]:
     if table.n != 2:
         raise ValueError("mle_2x2 requires a ground set of exactly 2 elements")
     p0, p1, p2, p3 = (float(x) for x in table.probs)
-    disc = p1 * p2 - p0 * p3
-    if -DISC_CLAMP <= disc < 0.0:
-        disc = 0.0
-    if disc >= 0.0:
-        if p0 <= 0.0:
-            raise DegenerateTable("interior estimate needs a positive empty-set frequency")
-        if p1 <= 0.0 or p2 <= 0.0:
-            raise DegenerateTable("estimate degenerates to a zero diagonal entry")
-        return TwoByTwoParams(p1 / p0, np.sqrt(disc) / p0, p2 / p0), INTERIOR
-    if p0 + p2 <= 0.0 or p0 + p1 <= 0.0:
-        raise DegenerateTable("boundary estimate needs positive row and column frequencies")
-    if p1 + p3 <= 0.0 or p2 + p3 <= 0.0:
-        raise DegenerateTable("estimate degenerates to a zero diagonal entry")
-    return TwoByTwoParams((p1 + p3) / (p0 + p2), 0.0, (p2 + p3) / (p0 + p1)), BOUNDARY_B0
+    a, b, c, ok = _mle_2x2_arrays(p0, p1, p2, p3)
+    if not ok:
+        raise DegenerateTable(f"cell frequencies {[p0, p1, p2, p3]} give no positive diagonal")
+    tag = INTERIOR if p1 * p2 - p0 * p3 >= -DISC_CLAMP else BOUNDARY_B0
+    return TwoByTwoParams(float(a), float(b), float(c)), tag
 
 
 def _mle_2x2_arrays(p0, p1, p2, p3):

@@ -36,6 +36,9 @@ SYMMETRY_TOL = 1e-10
 #: Largest ground set for which dense 2^n tables are built.
 MAX_DENSE_GROUND_SET = 20
 
+#: Masks factorized per batch by enumerate_distribution.
+_ENUMERATION_CHUNK = 1 << 12
+
 
 @functools.lru_cache(maxsize=1 << 16)
 def subset_indices(mask: int) -> tuple[int, ...]:
@@ -74,9 +77,6 @@ class Subset:
     @property
     def indices(self) -> tuple[int, ...]:
         return subset_indices(self.mask)
-
-    def contains(self, i: int) -> bool:
-        return bool(self.mask >> i & 1)
 
     def __iter__(self):
         return iter(self.indices)
@@ -230,14 +230,33 @@ class DistributionTable:
         arr.setflags(write=False)
         object.__setattr__(self, "probs", arr)
 
-    def prob(self, subset) -> float:
-        mask = subset.mask if isinstance(subset, Subset) else int(subset)
-        return float(self.probs[mask])
-
 
 # ---------------------------------------------------------------------------
 # Probabilities
 # ---------------------------------------------------------------------------
+
+
+def _principal_minors(entries: np.ndarray, index: np.ndarray, inverse: bool = False):
+    """Factorize the principal minors of ``entries`` at the rows of ``index``.
+
+    ``index`` is an ``(m, k)`` stack of ascending element indices, one minor
+    per row (k = 0: the empty minor, det 1). Returns batched ``slogdet``
+    signs and log-determinants, and the inverses if asked and no sign is 0
+    (else None). LU semantics: a minor is valid iff its sign is > 0.
+    """
+    minors = entries[index[:, :, None], index[:, None, :]]
+    sign, logdet = np.linalg.slogdet(minors)
+    inv = np.linalg.inv(minors) if inverse and sign.all() else None
+    return sign, logdet, inv
+
+
+def _size_groups(masks: np.ndarray, n: int):
+    """Split masks by size: yields (positions in ``masks``, index stack)."""
+    bits = masks[:, None] >> np.arange(n) & 1
+    sizes = bits.sum(axis=1)
+    for k in np.unique(sizes):
+        where = np.nonzero(sizes == k)[0]
+        yield where, np.nonzero(bits[where])[1].reshape(where.size, k)
 
 
 def ensemble_probability(kernel, subset) -> float:
@@ -251,14 +270,9 @@ def ensemble_probability(kernel, subset) -> float:
     sign_norm, logdet_norm = np.linalg.slogdet(entries + np.eye(entries.shape[0]))
     if sign_norm <= 0:
         raise EigenvalueOutOfRange("det(L + I) is not positive; kernel is not PSD", float("nan"))
-    if mask == 0:
-        return float(np.exp(-logdet_norm))
-    idx = subset_indices(mask)
-    sign, logdet = np.linalg.slogdet(entries[np.ix_(idx, idx)])
-    if sign <= 0:
-        # PSD minors have nonnegative determinant; a negative sign is roundoff.
-        return 0.0
-    return float(np.exp(logdet - logdet_norm))
+    sign, logdet, _ = _principal_minors(entries, np.array([subset_indices(mask)], dtype=np.intp))
+    # PSD minors have nonnegative determinant; a negative sign is roundoff.
+    return float(np.exp(logdet[0] - logdet_norm)) if sign[0] > 0 else 0.0
 
 
 def marginal_of(kernel: KernelMatrix) -> KernelMatrix:
@@ -300,7 +314,7 @@ def atomic_probability_from_marginal(kernel, subset) -> float:
 def enumerate_distribution(kernel) -> DistributionTable:
     """Exact probability table of an ensemble over all 2^n subsets.
 
-    Brute-force oracle; requires n <= 20.
+    Brute-force oracle; requires n <= 20. Factorizes by size within chunks of masks.
     """
     entries = as_array(kernel)
     n = entries.shape[0]
@@ -310,11 +324,11 @@ def enumerate_distribution(kernel) -> DistributionTable:
     if sign_norm <= 0:
         raise EigenvalueOutOfRange("det(L + I) is not positive; kernel is not PSD", float("nan"))
     probs = np.empty(1 << n)
-    probs[0] = np.exp(-logdet_norm)
-    for mask in range(1, 1 << n):
-        idx = subset_indices(mask)
-        sign, logdet = np.linalg.slogdet(entries[np.ix_(idx, idx)])
-        probs[mask] = np.exp(logdet - logdet_norm) if sign > 0 else 0.0
+    for start in range(0, 1 << n, _ENUMERATION_CHUNK):
+        masks = np.arange(start, min(start + _ENUMERATION_CHUNK, 1 << n))
+        for where, index in _size_groups(masks, n):
+            sign, logdet, _ = _principal_minors(entries, index)
+            probs[masks[where]] = np.where(sign > 0, np.exp(logdet - logdet_norm), 0.0)
     return DistributionTable(n, probs)
 
 

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SingularPrincipalMinor
-from .kernels import ENSEMBLE, KernelMatrix, as_array, subset_indices
-from .likelihood import LikelihoodContext, gradient, hessian, log_likelihood
+from .kernels import ENSEMBLE, KernelMatrix, _principal_minors, as_array, subset_indices
+from .likelihood import LikelihoodContext, LikelihoodPoint
 from .sampling import SampleBatch, make_rng
 
 CONVERGED = "converged"
@@ -49,18 +49,6 @@ class IterationTrace:
         return "\n".join(lines) + "\n"
 
 
-def _supported_minors_valid(entries: np.ndarray, masks: np.ndarray) -> bool:
-    """True when every supported minor has positive determinant."""
-    for mask in masks:
-        if mask == 0:
-            continue
-        idx = subset_indices(int(mask))
-        sign, _ = np.linalg.slogdet(entries[np.ix_(idx, idx)])
-        if sign <= 0:
-            return False
-    return True
-
-
 def _final(entries: np.ndarray, trace: IterationTrace) -> tuple[KernelMatrix, IterationTrace]:
     sym = (entries + entries.T) / 2.0
     return KernelMatrix(sym.shape[0], sym, ENSEMBLE), trace
@@ -88,18 +76,17 @@ def newton_raphson(
     """
     entries = np.array(as_array(initial), dtype=float)
     entries = (entries + entries.T) / 2.0
-    n = entries.shape[0]
-    masks, _ = ctx.support
+    point = LikelihoodPoint(ctx, entries)
     trace = IterationTrace()
     for step in range(max_iter + 1):
         try:
-            grad = gradient(ctx, entries)
+            grad = point.gradient()
         except SingularPrincipalMinor:
             trace.status = DIVERGED
             break
         grad_norm = float(np.linalg.norm(grad))
         if step % trace_every == 0:
-            trace.record(entries, log_likelihood(ctx, entries), grad_norm)
+            trace.record(entries, point.value, grad_norm)
         if grad_norm <= grad_tol:
             trace.status = CONVERGED
             break
@@ -107,15 +94,17 @@ def newton_raphson(
             trace.status = MAX_ITER
             break
         try:
-            hess = hessian(ctx, entries)
-            delta = np.linalg.solve(hess, grad.reshape(-1)).reshape(n, n)
-        except (np.linalg.LinAlgError, SingularPrincipalMinor):
+            delta = np.linalg.solve(point.hessian(), grad.reshape(-1)).reshape(grad.shape)
+        except np.linalg.LinAlgError:
             trace.status = SINGULAR
             break
         candidate = entries - delta
         candidate = (candidate + candidate.T) / 2.0
-        if not np.all(np.isfinite(candidate)) or np.max(np.abs(candidate)) > BLOWUP_LIMIT \
-                or not _supported_minors_valid(candidate, masks):
+        if not np.all(np.isfinite(candidate)) or np.max(np.abs(candidate)) > BLOWUP_LIMIT:
+            trace.status = DIVERGED
+            break
+        point = LikelihoodPoint(ctx, candidate)
+        if not point.valid:
             trace.status = DIVERGED
             break
         entries = candidate
@@ -144,33 +133,32 @@ def sgd(
         raise ValueError("step size must be positive")
     entries = np.array(as_array(initial), dtype=float)
     entries = (entries + entries.T) / 2.0
-    n = entries.shape[0]
     ctx = LikelihoodContext.from_batch(batch)
     rng = make_rng(seed)
     picks = rng.integers(0, len(batch), size=iters)
-    eye = np.eye(n)
+    # One index stack per distinct mask, gathered once.
+    distinct, slots = np.unique(batch.masks, return_inverse=True)
+    stacks = [np.array(subset_indices(int(mask)), dtype=np.intp) for mask in distinct]
+    eye = np.eye(entries.shape[0])
     trace = IterationTrace()
     trace.status = MAX_ITER
     for step in range(iters):
         if step % trace_every == 0:
+            point = LikelihoodPoint(ctx, entries)
             try:
-                value = log_likelihood(ctx, entries)
-                grad_norm = float(np.linalg.norm(gradient(ctx, entries)))
+                grad_norm = float(np.linalg.norm(point.gradient()))
             except SingularPrincipalMinor:
                 trace.status = DIVERGED
                 break
-            trace.record(entries, value, grad_norm)
-        mask = int(batch.masks[picks[step]])
+            trace.record(entries, point.value, grad_norm)
+        index = stacks[slots[picks[step]]]
         try:
             update = -np.linalg.inv(entries + eye)
-            if mask:
-                idx = subset_indices(mask)
-                minor = entries[np.ix_(idx, idx)]
-                sign, _ = np.linalg.slogdet(minor)
-                if sign <= 0:
-                    trace.status = DIVERGED
-                    break
-                update[np.ix_(idx, idx)] += np.linalg.inv(minor)
+            sign, _, inv = _principal_minors(entries, index[None], inverse=True)
+            if sign[0] <= 0:
+                trace.status = DIVERGED
+                break
+            update[index[:, None], index] += inv[0]
         except np.linalg.LinAlgError:
             trace.status = DIVERGED
             break

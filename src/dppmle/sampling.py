@@ -6,7 +6,7 @@ dense enumerated table, which serves as the oracle for the first.
 
 All randomness flows through numpy Generators backed by the counter-based
 Philox bit generator, seeded from a single 64-bit seed, so batches replay
-bit-exactly. Replications split seeds through ``numpy.random.SeedSequence``.
+bit-exactly.
 """
 
 from __future__ import annotations
@@ -34,18 +34,12 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed))
 
 
-def split_rngs(seed: int, count: int) -> list[np.random.Generator]:
-    """Independent child generators for parallel or replicated work."""
-    children = np.random.SeedSequence(seed).spawn(count)
-    return [np.random.Generator(np.random.Philox(child)) for child in children]
-
-
 @dataclass(frozen=True)
 class SampleBatch:
     """Ordered draws from one sampler run.
 
-    ``masks`` stores one bit mask per draw; ``subsets()`` materializes
-    them as :class:`Subset` objects when object access is wanted.
+    ``masks`` stores one bit mask per draw; iterating yields them as
+    :class:`Subset` objects.
     """
 
     n_ground: int
@@ -67,9 +61,6 @@ class SampleBatch:
 
     def __iter__(self):
         return (Subset(int(m), self.n_ground) for m in self.masks)
-
-    def subsets(self) -> list[Subset]:
-        return list(self)
 
 
 # ---------------------------------------------------------------------------
@@ -154,9 +145,7 @@ def _spectral_draw(lam: np.ndarray, vecs: np.ndarray, rng: np.random.Generator) 
 
 def enumeration_sample(table: DistributionTable, rng: np.random.Generator) -> Subset:
     """Inverse-CDF draw from the exact table; oracle for the spectral route."""
-    cdf = np.cumsum(table.probs)
-    mask = int(np.searchsorted(cdf, rng.random(), side="right"))
-    return Subset(min(mask, (1 << table.n) - 1), table.n)
+    return Subset(int(_enumeration_draw_many(table, 1, rng)[0]), table.n)
 
 
 def _enumeration_draw_many(table: DistributionTable, count: int, rng: np.random.Generator) -> np.ndarray:

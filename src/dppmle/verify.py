@@ -129,20 +129,22 @@ def _check_covariance_formula(seed: int, instances: int = 5) -> CheckResult:
 
 
 def _check_closed_form_round_trip(seed: int, instances: int = 50) -> CheckResult:
+    # a and c come back within 1e-12. b = sqrt(p1 p2 - p0 p3)/p0 amplifies the
+    # discriminant's cancellation; its bound is six times the measured worst
+    # error over 1e5 instances, 0.17 eps (1+a)(1+c)(1+ac) / max(b, sqrt(eps a c)).
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    eps = np.finfo(float).eps
+    worst, passed = 0.0, True
     for _ in range(instances):
         a, c = rng.uniform(0.3, 4.0, size=2)
         b = rng.uniform(0.0, 0.95) * np.sqrt(a * c)
         params = TwoByTwoParams(float(a), float(b), float(c))
         recovered, tag = mle_2x2(forward_probs_2x2(params))
-        worst = max(
-            worst,
-            abs(recovered.a - params.a),
-            abs(recovered.b - params.b),
-            abs(recovered.c - params.c),
-        )
-    return CheckResult("closed-form-round-trip", worst <= 1e-12, f"max deviation {worst:.3e}")
+        dev = np.abs([recovered.a - a, recovered.b - b, recovered.c - c])
+        b_tol = eps * (1 + a) * (1 + c) * (1 + a * c) / max(b, np.sqrt(eps * a * c))
+        passed = passed and max(dev[0], dev[2]) <= 1e-12 and dev[1] <= b_tol
+        worst = max(worst, float(dev.max()))
+    return CheckResult("closed-form-round-trip", passed, f"max deviation {worst:.3e}")
 
 
 def _check_clt(seed: int, reps: int = 10_000, n: int = 10_000) -> CheckResult:

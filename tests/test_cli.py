@@ -171,6 +171,38 @@ class TestVerifyCommand:
         assert "monte-carlo-clt-covariance" in lines[-1]
 
 
+class TestInputBoundary:
+    """Malformed input ends in one line on stderr and exit code 2, never a traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ["sample", "--kernel", "1 x; 1 2", "--n", "5"],
+        ["estimate", "--batch", "{batch}", "--method", "block", "--blocks", "[[0,1"],
+        ["estimate", "--batch", "{batch}", "--method", "block", "--blocks", "[[0,1,2]]"],
+        ["estimate", "--batch", "{batch}", "--method", "block", "--blocks", "[[0,0]]"],
+        ["experiment", "--config", "{malformed}", "--out", "{out}"],
+        ["experiment", "--config", "{non_numeric}", "--out", "{out}"],
+        ["estimate", "--batch", "{bad_batch}", "--method", "moments"],
+    ], ids=["inline-kernel", "blocks-json", "blocks-triple", "blocks-repeat",
+            "config-json", "config-kernel-entry", "batch-mask"])
+    def test_exit_code_and_one_line(self, argv, tmp_path, kernel_file, capsys):
+        paths = {
+            "batch": tmp_path / "batch.csv",
+            "malformed": tmp_path / "malformed.json",
+            "non_numeric": tmp_path / "non_numeric.json",
+            "out": tmp_path / "out",
+            "bad_batch": tmp_path / "bad_batch.csv",
+        }
+        main(["sample", "--kernel", str(kernel_file), "--n", "100", "--out", str(paths["batch"])])
+        paths["malformed"].write_text('{"kernel": [[1, 0], [0')
+        paths["non_numeric"].write_text(json.dumps({"kernel": [["x", 0], [0, 1]], "sample_sizes": [10]}))
+        paths["bad_batch"].write_text("# n_ground=2\nindex,mask,items\n0,x,\n")
+        capsys.readouterr()
+        code = main([arg.format(**paths) for arg in argv])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("config error: ") and err.count("\n") == 1
+
+
 class TestConfigValidation:
     def test_method_kernel_shape(self):
         with pytest.raises(ConfigError):

@@ -148,6 +148,17 @@ class TestProbabilities:
         table = enumerate_distribution(validate_kernel(DENSE2, "ensemble"))
         np.testing.assert_allclose(table.probs, [0.2, 0.2, 0.4, 0.2])
 
+    def test_enumerate_across_chunks(self, rng):
+        # 2^17 masks span many factorization chunks
+        n = 17
+        kernel = validate_kernel(random_kernel(n, rng).entries / n, "ensemble")
+        table = enumerate_distribution(kernel)
+        assert abs(table.probs.sum() - 1.0) <= 1e-12
+        marginal = marginal_of(kernel)
+        masks = rng.integers(0, 1 << n, size=200)
+        for mask in masks:
+            assert abs(table.probs[mask] - atomic_probability_from_marginal(marginal, int(mask))) <= 1e-12
+
     def test_enumerate_refuses_large_ground_set(self):
         with pytest.raises(GroundSetTooLarge):
             enumerate_distribution(np.eye(21))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dppmle.asymptotics import symmetric_chart_basis
-from dppmle.errors import EmptyBatch
+from dppmle.errors import EmptyBatch, SingularPrincipalMinor
 from dppmle.kernels import (
     DistributionTable,
     SignDiagonal,
@@ -203,3 +203,47 @@ class TestKlGap:
         for _ in range(20):
             other = random_kernel(2, rng)
             assert kl_gap(ctx, other) >= -1e-12
+
+
+class TestBatchedSupport:
+    """Several masks per size, and sizes with one mask or none."""
+
+    @staticmethod
+    def sparse_table(n, rng) -> DistributionTable:
+        sizes = np.array([int(m).bit_count() for m in range(1 << n)])
+        single, absent = rng.choice(np.arange(1, n + 1), size=2, replace=False)
+        keep = rng.random(1 << n) < 0.5
+        keep[sizes == absent] = False
+        keep[sizes == single] = False
+        keep[rng.choice(np.nonzero(sizes == single)[0])] = True
+        probs = np.where(keep, rng.random(1 << n), 0.0)
+        return DistributionTable(n, probs / probs.sum())
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_matches_finite_differences(self, n, rng):
+        for _ in range(3):
+            kernel = random_kernel(n, rng, jitter=0.3)
+            ctx = LikelihoodContext(self.sparse_table(n, rng))
+            np.testing.assert_allclose(
+                gradient(ctx, kernel), fd_gradient(ctx, kernel), atol=1e-6, rtol=1e-6,
+            )
+            np.testing.assert_allclose(
+                hessian(ctx, kernel), fd_hessian(ctx, kernel), atol=1e-6, rtol=1e-6,
+            )
+
+    def test_singular_supported_minor(self):
+        # minors {0,1,2} (mask 7, size 3) and {0,3} (mask 9, size 2) are
+        # exactly singular; {0,1} (mask 3) is the identity
+        entries = np.array([
+            [1.0, 0.0, 1.0, 1.0],
+            [0.0, 1.0, 1.0, 0.0],
+            [1.0, 1.0, 2.0, 0.0],
+            [1.0, 0.0, 0.0, 1.0],
+        ])
+        probs = np.zeros(16)
+        probs[[0, 3, 7, 9]] = 0.25
+        ctx = LikelihoodContext(DistributionTable(4, probs))
+        with pytest.raises(SingularPrincipalMinor) as info:
+            gradient(ctx, entries)
+        assert info.value.mask == 7
+        assert log_likelihood(ctx, entries) == -np.inf
