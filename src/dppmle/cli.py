@@ -70,6 +70,14 @@ def _resolve_kernel(spec: str):
     return _parsed(f"kernel {spec!r}", lambda t: validate_kernel(_parse_inline_kernel(t), ENSEMBLE), spec)
 
 
+def _kernel_on(spec: str, flag: str, n_ground: int):
+    """The kernel of ``spec``; a ConfigError unless it is n_ground x n_ground."""
+    kernel = _resolve_kernel(spec)
+    if kernel.n != n_ground:
+        raise ConfigError(f"{flag} is {kernel.n}x{kernel.n} but the batch has {n_ground} items")
+    return kernel
+
+
 def _cmd_sample(args) -> int:
     kernel = _resolve_kernel(args.kernel)
     batch = sample_batch(kernel, args.n, args.seed, args.sampler)
@@ -81,17 +89,21 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
+    if args.iters < 1:
+        raise ConfigError("--iters must be at least 1")
+    if not args.eta > 0:
+        raise ConfigError("--eta must be positive")
     batch = _parsed(f"batch {args.batch}", load_batch, args.batch)
+    truth = _kernel_on(args.kernel, "--kernel", batch.n_ground) if args.kernel else None
+    initial = _kernel_on(args.l0, "--l0", batch.n_ground).entries if args.l0 else np.eye(batch.n_ground)
     table = empirical_distribution(batch)
     status = "ok"
     if args.method == experiments.NEWTON:
-        initial = _resolve_kernel(args.l0).entries if args.l0 else np.eye(batch.n_ground)
         estimate, trace = newton_raphson(
             LikelihoodContext(table), initial, max_iter=args.iters
         )
         entries, status = estimate.entries, trace.status
     elif args.method == experiments.SGD:
-        initial = _resolve_kernel(args.l0).entries if args.l0 else np.eye(batch.n_ground)
         estimate, trace = sgd(batch, initial, eta=args.eta, iters=args.iters, seed=args.seed)
         entries, status = estimate.entries, trace.status
     elif args.method == experiments.CLOSED_2X2:
@@ -104,8 +116,7 @@ def _cmd_estimate(args) -> int:
     else:
         entries = moments_kernel(table).entries
     report = {"method": args.method, "status": status, "n": len(batch)}
-    if args.kernel:
-        truth = _resolve_kernel(args.kernel)
+    if truth is not None:
         report["distance"] = sign_distance(entries, truth)[0]
     text = kernel_to_text(entries)
     if args.out:
@@ -124,6 +135,8 @@ def _cmd_experiment(args) -> int:
         raw = {}
         if args.config:
             raw = _parsed(f"config {args.config}", json.loads, Path(args.config).read_text(encoding="utf-8"))
+            if not isinstance(raw, dict):
+                raise ConfigError(f"config {args.config} must be a JSON object, not {type(raw).__name__}")
         if args.kernel:
             raw["kernel"] = _resolve_kernel(args.kernel).entries.tolist()
         if args.method:

@@ -59,6 +59,8 @@ class ExperimentConfig:
             kernel = validate_kernel(self.kernel, ENSEMBLE)
         except Exception as exc:
             raise ConfigError(f"invalid kernel: {exc}") from exc
+        if self.initial is not None and np.shape(self.initial) != (kernel.n, kernel.n):
+            raise ConfigError(f"initial must be {kernel.n}x{kernel.n} like the kernel")
         if self.method == CLOSED_2X2 and kernel.n != 2:
             raise ConfigError("closed2x2 requires a 2x2 kernel")
         if self.method == BLOCK:

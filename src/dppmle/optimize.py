@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SingularPrincipalMinor
-from .kernels import ENSEMBLE, KernelMatrix, _principal_minors, as_array, subset_indices
+from .kernels import ENSEMBLE, KernelMatrix, as_array
 from .likelihood import LikelihoodContext, LikelihoodPoint
 from .sampling import SampleBatch, make_rng
 
@@ -49,6 +49,21 @@ class IterationTrace:
         return "\n".join(lines) + "\n"
 
 
+def _symmetric_start(initial, n_ground: int) -> np.ndarray:
+    """The symmetrized initial kernel; ValueError unless it is n_ground x n_ground."""
+    entries = np.array(as_array(initial), dtype=float)
+    if entries.shape != (n_ground, n_ground):
+        raise ValueError(
+            f"initial kernel has shape {entries.shape}, the ground set has {n_ground} items"
+        )
+    return (entries + entries.T) / 2.0
+
+
+def _blown_up(candidate: np.ndarray) -> bool:
+    """True past BLOWUP_LIMIT or on a non-finite entry (NaN fails the comparison)."""
+    return not np.abs(candidate).max() <= BLOWUP_LIMIT
+
+
 def _final(entries: np.ndarray, trace: IterationTrace) -> tuple[KernelMatrix, IterationTrace]:
     sym = (entries + entries.T) / 2.0
     return KernelMatrix(sym.shape[0], sym, ENSEMBLE), trace
@@ -72,10 +87,10 @@ def newton_raphson(
     iteration budget runs out, the Hessian system is singular (status
     ``singular``), or the iterate leaves the validity region: a supported
     minor loses positivity or entries blow past 1e8 (status ``diverged``).
-    The last valid iterate is always returned.
+    The last valid iterate is always returned. ValueError when the initial
+    kernel does not match the table's ground set.
     """
-    entries = np.array(as_array(initial), dtype=float)
-    entries = (entries + entries.T) / 2.0
+    entries = _symmetric_start(initial, ctx.dist.n)
     point = LikelihoodPoint(ctx, entries)
     trace = IterationTrace()
     for step in range(max_iter + 1):
@@ -100,7 +115,7 @@ def newton_raphson(
             break
         candidate = entries - delta
         candidate = (candidate + candidate.T) / 2.0
-        if not np.all(np.isfinite(candidate)) or np.max(np.abs(candidate)) > BLOWUP_LIMIT:
+        if _blown_up(candidate):
             trace.status = DIVERGED
             break
         point = LikelihoodPoint(ctx, candidate)
@@ -128,21 +143,32 @@ def sgd(
     an entry blow-up ends the run with status ``diverged`` and the last
     valid iterate is returned; that outcome is an expected behavior of
     the plain update on repulsive kernels, not an error.
+
+    The drawn minor is never sliced out. With z the draw's 0/1 indicator,
+    M = L * z z^T + diag(1 - z) embeds L_Z in a full matrix: det M = det L_Z
+    (1 for the empty draw) and M^{-1} = pad(L_Z^{-1}) + diag(1 - z). A step
+    is one ``slogdet`` of M (LU semantics: valid iff its sign is > 0) and
+    one ``inv`` of the stack (L + I, M); the update is
+    M^{-1} - diag(1 - z) - (L + I)^{-1}. ValueError when the initial kernel
+    does not match the batch's ground set.
     """
     if eta <= 0:
         raise ValueError("step size must be positive")
-    entries = np.array(as_array(initial), dtype=float)
-    entries = (entries + entries.T) / 2.0
+    n = batch.n_ground
+    entries = _symmetric_start(initial, n)
     ctx = LikelihoodContext.from_batch(batch)
     rng = make_rng(seed)
     picks = rng.integers(0, len(batch), size=iters)
-    # One index stack per distinct mask, gathered once.
+    # (z z^T, diag(1 - z)) per distinct drawn mask z, built once.
     distinct, slots = np.unique(batch.masks, return_inverse=True)
-    stacks = [np.array(subset_indices(int(mask)), dtype=np.intp) for mask in distinct]
-    eye = np.eye(entries.shape[0])
+    bits = (distinct[:, None] >> np.arange(n) & 1).astype(float)
+    embeddings = [(np.outer(z, z), np.diag(1.0 - z)) for z in bits]
+    eye = np.eye(n)
+    stack = np.empty((2, n, n))
+    shifted, embedded = stack
     trace = IterationTrace()
     trace.status = MAX_ITER
-    for step in range(iters):
+    for step, slot in enumerate(slots[picks].tolist()):
         if step % trace_every == 0:
             point = LikelihoodPoint(ctx, entries)
             try:
@@ -151,19 +177,20 @@ def sgd(
                 trace.status = DIVERGED
                 break
             trace.record(entries, point.value, grad_norm)
-        index = stacks[slots[picks[step]]]
+        keep, rest = embeddings[slot]
+        np.add(entries, eye, out=shifted)
+        np.multiply(entries, keep, out=embedded)
+        embedded += rest
         try:
-            update = -np.linalg.inv(entries + eye)
-            sign, _, inv = _principal_minors(entries, index[None], inverse=True)
-            if sign[0] <= 0:
+            if np.linalg.slogdet(embedded)[0] <= 0:
                 trace.status = DIVERGED
                 break
-            update[index[:, None], index] += inv[0]
+            inv = np.linalg.inv(stack)
         except np.linalg.LinAlgError:
             trace.status = DIVERGED
             break
-        candidate = entries + eta * update
-        if not np.all(np.isfinite(candidate)) or np.max(np.abs(candidate)) > BLOWUP_LIMIT:
+        candidate = entries + eta * (inv[1] - rest - inv[0])
+        if _blown_up(candidate):
             trace.status = DIVERGED
             break
         entries = candidate

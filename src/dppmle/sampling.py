@@ -201,9 +201,14 @@ def batch_to_csv(batch: SampleBatch) -> str:
 
 
 def batch_from_csv(text: str) -> SampleBatch:
+    """Inverse of :func:`batch_to_csv`.
+
+    ValueError when the ``n_ground`` metadata is missing or a row's
+    ``items`` disagree with its ``mask``.
+    """
     lines = [ln for ln in text.splitlines() if ln.strip()]
     meta = {"n_ground": None, "seed": 0, "sampler": ENUMERATION}
-    body = []
+    masks = []
     for ln in lines:
         if ln.startswith("#"):
             for token in ln[1:].split():
@@ -214,12 +219,19 @@ def batch_from_csv(text: str) -> SampleBatch:
                     elif key == "sampler":
                         meta[key] = value
         elif ln != BATCH_HEADER:
-            body.append(ln)
-    masks = np.array([int(ln.split(",")[1]) for ln in body], dtype=np.int64)
-    n_ground = meta["n_ground"]
-    if n_ground is None:
-        n_ground = int(masks.max()).bit_length() if masks.size else 1
-    return SampleBatch(n_ground, masks, meta["seed"], meta["sampler"])
+            fields = ln.split(",")
+            if len(fields) != 3:
+                raise ValueError(f"row {ln!r}: expected {BATCH_HEADER}")
+            mask = int(fields[1])
+            if mask < 0:  # subset_indices never returns on a negative mask
+                raise ValueError(f"row {ln!r}: negative mask")
+            items = fields[2].split(";") if fields[2] else ()
+            if tuple(map(int, items)) != subset_indices(mask):
+                raise ValueError(f"row {ln!r}: items do not match mask {mask}")
+            masks.append(mask)
+    if meta["n_ground"] is None:
+        raise ValueError("missing '# n_ground=..' metadata line")
+    return SampleBatch(meta["n_ground"], np.array(masks, dtype=np.int64), meta["seed"], meta["sampler"])
 
 
 def save_batch(batch: SampleBatch, path) -> None:

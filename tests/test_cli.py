@@ -182,8 +182,19 @@ class TestInputBoundary:
         ["experiment", "--config", "{malformed}", "--out", "{out}"],
         ["experiment", "--config", "{non_numeric}", "--out", "{out}"],
         ["estimate", "--batch", "{bad_batch}", "--method", "moments"],
+        ["experiment", "--config", "{not_object}", "--kernel", "1 0; 0 1", "--out", "{out}"],
+        ["estimate", "--batch", "{batch}", "--method", "sgd", "--iters", "-1"],
+        ["estimate", "--batch", "{batch}", "--method", "newton", "--iters", "-1"],
+        ["estimate", "--batch", "{batch}", "--method", "sgd", "--eta", "0"],
+        ["estimate", "--batch", "{batch}", "--method", "sgd", "--eta", "-0.5"],
+        ["estimate", "--batch", "{batch}", "--method", "sgd", "--l0", "1 0 0; 0 1 0; 0 0 1"],
+        ["estimate", "--batch", "{batch}", "--method", "moments", "--kernel", "1 0 0; 0 1 0; 0 0 1"],
+        ["estimate", "--batch", "{no_metadata}", "--method", "moments"],
+        ["estimate", "--batch", "{items_mismatch}", "--method", "moments"],
     ], ids=["inline-kernel", "blocks-json", "blocks-triple", "blocks-repeat",
-            "config-json", "config-kernel-entry", "batch-mask"])
+            "config-json", "config-kernel-entry", "batch-mask",
+            "config-not-object", "sgd-iters", "newton-iters", "eta-zero", "eta-negative",
+            "l0-size", "kernel-size", "batch-no-metadata", "batch-items"])
     def test_exit_code_and_one_line(self, argv, tmp_path, kernel_file, capsys):
         paths = {
             "batch": tmp_path / "batch.csv",
@@ -191,11 +202,17 @@ class TestInputBoundary:
             "non_numeric": tmp_path / "non_numeric.json",
             "out": tmp_path / "out",
             "bad_batch": tmp_path / "bad_batch.csv",
+            "not_object": tmp_path / "not_object.json",
+            "no_metadata": tmp_path / "no_metadata.csv",
+            "items_mismatch": tmp_path / "items_mismatch.csv",
         }
         main(["sample", "--kernel", str(kernel_file), "--n", "100", "--out", str(paths["batch"])])
         paths["malformed"].write_text('{"kernel": [[1, 0], [0')
         paths["non_numeric"].write_text(json.dumps({"kernel": [["x", 0], [0, 1]], "sample_sizes": [10]}))
         paths["bad_batch"].write_text("# n_ground=2\nindex,mask,items\n0,x,\n")
+        paths["not_object"].write_text("[1, 2]")
+        paths["no_metadata"].write_text("index,mask,items\n0,1,0\n")
+        paths["items_mismatch"].write_text("# n_ground=2\nindex,mask,items\n0,3,0\n")
         capsys.readouterr()
         code = main([arg.format(**paths) for arg in argv])
         err = capsys.readouterr().err
@@ -207,6 +224,10 @@ class TestConfigValidation:
     def test_method_kernel_shape(self):
         with pytest.raises(ConfigError):
             ExperimentConfig("x", np.eye(3), "closed2x2", (100,), (0,)).validated()
+
+    def test_initial_kernel_shape(self):
+        with pytest.raises(ConfigError):
+            ExperimentConfig("x", np.eye(2), "sgd", (100,), (0,), initial=np.eye(3)).validated()
 
     def test_block_needs_structure(self):
         with pytest.raises(ConfigError):

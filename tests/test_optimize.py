@@ -3,17 +3,73 @@
 import numpy as np
 import pytest
 
+from dppmle.errors import SingularPrincipalMinor
+from dppmle.experiments import SGD, TRIDIAGONAL_3, TRIDIAGONAL_3_START, preset_configs
 from dppmle.kernels import (
     enumerate_distribution,
     subset_indices,
     validate_kernel,
 )
-from dppmle.likelihood import LikelihoodContext, gradient
-from dppmle.optimize import CONVERGED, DIVERGED, MAX_ITER, newton_raphson, sgd
+from dppmle.likelihood import LikelihoodContext, LikelihoodPoint, gradient
+from dppmle.optimize import (
+    BLOWUP_LIMIT,
+    CONVERGED,
+    DIVERGED,
+    MAX_ITER,
+    IterationTrace,
+    newton_raphson,
+    sgd,
+)
 from dppmle.sampling import SampleBatch, make_rng, sample_batch
 
 DENSE2 = np.array([[1.0, 1.0], [1.0, 2.0]])
 DIAG3 = np.diag([7.0, 5.0, 9.0])
+TABLE1_SGD = {c.kernel_id: c for c in preset_configs("table1") if c.method == SGD}
+
+
+def _gather_scatter_sgd(batch, initial, eta, iters, seed, trace_every=100):
+    """Reference SGD: slice L_Z by index, factorize it alone, scatter its inverse into -(L + I)^{-1}."""
+    entries = np.array(initial, dtype=float)
+    entries = (entries + entries.T) / 2.0
+    ctx = LikelihoodContext.from_batch(batch)
+    picks = make_rng(seed).integers(0, len(batch), size=iters)
+    eye = np.eye(entries.shape[0])
+    trace = IterationTrace()
+    for step in range(iters):
+        if step % trace_every == 0:
+            point = LikelihoodPoint(ctx, entries)
+            try:
+                grad_norm = float(np.linalg.norm(point.gradient()))
+            except SingularPrincipalMinor:
+                trace.status = DIVERGED
+                break
+            trace.record(entries, point.value, grad_norm)
+        block = np.ix_(*[subset_indices(int(batch.masks[picks[step]]))] * 2)
+        try:
+            update = -np.linalg.inv(entries + eye)
+            if np.linalg.slogdet(entries[block])[0] <= 0:
+                trace.status = DIVERGED
+                break
+            update[block] += np.linalg.inv(entries[block])
+        except np.linalg.LinAlgError:
+            trace.status = DIVERGED
+            break
+        candidate = entries + eta * update
+        if not np.all(np.isfinite(candidate)) or np.max(np.abs(candidate)) > BLOWUP_LIMIT:
+            trace.status = DIVERGED
+            break
+        entries = candidate
+    return (entries + entries.T) / 2.0, trace
+
+
+def _assert_same_run(batch, initial, eta, iters, seed):
+    estimate, trace = sgd(batch, initial, eta=eta, iters=iters, seed=seed)
+    expected, expected_trace = _gather_scatter_sgd(batch, initial, eta, iters, seed)
+    assert trace.status == expected_trace.status
+    assert len(trace.iterates) == len(expected_trace.iterates)
+    assert all(np.array_equal(a, b) for a, b in zip(trace.iterates, expected_trace.iterates))
+    assert np.array_equal(estimate.entries, expected)
+    return trace.status
 
 
 class TestNewton:
@@ -57,6 +113,11 @@ class TestNewton:
         lines = trace.to_csv().strip().splitlines()
         assert lines[0] == "iter,objective,grad_norm"
         assert len(lines) == len(trace.objective) + 1
+
+    def test_initial_size_must_match(self):
+        ctx = LikelihoodContext(enumerate_distribution(validate_kernel(DENSE2, "ensemble")))
+        with pytest.raises(ValueError):
+            newton_raphson(ctx, np.eye(3), max_iter=5)
 
     def test_empirical_dense2_converges_to_mle(self):
         kernel = validate_kernel(DENSE2, "ensemble")
@@ -132,3 +193,27 @@ class TestSgd:
         batch = SampleBatch(2, np.zeros(5, dtype=int), 0, "enumeration")
         with pytest.raises(ValueError):
             sgd(batch, np.eye(2), eta=0.0, iters=10, seed=0)
+
+    def test_initial_size_must_match(self):
+        batch = SampleBatch(2, np.array([0, 3, 1]), 0, "enumeration")
+        with pytest.raises(ValueError):
+            sgd(batch, np.eye(3), eta=0.1, iters=10, seed=0)
+
+
+class TestEmbeddedStep:
+    """The embedded-minor step reproduces the gather/scatter step bit for bit."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("kernel_id", sorted(TABLE1_SGD))
+    def test_table1_trajectories(self, kernel_id, seed):
+        config = TABLE1_SGD[kernel_id]
+        truth = validate_kernel(config.kernel, "ensemble")
+        batch = sample_batch(truth, 30_000, seed, config.sampler)
+        status = _assert_same_run(batch, config.initial, config.eta, 3000, seed)
+        if kernel_id == "dense2x2":
+            assert status == DIVERGED
+
+    def test_empty_and_full_draws(self):
+        batch = sample_batch(validate_kernel(TRIDIAGONAL_3, "ensemble"), 2000, 0, "enumeration")
+        assert {0, 7} <= set(batch.masks.tolist())
+        assert _assert_same_run(batch, TRIDIAGONAL_3_START, 0.1, 3000, 0) == MAX_ITER

@@ -134,6 +134,14 @@ class TestCsv:
         assert recovered.seed == batch.seed
         assert recovered.sampler == batch.sampler
 
+    def test_items_must_match_mask(self):
+        with pytest.raises(ValueError):
+            batch_from_csv("# n_ground=2\nindex,mask,items\n0,3,0\n")
+
+    def test_metadata_required(self):
+        with pytest.raises(ValueError):
+            batch_from_csv("index,mask,items\n0,1,0\n")
+
     def test_schema(self):
         batch = SampleBatch(2, np.array([0, 3, 1]), 9, "enumeration")
         lines = batch_to_csv(batch).strip().splitlines()
