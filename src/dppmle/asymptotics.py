@@ -18,7 +18,7 @@ import numpy as np
 from scipy.stats import norm
 
 from .closed_form import TwoByTwoParams, _mle_2x2_arrays, forward_probs_2x2
-from .errors import ReducibleKernel, SingularHessian, ZeroB
+from .errors import DegenerateTable, ReducibleKernel, SingularHessian, ZeroB
 from .kernels import (
     DistributionTable,
     KernelMatrix,
@@ -303,6 +303,8 @@ def berry_esseen_experiment(
         tables = _multinomial_tables(table.probs, n, reps, rng)
         a, b, c, ok = _mle_2x2_arrays(tables[:, 0], tables[:, 1], tables[:, 2], tables[:, 3])
         estimates = np.stack([a, b, c], axis=1)[ok]
+        if not estimates.size:
+            raise DegenerateTable(f"no replication at sample size {n} has an interior estimate")
         deviations = np.sqrt(n) * (estimates - truth[None, :])
         standardized = deviations @ whitener.T
         component_ks = max(

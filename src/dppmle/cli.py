@@ -79,6 +79,8 @@ def _kernel_on(spec: str, flag: str, n_ground: int):
 
 
 def _cmd_sample(args) -> int:
+    if args.n < 1:
+        raise ConfigError("--n must be at least 1")
     kernel = _resolve_kernel(args.kernel)
     batch = sample_batch(kernel, args.n, args.seed, args.sampler)
     if args.out:
@@ -94,6 +96,8 @@ def _cmd_estimate(args) -> int:
     if not args.eta > 0:
         raise ConfigError("--eta must be positive")
     batch = _parsed(f"batch {args.batch}", load_batch, args.batch)
+    if args.method == experiments.CLOSED_2X2 and batch.n_ground != 2:
+        raise ConfigError(f"--method closed2x2 needs a 2-item batch, not {batch.n_ground} items")
     truth = _kernel_on(args.kernel, "--kernel", batch.n_ground) if args.kernel else None
     initial = _kernel_on(args.l0, "--l0", batch.n_ground).entries if args.l0 else np.eye(batch.n_ground)
     table = empirical_distribution(batch)
@@ -160,7 +164,15 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_berry_esseen(args) -> int:
-    params = TwoByTwoParams(args.a, args.b, args.c)
+    if args.reps < 1:
+        raise ConfigError("--reps must be at least 1")
+    if min(args.sizes) < 1:
+        raise ConfigError("--sizes must be at least 1")
+    if args.sizes != sorted(args.sizes):
+        raise ConfigError("--sizes must be ascending")
+    if not np.isfinite([args.a, args.b, args.c]).all():
+        raise ConfigError("--a, --b and --c must be finite")
+    params = _parsed("--a/--b/--c", lambda abc: TwoByTwoParams(*abc), (args.a, args.b, args.c))
     report = berry_esseen_experiment(params, args.sizes, args.reps, args.seed)
     text = report.to_csv()
     if args.out:

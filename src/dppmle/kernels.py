@@ -340,9 +340,9 @@ def inclusion_probabilities(table: DistributionTable) -> np.ndarray:
     """
     sums = np.array(table.probs, dtype=float)
     for i in range(table.n):
-        bit = 1 << i
-        lower = np.array([mask for mask in range(1 << table.n) if not mask & bit])
-        sums[lower] += sums[lower + bit]
+        # Axis 1 is bit i: [:, 0, :] are the masks without it, [:, 1, :] the same masks with it.
+        view = sums.reshape(-1, 2, 1 << i)
+        view[:, 0, :] += view[:, 1, :]
     return sums
 
 

@@ -1,8 +1,9 @@
 """Exact samplers for finite L-ensembles.
 
-Two routes: the spectral sampler (eigenvector selection followed by
-sequential projection elimination) and an inverse-CDF sampler over the
-dense enumerated table, which serves as the oracle for the first.
+Two routes: the spectral sampler (eigenvector selection followed by a
+chain-rule draw from the selected projection kernel) and an inverse-CDF
+sampler over the dense enumerated table, which serves as the oracle for
+the first.
 
 All randomness flows through numpy Generators backed by the counter-based
 Philox bit generator, seeded from a single 64-bit seed, so batches replay
@@ -68,45 +69,27 @@ class SampleBatch:
 # ---------------------------------------------------------------------------
 
 
-def _orthonormalize(columns: np.ndarray) -> np.ndarray:
-    """Modified Gram-Schmidt with renormalization; drops dependent columns."""
-    kept = []
-    for j in range(columns.shape[1]):
-        v = columns[:, j].copy()
-        for u in kept:
-            v -= (u @ v) * u
-        norm = np.linalg.norm(v)
-        if norm > 1e-12:
-            kept.append(v / norm)
-    if not kept:
-        return np.zeros((columns.shape[0], 0))
-    return np.column_stack(kept)
-
-
 def _eliminate(vectors: np.ndarray, rng: np.random.Generator) -> int:
-    """Run projection-DPP elimination on orthonormal columns; return a mask."""
-    v = vectors
+    """Chain-rule draw from the projection DPP K = V Vᵀ of orthonormal columns V; return a mask.
+
+    Pick s has probability proportional to the diagonal of K's Schur complement
+    on the earlier picks; each pick adds one column of the Cholesky factor of
+    K over the picks and downdates that diagonal by its square.
+    """
+    n, k = vectors.shape
+    weights = np.sum(vectors * vectors, axis=1)
+    basis = np.empty((n, k))
     mask = 0
-    while v.shape[1] > 0:
-        weights = np.sum(v * v, axis=1)
-        # Negative drift from repeated re-orthonormalization is clamped.
-        weights = np.clip(weights, 0.0, None)
-        total = weights.sum()
-        if total <= 0.0:  # pragma: no cover - defensive; span never empties early
-            break
-        cdf = np.cumsum(weights / total)
-        item = int(np.searchsorted(cdf, rng.random(), side="right"))
-        item = min(item, len(weights) - 1)
+    for s in range(k):
+        # Rounding in the downdate can leave picked items slightly negative.
+        w = np.clip(weights, 0.0, None)
+        cdf = np.cumsum(w / w.sum())
+        item = min(int(np.searchsorted(cdf, rng.random(), side="right")), n - 1)
         mask |= 1 << item
-        if v.shape[1] == 1:
+        if s == k - 1:
             break
-        # Remove the chosen coordinate direction from the span: pivot on the
-        # column with the largest component at `item`, eliminate, re-orthonormalize.
-        pivot = int(np.argmax(np.abs(v[item, :])))
-        pivot_col = v[:, pivot]
-        others = np.delete(v, pivot, axis=1)
-        others = others - np.outer(pivot_col / pivot_col[item], others[item, :])
-        v = _orthonormalize(others)
+        basis[:, s] = (vectors @ vectors[item] - basis[:, :s] @ basis[item, :s]) / np.sqrt(w[item])
+        weights -= basis[:, s] ** 2
     return mask
 
 
@@ -114,8 +97,9 @@ def spectral_sample(kernel, rng: np.random.Generator) -> Subset:
     """One draw distributed as the ensemble's point process.
 
     Eigenvector i joins the active set independently with probability
-    lam_i / (1 + lam_i); the active eigenvectors then drive a projection
-    point process whose sequential elimination yields the sampled items.
+    lam_i / (1 + lam_i); the active eigenvectors then span a projection
+    kernel K, and items are picked one at a time from K's chain-rule
+    conditionals (the Schur complements of K on the items already picked).
     """
     entries = as_array(kernel)
     lam, vecs = _decompose(entries)

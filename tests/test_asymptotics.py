@@ -15,7 +15,7 @@ from dppmle.asymptotics import (
     symmetric_chart_basis,
 )
 from dppmle.closed_form import TwoByTwoParams, chart_hessian, chart_log_likelihood, forward_probs_2x2
-from dppmle.errors import ReducibleKernel, ZeroB
+from dppmle.errors import DegenerateTable, ReducibleKernel, ZeroB
 from dppmle.kernels import enumerate_distribution, validate_kernel
 from dppmle.likelihood import LikelihoodContext, hessian
 from dppmle.numdiff import fd_hessian_of
@@ -170,6 +170,11 @@ class TestBerryEsseen:
     def test_sizes_must_ascend(self):
         with pytest.raises(ValueError):
             berry_esseen_experiment(TwoByTwoParams(1.0, 1.0, 2.0), (400, 100), 10, 0)
+
+    def test_all_degenerate_size_raises(self):
+        # One draw never fills the cells the closed form needs.
+        with pytest.raises(DegenerateTable):
+            berry_esseen_experiment(TwoByTwoParams(1.0, 1.0, 2.0), (1,), 20, 0)
 
     def test_csv_schema(self):
         params = TwoByTwoParams(1.0, 1.0, 2.0)

@@ -191,10 +191,20 @@ class TestInputBoundary:
         ["estimate", "--batch", "{batch}", "--method", "moments", "--kernel", "1 0 0; 0 1 0; 0 0 1"],
         ["estimate", "--batch", "{no_metadata}", "--method", "moments"],
         ["estimate", "--batch", "{items_mismatch}", "--method", "moments"],
+        ["sample", "--kernel", "1 1; 1 2", "--n", "0"],
+        ["estimate", "--batch", "{batch3}", "--method", "closed2x2"],
+        ["berry-esseen", "--reps", "0"],
+        ["berry-esseen", "--sizes", "0"],
+        ["berry-esseen", "--sizes", "400", "100"],
+        ["berry-esseen", "--a", "0"],
+        ["berry-esseen", "--b", "-1"],
+        ["berry-esseen", "--c", "nan"],
     ], ids=["inline-kernel", "blocks-json", "blocks-triple", "blocks-repeat",
             "config-json", "config-kernel-entry", "batch-mask",
             "config-not-object", "sgd-iters", "newton-iters", "eta-zero", "eta-negative",
-            "l0-size", "kernel-size", "batch-no-metadata", "batch-items"])
+            "l0-size", "kernel-size", "batch-no-metadata", "batch-items",
+            "sample-n-zero", "closed2x2-three-items", "reps-zero", "sizes-zero",
+            "sizes-descending", "a-zero", "b-negative", "c-nan"])
     def test_exit_code_and_one_line(self, argv, tmp_path, kernel_file, capsys):
         paths = {
             "batch": tmp_path / "batch.csv",
@@ -205,6 +215,7 @@ class TestInputBoundary:
             "not_object": tmp_path / "not_object.json",
             "no_metadata": tmp_path / "no_metadata.csv",
             "items_mismatch": tmp_path / "items_mismatch.csv",
+            "batch3": tmp_path / "batch3.csv",
         }
         main(["sample", "--kernel", str(kernel_file), "--n", "100", "--out", str(paths["batch"])])
         paths["malformed"].write_text('{"kernel": [[1, 0], [0')
@@ -213,6 +224,7 @@ class TestInputBoundary:
         paths["not_object"].write_text("[1, 2]")
         paths["no_metadata"].write_text("index,mask,items\n0,1,0\n")
         paths["items_mismatch"].write_text("# n_ground=2\nindex,mask,items\n0,3,0\n")
+        paths["batch3"].write_text("# n_ground=3\nindex,mask,items\n0,1,0\n1,6,1;2\n")
         capsys.readouterr()
         code = main([arg.format(**paths) for arg in argv])
         err = capsys.readouterr().err

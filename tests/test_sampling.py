@@ -18,8 +18,59 @@ from dppmle.sampling import (
     sample_batch,
     spectral_sample,
 )
+from dppmle.verify_support import random_ensemble
 
 DENSE2 = np.array([[1.0, 1.0], [1.0, 2.0]])
+
+
+def _rank3_kernel(n: int, seed: int) -> np.ndarray:
+    factor = np.random.default_rng(seed).normal(size=(n, 3))
+    return factor @ factor.T
+
+
+def _orthonormalize(columns):
+    """Modified Gram-Schmidt with renormalization; drops dependent columns."""
+    kept = []
+    for j in range(columns.shape[1]):
+        v = columns[:, j].copy()
+        for u in kept:
+            v -= (u @ v) * u
+        norm = np.linalg.norm(v)
+        if norm > 1e-12:
+            kept.append(v / norm)
+    if not kept:
+        return np.zeros((columns.shape[0], 0))
+    return np.column_stack(kept)
+
+
+def _gram_schmidt_eliminate(v, rng):
+    """The projection phase before the chain-rule loop: pivot, delete a column, re-orthonormalize."""
+    mask = 0
+    while v.shape[1] > 0:
+        weights = np.clip(np.sum(v * v, axis=1), 0.0, None)
+        cdf = np.cumsum(weights / weights.sum())
+        item = min(int(np.searchsorted(cdf, rng.random(), side="right")), len(weights) - 1)
+        mask |= 1 << item
+        if v.shape[1] == 1:
+            break
+        pivot = int(np.argmax(np.abs(v[item, :])))
+        pivot_col = v[:, pivot]
+        others = np.delete(v, pivot, axis=1)
+        others = others - np.outer(pivot_col / pivot_col[item], others[item, :])
+        v = _orthonormalize(others)
+    return mask
+
+
+def _gram_schmidt_batch(entries, count, seed):
+    """Spectral draws with the same Bernoulli selection and RNG stream as ``sample_batch``."""
+    lam, vecs = np.linalg.eigh(entries)
+    lam = np.clip(lam, 0.0, None)
+    rng = make_rng(seed)
+    masks = []
+    for _ in range(count):
+        selection = rng.random(lam.size) < lam / (1.0 + lam)
+        masks.append(_gram_schmidt_eliminate(vecs[:, selection], rng) if selection.any() else 0)
+    return np.array(masks, dtype=np.int64)
 
 
 class TestSpectralSampler:
@@ -32,6 +83,8 @@ class TestSpectralSampler:
         kernel = validate_kernel(1e6 * np.eye(2), "ensemble")
         rng = make_rng(0)
         assert all(spectral_sample(kernel, rng).mask == 0b11 for _ in range(50))
+        kernel = validate_kernel(1e6 * _rank3_kernel(12, 4), "ensemble")
+        assert all(spectral_sample(kernel, rng).mask.bit_count() == 3 for _ in range(50))
 
     def test_matches_enumeration_in_total_variation(self):
         kernel = validate_kernel(DENSE2, "ensemble")
@@ -73,6 +126,22 @@ class TestSpectralSampler:
         sizes = np.array([int(m).bit_count() for m in batch.masks])
         freqs = np.bincount(sizes, minlength=4) / len(batch)
         assert 0.5 * np.abs(freqs - pmf).sum() <= 0.01
+
+
+class TestChainRuleStep:
+    """The chain-rule loop draws exactly what Gram-Schmidt elimination drew."""
+
+    @pytest.mark.parametrize("n,seed", [(2, 0), (3, 1), (5, 2), (10, 3), (12, 4)])
+    def test_same_masks_as_gram_schmidt(self, n, seed):
+        entries = random_ensemble(n, np.random.default_rng(seed)).entries
+        expected = _gram_schmidt_batch(entries, 2000, seed)
+        np.testing.assert_array_equal(sample_batch(entries, 2000, seed, "spectral").masks, expected)
+
+    def test_rank3_same_masks_as_gram_schmidt(self):
+        entries = _rank3_kernel(12, 5)
+        expected = _gram_schmidt_batch(entries, 2000, 5)
+        assert max(int(m).bit_count() for m in expected) == 3
+        np.testing.assert_array_equal(sample_batch(entries, 2000, 5, "spectral").masks, expected)
 
 
 class TestEnumerationSampler:
