@@ -20,7 +20,7 @@ from .errors import ConfigError, DegenerateTable
 from .kernels import ENSEMBLE, KernelMatrix, load_kernel, sign_distance, validate_kernel
 from .likelihood import LikelihoodContext, empirical_distribution
 from .optimize import newton_raphson, sgd
-from .sampling import ENUMERATION, SPECTRAL, sample_batch
+from .sampling import ENUMERATION, SEED_LIMIT, SPECTRAL, sample_batch
 
 NEWTON = "newton"
 SGD = "sgd"
@@ -55,6 +55,8 @@ class ExperimentConfig:
             raise ConfigError("sample sizes must be positive")
         if not self.seeds:
             raise ConfigError("seeds must be nonempty")
+        if not all(0 <= seed < SEED_LIMIT for seed in self.seeds):
+            raise ConfigError("seeds must be in [0, 2**128)")
         try:
             kernel = validate_kernel(self.kernel, ENSEMBLE)
         except Exception as exc:

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg.lapack import dgesv
 
 from .errors import SingularPrincipalMinor
 from .kernels import ENSEMBLE, KernelMatrix, as_array
@@ -62,6 +63,17 @@ def _symmetric_start(initial, n_ground: int) -> np.ndarray:
 def _blown_up(candidate: np.ndarray) -> bool:
     """True past BLOWUP_LIMIT or on a non-finite entry (NaN fails the comparison)."""
     return not np.abs(candidate).max() <= BLOWUP_LIMIT
+
+
+def _lu_sign(lu: np.ndarray, piv: np.ndarray) -> int:
+    """Sign of det from a nonsingular ``getrf`` LU: (-1)^(row swaps + negative pivots).
+
+    ``piv`` is 0-based. Python sums over ``tolist()``, which beat numpy
+    reductions at these sizes.
+    """
+    swaps = sum(i != p for i, p in enumerate(piv.tolist()))
+    negatives = sum(u < 0 for u in lu.diagonal().tolist())
+    return -1 if (swaps + negatives) % 2 else 1
 
 
 def _final(entries: np.ndarray, trace: IterationTrace) -> tuple[KernelMatrix, IterationTrace]:
@@ -147,10 +159,11 @@ def sgd(
     The drawn minor is never sliced out. With z the draw's 0/1 indicator,
     M = L * z z^T + diag(1 - z) embeds L_Z in a full matrix: det M = det L_Z
     (1 for the empty draw) and M^{-1} = pad(L_Z^{-1}) + diag(1 - z). A step
-    is one ``slogdet`` of M (LU semantics: valid iff its sign is > 0) and
-    one ``inv`` of the stack (L + I, M); the update is
-    M^{-1} - diag(1 - z) - (L + I)^{-1}. ValueError when the initial kernel
-    does not match the batch's ground set.
+    is one LAPACK ``dgesv`` per matrix, M and L + I, each solved against I;
+    the sign is read off that LU as ``slogdet`` reads it (LU semantics:
+    valid iff the sign is > 0, and an exactly zero pivot is singular). The
+    update is M^{-1} - diag(1 - z) - (L + I)^{-1}. ValueError when the
+    initial kernel does not match the batch's ground set.
     """
     if eta <= 0:
         raise ValueError("step size must be positive")
@@ -164,8 +177,6 @@ def sgd(
     bits = (distinct[:, None] >> np.arange(n) & 1).astype(float)
     embeddings = [(np.outer(z, z), np.diag(1.0 - z)) for z in bits]
     eye = np.eye(n)
-    stack = np.empty((2, n, n))
-    shifted, embedded = stack
     trace = IterationTrace()
     trace.status = MAX_ITER
     for step, slot in enumerate(slots[picks].tolist()):
@@ -178,18 +189,15 @@ def sgd(
                 break
             trace.record(entries, point.value, grad_norm)
         keep, rest = embeddings[slot]
-        np.add(entries, eye, out=shifted)
-        np.multiply(entries, keep, out=embedded)
-        embedded += rest
-        try:
-            if np.linalg.slogdet(embedded)[0] <= 0:
-                trace.status = DIVERGED
-                break
-            inv = np.linalg.inv(stack)
-        except np.linalg.LinAlgError:
+        lu, piv, inv_m, info = dgesv(entries * keep + rest, eye)
+        if info > 0 or _lu_sign(lu, piv) <= 0:
             trace.status = DIVERGED
             break
-        candidate = entries + eta * (inv[1] - rest - inv[0])
+        _, _, inv_s, info = dgesv(entries + eye, eye)
+        if info > 0:
+            trace.status = DIVERGED
+            break
+        candidate = entries + eta * (inv_m - rest - inv_s)
         if _blown_up(candidate):
             trace.status = DIVERGED
             break

@@ -6,8 +6,8 @@ sampler over the dense enumerated table, which serves as the oracle for
 the first.
 
 All randomness flows through numpy Generators backed by the counter-based
-Philox bit generator, seeded from a single 64-bit seed, so batches replay
-bit-exactly.
+Philox bit generator, keyed by a single seed in [0, 2**128), so batches
+replay bit-exactly.
 """
 
 from __future__ import annotations
@@ -28,6 +28,10 @@ from .kernels import (
 
 SPECTRAL = "spectral"
 ENUMERATION = "enumeration"
+
+
+#: Philox keys are 128-bit: a seed is valid when 0 <= seed < SEED_LIMIT.
+SEED_LIMIT = 2**128
 
 
 def make_rng(seed: int) -> np.random.Generator:

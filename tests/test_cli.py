@@ -199,12 +199,22 @@ class TestInputBoundary:
         ["berry-esseen", "--a", "0"],
         ["berry-esseen", "--b", "-1"],
         ["berry-esseen", "--c", "nan"],
+        ["sample", "--kernel", "1 1; 1 2", "--n", "5", "--seed", "-1"],
+        ["estimate", "--batch", "{batch}", "--method", "sgd", "--seed", "-1"],
+        ["experiment", "--preset", "twobytwo", "--seed", "0", "-1", "--out", "{out}"],
+        ["berry-esseen", "--seed", "-1"],
+        ["verify", "--seed", "-1"],
+        ["sample", "--kernel", "1 1; 1 2", "--n", "5", "--seed", str(2**128)],
+        ["experiment", "--config", "{negative_seed}", "--out", "{out}"],
     ], ids=["inline-kernel", "blocks-json", "blocks-triple", "blocks-repeat",
             "config-json", "config-kernel-entry", "batch-mask",
             "config-not-object", "sgd-iters", "newton-iters", "eta-zero", "eta-negative",
             "l0-size", "kernel-size", "batch-no-metadata", "batch-items",
             "sample-n-zero", "closed2x2-three-items", "reps-zero", "sizes-zero",
-            "sizes-descending", "a-zero", "b-negative", "c-nan"])
+            "sizes-descending", "a-zero", "b-negative", "c-nan",
+            "sample-seed-negative", "estimate-seed-negative", "experiment-seed-negative",
+            "berry-esseen-seed-negative", "verify-seed-negative", "seed-2-pow-128",
+            "config-seed-negative"])
     def test_exit_code_and_one_line(self, argv, tmp_path, kernel_file, capsys):
         paths = {
             "batch": tmp_path / "batch.csv",
@@ -216,6 +226,7 @@ class TestInputBoundary:
             "no_metadata": tmp_path / "no_metadata.csv",
             "items_mismatch": tmp_path / "items_mismatch.csv",
             "batch3": tmp_path / "batch3.csv",
+            "negative_seed": tmp_path / "negative_seed.json",
         }
         main(["sample", "--kernel", str(kernel_file), "--n", "100", "--out", str(paths["batch"])])
         paths["malformed"].write_text('{"kernel": [[1, 0], [0')
@@ -225,6 +236,8 @@ class TestInputBoundary:
         paths["no_metadata"].write_text("index,mask,items\n0,1,0\n")
         paths["items_mismatch"].write_text("# n_ground=2\nindex,mask,items\n0,3,0\n")
         paths["batch3"].write_text("# n_ground=3\nindex,mask,items\n0,1,0\n1,6,1;2\n")
+        paths["negative_seed"].write_text(json.dumps(
+            {"kernel": [[1, 0], [0, 1]], "method": "moments", "sample_sizes": [10], "seeds": [-1]}))
         capsys.readouterr()
         code = main([arg.format(**paths) for arg in argv])
         err = capsys.readouterr().err
@@ -244,6 +257,18 @@ class TestConfigValidation:
     def test_block_needs_structure(self):
         with pytest.raises(ConfigError):
             ExperimentConfig("x", np.eye(4), "block", (100,), (0,)).validated()
+
+    @pytest.mark.parametrize("seeds", [(-1,), (0, 2**128)], ids=["negative", "2-pow-128"])
+    def test_seed_range(self, seeds):
+        with pytest.raises(ConfigError, match="seeds must be in"):
+            ExperimentConfig("x", np.eye(2), "moments", (100,), seeds).validated()
+        with pytest.raises(ConfigError, match="seeds must be in"):
+            config_from_dict({"kernel": [[1, 0], [0, 1]], "method": "moments",
+                              "sample_sizes": [100], "seeds": list(seeds)})
+
+    def test_largest_seed_runs(self):
+        config = ExperimentConfig("x", np.eye(2), "moments", (100,), (2**128 - 1,))
+        assert len(run_experiment(config).rows) == 1
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError):

@@ -24,6 +24,9 @@ from dppmle.sampling import SampleBatch, make_rng, sample_batch
 
 DENSE2 = np.array([[1.0, 1.0], [1.0, 2.0]])
 DIAG3 = np.diag([7.0, 5.0, 9.0])
+# LU of this start swaps rows 0 and 1 and has the pivots 1, 0.99, -2: det > 0
+# although both the permutation and the pivots are odd; its {0, 1} minor has det < 0.
+SWAPPED_START = np.array([[0.1, 1.0, 0.0], [1.0, 0.1, 0.0], [0.0, 0.0, -2.0]])
 TABLE1_SGD = {c.kernel_id: c for c in preset_configs("table1") if c.method == SGD}
 
 
@@ -62,9 +65,9 @@ def _gather_scatter_sgd(batch, initial, eta, iters, seed, trace_every=100):
     return (entries + entries.T) / 2.0, trace
 
 
-def _assert_same_run(batch, initial, eta, iters, seed):
-    estimate, trace = sgd(batch, initial, eta=eta, iters=iters, seed=seed)
-    expected, expected_trace = _gather_scatter_sgd(batch, initial, eta, iters, seed)
+def _assert_same_run(batch, initial, eta, iters, seed, trace_every=100):
+    estimate, trace = sgd(batch, initial, eta=eta, iters=iters, seed=seed, trace_every=trace_every)
+    expected, expected_trace = _gather_scatter_sgd(batch, initial, eta, iters, seed, trace_every)
     assert trace.status == expected_trace.status
     assert len(trace.iterates) == len(expected_trace.iterates)
     assert all(np.array_equal(a, b) for a, b in zip(trace.iterates, expected_trace.iterates))
@@ -217,3 +220,27 @@ class TestEmbeddedStep:
         batch = sample_batch(validate_kernel(TRIDIAGONAL_3, "ensemble"), 2000, 0, "enumeration")
         assert {0, 7} <= set(batch.masks.tolist())
         assert _assert_same_run(batch, TRIDIAGONAL_3_START, 0.1, 3000, 0) == MAX_ITER
+
+    def test_row_swap_and_negative_pivot_cancel(self):
+        batch = SampleBatch(3, np.full(10, 0b111), 0, "enumeration")
+        assert _assert_same_run(batch, SWAPPED_START, 0.01, 20, 0) == MAX_ITER
+
+    def test_row_swap_alone_diverges(self):
+        batch = SampleBatch(3, np.full(10, 0b011), 0, "enumeration")
+        assert _assert_same_run(batch, SWAPPED_START, 0.01, 20, 0) == DIVERGED
+
+    def test_zero_pivot_in_drawn_minor_diverges(self):
+        # step 0 draws the empty set and takes I to exactly 0; step 1 draws {0},
+        # so M = diag(0, 1, 1) and its LU reports a zero pivot. Only step 0 is
+        # traced, so the trace's likelihood cannot report the singular minor first.
+        picks = make_rng(1).integers(0, 10, size=2)
+        assert picks[0] != picks[1]
+        masks = np.full(10, 0b001)
+        masks[picks[0]] = 0
+        batch = SampleBatch(3, masks, 0, "enumeration")
+        assert _assert_same_run(batch, np.eye(3), 2.0, 2, 1, trace_every=10**9) == DIVERGED
+
+    def test_zero_pivot_in_normalizer_diverges(self):
+        # one empty-draw step takes I to exactly -I, so L + I = 0 at step 1
+        batch = SampleBatch(3, np.zeros(10, dtype=int), 0, "enumeration")
+        assert _assert_same_run(batch, np.eye(3), 4.0, 2, 0, trace_every=10**9) == DIVERGED
