@@ -11,7 +11,6 @@ from .asymptotics import (
     RateReport,
     asymptotic_covariance,
     berry_esseen_experiment,
-    chart_covariance_2x2,
     clt_experiment,
     covariance_2x2_explicit,
     is_irreducible,
@@ -65,6 +64,7 @@ from .likelihood import (
     hessian,
     kl_gap,
     log_likelihood,
+    vech_embedding,
 )
 from .optimize import IterationTrace, newton_raphson, sgd
 from .sampling import (

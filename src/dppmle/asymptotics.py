@@ -2,12 +2,10 @@
 
 The root-n scaled estimation error is asymptotically centered Gaussian.
 Its covariance is the inverse of the negated objective curvature at the
-truth, taken on the symmetric-matrix subspace: in the vectorized chart
-the curvature annihilates every antisymmetric direction exactly (the
-score is a symmetric matrix almost surely), so the N^2 x N^2 "inverse"
-is the symmetric-subspace pseudo-inverse. For 2x2 kernels the (a, b, c)
-chart is full-rank and the covariance has the explicit closed form
-implemented in :func:`covariance_2x2_explicit`.
+truth in the upper-triangle chart vech(L), which has N(N+1)/2
+coordinates. For 2x2 kernels that chart is (a, b, c) and the covariance
+has the explicit closed form implemented in
+:func:`covariance_2x2_explicit`.
 """
 
 from __future__ import annotations
@@ -26,15 +24,12 @@ from .kernels import (
     enumerate_distribution,
     sign_align,
 )
-from .likelihood import LikelihoodContext, hessian
+from .likelihood import LikelihoodContext, hessian, vech_embedding
 from .optimize import CONVERGED, newton_raphson
 from .sampling import make_rng
 
 #: Eigenvalue floor used when forming inverse square roots of covariances.
 EIG_FLOOR = 1e-12
-
-#: Vectorized-chart positions of (a, b, c) for a 2x2 kernel.
-CHART_2X2_INDICES = (0, 1, 3)
 
 
 def is_irreducible(kernel) -> bool:
@@ -62,56 +57,27 @@ def is_irreducible(kernel) -> bool:
     return len(seen) == n
 
 
-def symmetric_chart_basis(n: int) -> np.ndarray:
-    """Orthonormal basis of the symmetric subspace inside the N^2 chart.
-
-    Columns are vectorized e_ii and (e_ij + e_ji)/sqrt(2) for i < j.
-    """
-    cols = []
-    for i in range(n):
-        e = np.zeros((n, n))
-        e[i, i] = 1.0
-        cols.append(e.reshape(-1))
-    for i in range(n):
-        for j in range(i + 1, n):
-            e = np.zeros((n, n))
-            e[i, j] = e[j, i] = 1.0 / np.sqrt(2.0)
-            cols.append(e.reshape(-1))
-    return np.column_stack(cols)
-
-
 def asymptotic_covariance(kernel_star: KernelMatrix) -> np.ndarray:
-    """Covariance of the scaled estimation error, in the N^2 chart.
+    """Covariance of the scaled estimation error, in the vech chart.
 
-    Inverts the negated curvature of the expected objective on the
-    symmetric subspace and embeds the result back, which is its
-    Moore-Penrose pseudo-inverse there: antisymmetric directions are
-    exact null directions of the curvature at theoretical tables and the
-    estimator never leaves the symmetric subspace either.
+    inv(-J^T H J), with H the Hessian of the expected objective at the
+    truth and J from :func:`~dppmle.likelihood.vech_embedding`; an
+    N(N+1)/2 square matrix, for 2x2 kernels the (a, b, c) covariance.
     """
     if not is_irreducible(kernel_star):
         raise ReducibleKernel("kernel splits into independent blocks")
     ctx = LikelihoodContext(enumerate_distribution(kernel_star))
-    curvature = hessian(ctx, kernel_star)
-    n = kernel_star.n
-    basis = symmetric_chart_basis(n)
-    restricted = basis.T @ curvature @ basis
-    restricted = (restricted + restricted.T) / 2.0
-    eigs = np.linalg.eigvalsh(restricted)
-    tol = 1e-10 * max(1.0, float(np.max(np.abs(restricted))))
+    embed = vech_embedding(kernel_star.n)
+    curvature = embed.T @ hessian(ctx, kernel_star) @ embed
+    curvature = (curvature + curvature.T) / 2.0
+    eigs = np.linalg.eigvalsh(curvature)
+    tol = 1e-10 * max(1.0, float(np.max(np.abs(curvature))))
     if eigs.max() > -tol:
         raise SingularHessian(
             f"curvature is not negative definite on symmetric directions (max eig {eigs.max():.3e})"
         )
-    inverse = np.linalg.inv(-restricted)
-    cov = basis @ inverse @ basis.T
+    cov = np.linalg.inv(-curvature)
     return (cov + cov.T) / 2.0
-
-
-def chart_covariance_2x2(cov_vec: np.ndarray) -> np.ndarray:
-    """Extract the (a, b, c) block from a 4x4 vectorized-chart covariance."""
-    idx = np.array(CHART_2X2_INDICES)
-    return cov_vec[np.ix_(idx, idx)]
 
 
 def covariance_2x2_explicit(params: TwoByTwoParams) -> np.ndarray:
@@ -152,7 +118,11 @@ def inverse_sqrt(matrix: np.ndarray, floor: float = EIG_FLOOR) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CltResult:
-    """Sample moments of the scaled estimation error over replications."""
+    """Sample moments of the scaled estimation error over replications.
+
+    ``covariance`` and ``mean`` are in the vech chart of
+    :func:`asymptotic_covariance`, N(N+1)/2 coordinates.
+    """
 
     covariance: np.ndarray
     mean: np.ndarray
@@ -177,7 +147,7 @@ def _multinomial_tables(probs: np.ndarray, n: int, reps: int, rng) -> np.ndarray
 
 
 def clt_experiment(kernel_star: KernelMatrix, n: int, reps: int, seed: int) -> CltResult:
-    """Empirical covariance of sqrt(n) * (aligned estimate - truth).
+    """Empirical covariance of sqrt(n) * vech(aligned estimate - truth).
 
     2x2 kernels use the closed-form estimator (vectorized across
     replications); larger kernels run Newton from the truth on each
@@ -186,17 +156,15 @@ def clt_experiment(kernel_star: KernelMatrix, n: int, reps: int, seed: int) -> C
     """
     rng = make_rng(seed)
     table = enumerate_distribution(kernel_star)
+    upper = np.triu_indices(kernel_star.n)
     star = kernel_star.entries
-    dim = kernel_star.n**2
+    dim = upper[0].size
     if kernel_star.n == 2:
         tables = _multinomial_tables(table.probs, n, reps, rng)
         a, b, c, ok = _mle_2x2_arrays(tables[:, 0], tables[:, 1], tables[:, 2], tables[:, 3])
         # b >= 0 by construction and the truth has b >= 0, so the identity
         # diagonal is already the nearest orbit representative.
-        deviations = np.sqrt(n) * (
-            np.stack([a, b, b, c], axis=1) - star.reshape(-1)[None, :]
-        )
-        deviations = deviations[ok]
+        deviations = np.sqrt(n) * (np.stack([a, b, c], axis=1) - star[upper])[ok]
         failures = int(reps - ok.sum())
     else:
         rows = []
@@ -208,7 +176,7 @@ def clt_experiment(kernel_star: KernelMatrix, n: int, reps: int, seed: int) -> C
                 failures += 1
                 continue
             aligned = sign_align(estimate, kernel_star)
-            rows.append(np.sqrt(n) * (aligned - star).reshape(-1))
+            rows.append(np.sqrt(n) * (aligned - star)[upper])
         deviations = np.array(rows) if rows else np.zeros((0, dim))
     if deviations.shape[0] >= 2:
         covariance = np.cov(deviations, rowvar=False)

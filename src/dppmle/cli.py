@@ -16,13 +16,7 @@ import numpy as np
 
 from . import experiments
 from .asymptotics import berry_esseen_experiment
-from .closed_form import (
-    BlockStructure,
-    TwoByTwoParams,
-    mle_2x2,
-    mle_block,
-    moments_kernel,
-)
+from .closed_form import BlockStructure, TwoByTwoParams
 from .errors import ConfigError, DppError
 from .kernels import (
     ENSEMBLE,
@@ -31,8 +25,6 @@ from .kernels import (
     sign_distance,
     validate_kernel,
 )
-from .likelihood import LikelihoodContext, empirical_distribution
-from .optimize import newton_raphson, sgd
 from .sampling import (
     ENUMERATION,
     SEED_LIMIT,
@@ -107,26 +99,17 @@ def _cmd_estimate(args) -> int:
     if args.method == experiments.CLOSED_2X2 and batch.n_ground != 2:
         raise ConfigError(f"--method closed2x2 needs a 2-item batch, not {batch.n_ground} items")
     truth = _kernel_on(args.kernel, "--kernel", batch.n_ground) if args.kernel else None
-    initial = _kernel_on(args.l0, "--l0", batch.n_ground).entries if args.l0 else np.eye(batch.n_ground)
-    table = empirical_distribution(batch)
-    status = "ok"
-    if args.method == experiments.NEWTON:
-        estimate, trace = newton_raphson(
-            LikelihoodContext(table), initial, max_iter=args.iters
-        )
-        entries, status = estimate.entries, trace.status
-    elif args.method == experiments.SGD:
-        estimate, trace = sgd(batch, initial, eta=args.eta, iters=args.iters, seed=args.seed)
-        entries, status = estimate.entries, trace.status
-    elif args.method == experiments.CLOSED_2X2:
-        params, status = mle_2x2(table)
-        entries = params.matrix()
-    elif args.method == experiments.BLOCK:
+    initial = _kernel_on(args.l0, "--l0", batch.n_ground).entries if args.l0 else None
+    blocks = None
+    if args.method == experiments.BLOCK:
         structure = _parsed("--blocks", lambda t: BlockStructure(tuple(tuple(b) for b in json.loads(t))),
                             args.blocks)
-        entries = _parsed("--blocks", lambda blocks: mle_block(batch, blocks), structure).entries
-    else:
-        entries = moments_kernel(table).entries
+        if structure.n != batch.n_ground:
+            raise ConfigError(f"--blocks covers {structure.n} items but the batch has {batch.n_ground}")
+        blocks = structure.blocks
+    entries, status, _ = experiments.estimate(
+        args.method, batch, initial, args.iters, args.eta, args.seed, blocks
+    )
     report = {"method": args.method, "status": status, "n": len(batch)}
     if truth is not None:
         report["distance"] = sign_distance(entries, truth)[0]

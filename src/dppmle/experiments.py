@@ -80,8 +80,15 @@ class ExperimentConfig:
         return self
 
 
+def _integer(key: str, value) -> int:
+    """``value`` if it is an integer and not a bool; a ConfigError otherwise."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ConfigError(f"{key}: {value!r} is not an integer")
+    return int(value)
+
+
 def config_from_dict(raw: dict) -> ExperimentConfig:
-    """Build a config from parsed JSON; unknown keys are rejected."""
+    """Build a config from parsed JSON; unknown keys and non-integral counts are rejected."""
     known = {
         "kernel_id", "kernel", "kernel_file", "method", "sample_sizes",
         "seeds", "iterations", "eta", "sampler", "initial", "blocks",
@@ -100,14 +107,14 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         kernel_id=str(raw.get("kernel_id", "kernel")),
         kernel=kernel,
         method=raw.get("method", NEWTON),
-        sample_sizes=tuple(int(n) for n in raw.get("sample_sizes", ())),
-        seeds=tuple(int(s) for s in raw.get("seeds", (0,))),
-        iterations=int(raw.get("iterations", 100)),
+        sample_sizes=tuple(_integer("sample_sizes", n) for n in raw.get("sample_sizes", ())),
+        seeds=tuple(_integer("seeds", s) for s in raw.get("seeds", (0,))),
+        iterations=_integer("iterations", raw.get("iterations", 100)),
         eta=float(raw.get("eta", 0.1)),
         sampler=raw.get("sampler", ENUMERATION),
         initial=None if raw.get("initial") is None else np.asarray(raw["initial"], dtype=float),
         blocks=None if raw.get("blocks") is None else tuple(
-            (int(u), int(v)) for u, v in raw["blocks"]
+            (_integer("blocks", u), _integer("blocks", v)) for u, v in raw["blocks"]
         ),
         output_dir=raw.get("output_dir"),
     ).validated()
@@ -150,35 +157,39 @@ class ExperimentResult:
         }
 
 
+def estimate(method: str, batch, initial=None, iterations: int = 100, eta: float = 0.1,
+             seed: int = 0, blocks=None) -> tuple[np.ndarray, str, int]:
+    """Estimate a kernel from a batch with one of METHODS: (entries, status, iterations).
+
+    ``initial`` (identity when None), ``iterations`` and ``eta`` drive the
+    iterative solvers, ``seed`` picks SGD's draws, and ``blocks`` is the
+    pair partition of ``block``. The status is the solver's trace status,
+    the closed form's tag, or ``ok``; the iteration count is the Newton
+    steps taken, SGD's budget, or 0. DegenerateTable propagates.
+    """
+    if initial is None:
+        initial = np.eye(batch.n_ground)
+    if method == NEWTON:
+        ctx = LikelihoodContext.from_batch(batch)
+        kernel, trace = newton_raphson(ctx, initial, max_iter=iterations)
+        return kernel.entries, trace.status, max(len(trace.iterates) - 1, 0)
+    if method == SGD:
+        kernel, trace = sgd(batch, initial, eta=eta, iters=iterations, seed=seed)
+        return kernel.entries, trace.status, iterations
+    if method == CLOSED_2X2:
+        params, tag = mle_2x2(empirical_distribution(batch))
+        return params.matrix(), tag, 0
+    if method == BLOCK:
+        return mle_block(batch, BlockStructure(blocks)).entries, "ok", 0
+    return moments_kernel(empirical_distribution(batch)).entries, "ok", 0
+
+
 def _estimate_cell(config: ExperimentConfig, truth: KernelMatrix, n: int, seed: int) -> RunRow:
     batch = sample_batch(truth, n, seed, config.sampler)
-    status = "ok"
-    iterations = 0
     try:
-        if config.method == NEWTON:
-            initial = config.initial if config.initial is not None else np.eye(truth.n)
-            ctx = LikelihoodContext.from_batch(batch)
-            estimate, trace = newton_raphson(ctx, initial, max_iter=config.iterations)
-            status = trace.status
-            iterations = max(len(trace.iterates) - 1, 0)
-            entries = estimate.entries
-        elif config.method == SGD:
-            initial = config.initial if config.initial is not None else np.eye(truth.n)
-            estimate, trace = sgd(
-                batch, initial, eta=config.eta, iters=config.iterations, seed=seed
-            )
-            status = trace.status
-            iterations = config.iterations
-            entries = estimate.entries
-        elif config.method == CLOSED_2X2:
-            params, tag = mle_2x2(empirical_distribution(batch))
-            status = tag
-            entries = params.matrix()
-        elif config.method == BLOCK:
-            estimate = mle_block(batch, BlockStructure(config.blocks))
-            entries = estimate.entries
-        else:
-            entries = moments_kernel(empirical_distribution(batch)).entries
+        entries, status, iterations = estimate(
+            config.method, batch, config.initial, config.iterations, config.eta, seed, config.blocks
+        )
     except DegenerateTable as exc:
         return RunRow(config.kernel_id, n, seed, config.method, 0, f"degenerate:{exc}",
                       float("nan"), np.full((truth.n, truth.n), np.nan))

@@ -9,7 +9,9 @@ symmetric matrix sum_J p(J) pad(L_J^{-1}) - (L + I)^{-1}, where pad embeds
 the inverted minor back at rows and columns J. The Hessian is expressed in
 the vectorized chart that lists matrix entries row-major, i.e. coordinates
 (0,0), (0,1), ..., (N-1,N-1), treating off-diagonal partners as separate
-coordinates.
+coordinates. Second-order work on symmetric kernels (Newton, the
+asymptotic covariance) uses the upper-triangle chart vech(L) instead,
+reached through :func:`vech_embedding`; for N = 2 it is (a, b, c).
 
 Terms with p(J) = 0 are skipped, so kernels that are singular on
 unobserved subsets remain evaluable; the empty subset contributes only
@@ -108,6 +110,20 @@ class LikelihoodPoint:
         for weights, _, padded in self._nonsingular_terms():
             tensor -= np.einsum("m,mik,mlj->ijkl", weights, padded, padded)
         return tensor.reshape(norm_inv.size, norm_inv.size)
+
+
+def vech_embedding(n: int) -> np.ndarray:
+    """The 0/1 (n^2, n(n+1)/2) matrix J with vec(S) = J @ vech(S) for symmetric S.
+
+    vech lists the upper triangle in ``np.triu_indices(n)`` order, so a 2x2
+    [[a, b], [b, c]] has vech (a, b, c). The curvature of the objective in
+    that chart is J^T H J, with H from :func:`hessian`.
+    """
+    rows, cols = np.triu_indices(n)
+    embed = np.zeros((n * n, rows.size))
+    embed[rows * n + cols, np.arange(rows.size)] = 1.0
+    embed[cols * n + rows, np.arange(rows.size)] = 1.0
+    return embed
 
 
 def log_likelihood(ctx: LikelihoodContext, kernel) -> float:

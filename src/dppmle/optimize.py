@@ -1,11 +1,10 @@
-"""Iterative likelihood maximizers: vectorized Newton-Raphson and plain SGD.
+"""Iterative likelihood maximizers: Newton-Raphson and plain SGD.
 
 Both are deliberately unguarded reproductions of the textbook updates:
-no line search, no damping, no projection back to the PSD cone beyond
-re-symmetrization. Wrong critical points and numerical blow-ups are
-expected outcomes on hard instances and are reported through the trace
-status instead of exceptions, so experiment harnesses never crash on a
-diverged run.
+no line search, no damping, no projection back to the PSD cone. Wrong
+critical points and numerical blow-ups are expected outcomes on hard
+instances and are reported through the trace status instead of
+exceptions, so experiment harnesses never crash on a diverged run.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from scipy.linalg.lapack import dgesv
 
 from .errors import SingularPrincipalMinor
 from .kernels import ENSEMBLE, KernelMatrix, as_array
-from .likelihood import LikelihoodContext, LikelihoodPoint
+from .likelihood import LikelihoodContext, LikelihoodPoint, vech_embedding
 from .sampling import SampleBatch, make_rng
 
 CONVERGED = "converged"
@@ -88,21 +87,21 @@ def newton_raphson(
     grad_tol: float = 1e-8,
     trace_every: int = 1,
 ) -> tuple[KernelMatrix, IterationTrace]:
-    """Newton iteration on the vectorized kernel.
+    """Newton iteration in the upper-triangle chart vech(L).
 
-    Each step solves the full N^2 x N^2 Hessian system
-    L <- L - solve(d2, d1) and re-symmetrizes, because the vectorized
-    chart treats the two off-diagonal partners as separate coordinates
-    and their drift must be removed.
+    With J from :func:`~dppmle.likelihood.vech_embedding`, H the N^2
+    Hessian and g the gradient, each step solves (J^T H J) x = J^T vec(g)
+    and moves L <- L - unvech(x), so every iterate is exactly symmetric.
 
     Stops when the gradient Frobenius norm falls below ``grad_tol``, the
-    iteration budget runs out, the Hessian system is singular (status
+    iteration budget runs out, J^T H J is singular (status
     ``singular``), or the iterate leaves the validity region: a supported
     minor loses positivity or entries blow past 1e8 (status ``diverged``).
     The last valid iterate is always returned. ValueError when the initial
     kernel does not match the table's ground set.
     """
     entries = _symmetric_start(initial, ctx.dist.n)
+    embed = vech_embedding(ctx.dist.n)
     point = LikelihoodPoint(ctx, entries)
     trace = IterationTrace()
     for step in range(max_iter + 1):
@@ -121,12 +120,11 @@ def newton_raphson(
             trace.status = MAX_ITER
             break
         try:
-            delta = np.linalg.solve(point.hessian(), grad.reshape(-1)).reshape(grad.shape)
+            x = np.linalg.solve(embed.T @ point.hessian() @ embed, embed.T @ grad.reshape(-1))
         except np.linalg.LinAlgError:
             trace.status = SINGULAR
             break
-        candidate = entries - delta
-        candidate = (candidate + candidate.T) / 2.0
+        candidate = entries - (embed @ x).reshape(grad.shape)
         if _blown_up(candidate):
             trace.status = DIVERGED
             break

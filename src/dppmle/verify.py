@@ -2,7 +2,11 @@
 
 Every check is deterministic under its seed and returns a record the CLI
 prints as one pass/fail line. ``quick`` stays within a minute on a
-laptop; ``full`` adds the large-replication normality check.
+laptop; ``full`` adds the large-replication normality check. Five
+measurements are public functions, because the acceptance tests make
+them too, each with its own seed, count and threshold: the probability
+routes, the sampler against enumeration, the derivatives against finite
+differences, the covariance formula and the 2x2 CLT covariance.
 """
 
 from __future__ import annotations
@@ -12,17 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import chisquare
 
-from .asymptotics import (
-    chart_covariance_2x2,
-    clt_experiment,
-    covariance_2x2_explicit,
-)
+from .asymptotics import clt_experiment, covariance_2x2_explicit
 from .closed_form import TwoByTwoParams, chart_log_likelihood, forward_probs_2x2, mle_2x2
 from .kernels import (
     ENSEMBLE,
     DistributionTable,
-    KernelMatrix,
     atomic_probability_from_marginal,
+    ensemble_probability,
     enumerate_distribution,
     inclusion_probabilities,
     marginal_of,
@@ -31,11 +31,16 @@ from .kernels import (
 )
 from .likelihood import LikelihoodContext, gradient, hessian
 from .numdiff import fd_gradient, fd_hessian, fd_hessian_of
-from .sampling import sample_batch
+from .sampling import SEED_LIMIT, sample_batch
 from .verify_support import random_ensemble
 
 QUICK = "quick"
 FULL = "full"
+
+#: The dense 2x2 benchmark kernel [[1, 1], [1, 2]] in the (a, b, c) chart.
+BENCHMARK = TwoByTwoParams(1.0, 1.0, 2.0)
+#: Asymptotic covariance of the (a, b, c) estimate at BENCHMARK.
+BENCHMARK_COV = np.array([[10.0, 12.5, 10.0], [12.5, 20.0, 20.0], [10.0, 20.0, 30.0]])
 
 
 @dataclass(frozen=True)
@@ -45,87 +50,96 @@ class CheckResult:
     detail: str
 
 
-def _check_probability_oracles(seed: int, kernels: int = 50) -> CheckResult:
+def probability_route_deviation(seed: int, kernels: int, max_size: int) -> float:
+    """Worst disagreement of the probability routes on random ensembles of size 2..max_size.
+
+    Per subset, the direct ensemble probability, the atomic probability
+    from the marginal kernel and the enumerated table agree, and the
+    table's containment probability equals the marginal's principal
+    minor; each table sums to 1.
+    """
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(kernels):
-        n = int(rng.integers(2, 4))
+        n = int(rng.integers(2, max_size + 1))
         kernel = random_ensemble(n, rng)
         table = enumerate_distribution(kernel)
         marginal = marginal_of(kernel)
-        inclusion = inclusion_probabilities(table)
+        containment = inclusion_probabilities(table)
         for mask in range(1 << n):
-            idx = subset_indices(mask)
+            direct = ensemble_probability(kernel, mask)
             atomic = atomic_probability_from_marginal(marginal, mask)
-            worst = max(worst, abs(atomic - table.probs[mask]))
-            det_minor = np.linalg.det(marginal.entries[np.ix_(idx, idx)]) if idx else 1.0
-            worst = max(worst, abs(inclusion[mask] - det_minor))
+            idx = subset_indices(mask)
+            minor = np.linalg.det(marginal.entries[np.ix_(idx, idx)]) if idx else 1.0
+            worst = max(worst, abs(direct - table.probs[mask]), abs(atomic - direct),
+                        abs(atomic - table.probs[mask]), abs(containment[mask] - minor))
         worst = max(worst, abs(table.probs.sum() - 1.0))
-    return CheckResult("probability-oracles", worst <= 1e-10, f"max deviation {worst:.3e}")
+    return worst
 
 
-def _check_gradient_fd(seed: int, instances: int = 20) -> CheckResult:
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(instances):
-        n = int(rng.integers(2, 4))
-        kernel = random_ensemble(n, rng, jitter=0.3)
-        probs = rng.dirichlet(np.ones(1 << n))
-        ctx = LikelihoodContext(_as_table(n, probs))
-        analytic = gradient(ctx, kernel)
-        numeric = fd_gradient(ctx, kernel)
-        worst = max(worst, float(np.max(np.abs(analytic - numeric) / (1.0 + np.abs(analytic)))))
-    return CheckResult("gradient-vs-finite-difference", worst <= 1e-6, f"max rel error {worst:.3e}")
-
-
-def _check_hessian_fd(seed: int, instances: int = 10) -> CheckResult:
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(instances):
-        n = int(rng.integers(2, 4))
-        kernel = random_ensemble(n, rng, jitter=0.3)
-        probs = rng.dirichlet(np.ones(1 << n))
-        ctx = LikelihoodContext(_as_table(n, probs))
-        analytic = hessian(ctx, kernel)
-        numeric = fd_hessian(ctx, kernel)
-        worst = max(worst, float(np.max(np.abs(analytic - numeric) / (1.0 + np.abs(analytic)))))
-    return CheckResult("hessian-vs-finite-difference", worst <= 1e-4, f"max rel error {worst:.3e}")
-
-
-def _check_sampler(seed: int, draws: int = 20_000) -> CheckResult:
-    kernel = validate_kernel([[1.0, 1.0], [1.0, 2.0]], ENSEMBLE)
+def sampler_fit(draws: int, seed: int) -> tuple[float, float]:
+    """TV distance and chi-square p-value of spectral draws of BENCHMARK against its table."""
+    kernel = validate_kernel(BENCHMARK.matrix(), ENSEMBLE)
     table = enumerate_distribution(kernel)
     batch = sample_batch(kernel, draws, seed, "spectral")
     counts = np.bincount(batch.masks, minlength=4)
-    stat, p_value = chisquare(counts, table.probs * draws)
-    return CheckResult("spectral-vs-enumeration", p_value > 1e-3, f"chi-square p={p_value:.4f}")
+    _, p_value = chisquare(counts, table.probs * draws)
+    return 0.5 * float(np.abs(counts / draws - table.probs).sum()), float(p_value)
 
 
-def _check_covariance_formula(seed: int, instances: int = 5) -> CheckResult:
+def derivative_errors(rng: np.random.Generator, sizes, routes) -> list[float]:
+    """Worst relative error of each (analytic, finite-difference) pair in ``routes``.
+
+    One problem per entry of ``sizes``: a kernel of that size with a
+    widened ridge and a Dirichlet table, both drawn from ``rng``. The
+    error is max |analytic - numeric| / (1 + |analytic|) over entries.
+    """
+    worst = [0.0] * len(routes)
+    for n in sizes:
+        kernel = random_ensemble(n, rng, jitter=0.3)
+        probs = rng.dirichlet(np.ones(1 << n))
+        ctx = LikelihoodContext(DistributionTable(n, probs / probs.sum()))
+        for k, (analytic, numeric) in enumerate(routes):
+            exact = analytic(ctx, kernel)
+            error = np.abs(exact - numeric(ctx, kernel)) / (1.0 + np.abs(exact))
+            worst[k] = max(worst[k], float(np.max(error)))
+    return worst
+
+
+def covariance_formula_errors(seed: int, instances: int) -> tuple[bool, float, float]:
+    """The explicit 2x2 covariance against the inverse finite-difference curvature.
+
+    The first case is BENCHMARK, the others random (a, b, c) with
+    0 < b < sqrt(ac) drawn from ``seed``. Returns whether the formula gives
+    BENCHMARK_COV at BENCHMARK (atol 1e-9), the worst entry of
+    -curvature @ explicit - I, and the worst relative entry error of the
+    formula against inv(-curvature). The product keeps finite-difference
+    noise from being amplified by the curvature's condition number.
+    """
     rng = np.random.default_rng(seed)
-    cases = [TwoByTwoParams(1.0, 1.0, 2.0)]
+    cases = [BENCHMARK]
     while len(cases) < instances:
         a, c = rng.uniform(0.5, 3.0, size=2)
         b = rng.uniform(0.2, 0.9) * np.sqrt(a * c)
         cases.append(TwoByTwoParams(float(a), float(b), float(c)))
-    worst = 0.0
+    residual = rel = 0.0
     for params in cases:
         explicit = covariance_2x2_explicit(params)
         table = forward_probs_2x2(params)
         theta = np.array([params.a, params.b, params.c])
         curvature = fd_hessian_of(lambda t: chart_log_likelihood(t, table), theta)
-        # product against the identity keeps finite-difference noise from
-        # being amplified by the curvature's condition number
-        residual = -curvature @ explicit - np.eye(3)
-        worst = max(worst, float(np.max(np.abs(residual))))
-    fixed = covariance_2x2_explicit(TwoByTwoParams(1.0, 1.0, 2.0))
-    expected = np.array([[10.0, 12.5, 10.0], [12.5, 20.0, 20.0], [10.0, 20.0, 30.0]])
-    exact_ok = np.allclose(fixed, expected, rtol=0, atol=1e-9)
-    return CheckResult(
-        "covariance-vs-hessian-inverse",
-        worst <= 1e-4 and exact_ok,
-        f"max product residual {worst:.3e}",
-    )
+        residual = max(residual, float(np.max(np.abs(-curvature @ explicit - np.eye(3)))))
+        oracle = np.linalg.inv(-curvature)
+        rel = max(rel, float(np.max(np.abs(explicit - oracle) / np.abs(oracle))))
+    exact_ok = bool(np.allclose(covariance_2x2_explicit(BENCHMARK), BENCHMARK_COV, rtol=0, atol=1e-9))
+    return exact_ok, residual, rel
+
+
+def clt_covariance_error(seed: int, reps: int, n: int) -> tuple[float, int]:
+    """Worst relative entry error of the Monte Carlo CLT covariance at BENCHMARK, and failures."""
+    result = clt_experiment(validate_kernel(BENCHMARK.matrix(), ENSEMBLE), n, reps, seed)
+    rel = float(np.max(np.abs(result.covariance - BENCHMARK_COV) / BENCHMARK_COV))
+    return rel, result.failures
 
 
 def _check_closed_form_round_trip(seed: int, instances: int = 50) -> CheckResult:
@@ -147,30 +161,27 @@ def _check_closed_form_round_trip(seed: int, instances: int = 50) -> CheckResult
     return CheckResult("closed-form-round-trip", passed, f"max deviation {worst:.3e}")
 
 
-def _check_clt(seed: int, reps: int = 10_000, n: int = 10_000) -> CheckResult:
-    params = TwoByTwoParams(1.0, 1.0, 2.0)
-    kernel = KernelMatrix(2, params.matrix(), ENSEMBLE)
-    result = clt_experiment(kernel, n, reps, seed)
-    empirical = chart_covariance_2x2(result.covariance)
-    theoretical = covariance_2x2_explicit(params)
-    rel = float(np.max(np.abs(empirical - theoretical) / np.abs(theoretical)))
-    return CheckResult("monte-carlo-clt-covariance", rel <= 0.10, f"max rel error {rel:.3f}")
-
-
-def _as_table(n: int, probs: np.ndarray) -> DistributionTable:
-    probs = np.asarray(probs, dtype=float)
-    return DistributionTable(n, probs / probs.sum())
-
-
 def run_checks(level: str = QUICK, seed: int = 0) -> list[CheckResult]:
-    checks = [
-        _check_probability_oracles(seed),
-        _check_gradient_fd(seed + 1),
-        _check_hessian_fd(seed + 2),
-        _check_sampler(seed + 3),
-        _check_covariance_formula(seed + 4),
-        _check_closed_form_round_trip(seed + 5),
-    ]
+    # Check k runs at seed + k, wrapped into the Philox key range [0, 2**128).
+    seeds = [(seed + k) % SEED_LIMIT for k in range(7)]
+    worst = probability_route_deviation(seeds[0], kernels=50, max_size=3)
+    checks = [CheckResult("probability-oracles", worst <= 1e-10, f"max deviation {worst:.3e}")]
+    # The sizes are drawn lazily, before each problem, from the problems' own stream.
+    for name, k, instances, routes, bound in (
+        ("gradient-vs-finite-difference", 1, 20, (gradient, fd_gradient), 1e-6),
+        ("hessian-vs-finite-difference", 2, 10, (hessian, fd_hessian), 1e-4),
+    ):
+        rng = np.random.default_rng(seeds[k])
+        sizes = (int(rng.integers(2, 4)) for _ in range(instances))
+        (worst,) = derivative_errors(rng, sizes, [routes])
+        checks.append(CheckResult(name, worst <= bound, f"max rel error {worst:.3e}"))
+    _, p_value = sampler_fit(draws=20_000, seed=seeds[3])
+    checks.append(CheckResult("spectral-vs-enumeration", p_value > 1e-3, f"chi-square p={p_value:.4f}"))
+    exact_ok, residual, _ = covariance_formula_errors(seeds[4], instances=5)
+    checks.append(CheckResult("covariance-vs-hessian-inverse", residual <= 1e-4 and exact_ok,
+                              f"max product residual {residual:.3e}"))
+    checks.append(_check_closed_form_round_trip(seeds[5]))
     if level == FULL:
-        checks.append(_check_clt(seed + 6))
+        rel, _ = clt_covariance_error(seeds[6], reps=10_000, n=10_000)
+        checks.append(CheckResult("monte-carlo-clt-covariance", rel <= 0.10, f"max rel error {rel:.3f}"))
     return checks

@@ -4,21 +4,18 @@ Every tolerance and budget is pinned here; nothing is deferred to later
 calibration. Criterion 5 judges the 2x2 closed form by the acceptance
 region of its own asymptotic law (criterion 7's covariance), and
 criterion 6b starts plain Newton inside the basin of the saddle it is
-meant to find; their docstrings derive each threshold.
+meant to find; their docstrings derive each threshold. Criteria 1, 2, 3,
+7 and 8 make their measurements with the functions of ``dppmle.verify``,
+which the CLI's ``verify`` runs at its own seeds and counts.
 """
 
 import sys
 import time
 
 import numpy as np
-from scipy.stats import chi2, chisquare
+from scipy.stats import chi2
 
-from dppmle.asymptotics import (
-    berry_esseen_experiment,
-    chart_covariance_2x2,
-    clt_experiment,
-    covariance_2x2_explicit,
-)
+from dppmle.asymptotics import berry_esseen_experiment
 from dppmle.closed_form import (
     INTERIOR,
     TwoByTwoParams,
@@ -28,21 +25,19 @@ from dppmle.closed_form import (
     forward_probs_2x2,
     mle_2x2,
 )
-from dppmle.kernels import (
-    DistributionTable,
-    atomic_probability_from_marginal,
-    ensemble_probability,
-    enumerate_distribution,
-    inclusion_probabilities,
-    marginal_of,
-    sign_distance,
-    validate_kernel,
-)
+from dppmle.kernels import DistributionTable, enumerate_distribution, sign_distance, validate_kernel
 from dppmle.likelihood import LikelihoodContext, gradient, hessian, log_likelihood
-from dppmle.numdiff import fd_gradient, fd_hessian, fd_hessian_of
+from dppmle.numdiff import fd_gradient, fd_hessian
 from dppmle.optimize import CONVERGED, newton_raphson, sgd
 from dppmle.sampling import make_rng, sample_batch
-from dppmle.verify_support import random_ensemble, random_irreducible_ensemble
+from dppmle.verify import (
+    clt_covariance_error,
+    covariance_formula_errors,
+    derivative_errors,
+    probability_route_deviation,
+    sampler_fit,
+)
+from dppmle.verify_support import random_irreducible_ensemble
 
 DENSE2 = np.array([[1.0, 1.0], [1.0, 2.0]])
 DENSE2_START = np.array([[0.5, 0.1], [0.1, 0.5]])
@@ -62,21 +57,7 @@ def record(name: str, ok: bool, detail: str, elapsed: float, budget: float):
 def test_criterion_1_probability_oracle_equivalence():
     """Three probability routes agree to 1e-10 on 200 random ensembles."""
     start = time.monotonic()
-    rng = np.random.default_rng(1001)
-    worst = 0.0
-    for _ in range(200):
-        n = int(rng.integers(2, 5))
-        kernel = random_ensemble(n, rng)
-        table = enumerate_distribution(kernel)
-        marginal = marginal_of(kernel)
-        containment = inclusion_probabilities(table)
-        for mask in range(1 << n):
-            direct = ensemble_probability(kernel, mask)
-            atomic = atomic_probability_from_marginal(marginal, mask)
-            worst = max(worst, abs(direct - table.probs[mask]), abs(atomic - direct))
-            idx = [i for i in range(n) if mask >> i & 1]
-            minor = np.linalg.det(marginal.entries[np.ix_(idx, idx)]) if idx else 1.0
-            worst = max(worst, abs(containment[mask] - minor))
+    worst = probability_route_deviation(seed=1001, kernels=200, max_size=4)
     record("criterion 1 (oracle equivalence)", worst <= 1e-10,
            f"max deviation {worst:.2e} <= 1e-10", time.monotonic() - start, 10.0)
 
@@ -84,12 +65,7 @@ def test_criterion_1_probability_oracle_equivalence():
 def test_criterion_2_sampler_correctness():
     """Spectral draws match the enumerated law in TV and chi-square."""
     start = time.monotonic()
-    kernel = validate_kernel(DENSE2, "ensemble")
-    table = enumerate_distribution(kernel)
-    batch = sample_batch(kernel, 100_000, 3, "spectral")
-    counts = np.bincount(batch.masks, minlength=4)
-    tv = 0.5 * np.abs(counts / len(batch) - table.probs).sum()
-    _, p_value = chisquare(counts, table.probs * len(batch))
+    tv, p_value = sampler_fit(draws=100_000, seed=3)
     record("criterion 2 (sampler correctness)", tv <= 0.01 and p_value > 1e-3,
            f"TV {tv:.4f} <= 0.01, chi-square p {p_value:.4f} > 1e-3",
            time.monotonic() - start, 30.0)
@@ -98,17 +74,9 @@ def test_criterion_2_sampler_correctness():
 def test_criterion_3_gradient_hessian_fd():
     """Analytic derivatives match central differences on 100 random instances."""
     start = time.monotonic()
-    rng = np.random.default_rng(1003)
-    worst_g = worst_h = 0.0
-    for i in range(100):
-        n = 2 if i % 2 == 0 else 3
-        kernel = random_ensemble(n, rng, jitter=0.3)
-        probs = rng.dirichlet(np.ones(1 << n))
-        ctx = LikelihoodContext(DistributionTable(n, probs / probs.sum()))
-        g, g_fd = gradient(ctx, kernel), fd_gradient(ctx, kernel)
-        h, h_fd = hessian(ctx, kernel), fd_hessian(ctx, kernel)
-        worst_g = max(worst_g, float(np.max(np.abs(g - g_fd) / (1.0 + np.abs(g)))))
-        worst_h = max(worst_h, float(np.max(np.abs(h - h_fd) / (1.0 + np.abs(h)))))
+    worst_g, worst_h = derivative_errors(
+        np.random.default_rng(1003), [2, 3] * 50, [(gradient, fd_gradient), (hessian, fd_hessian)]
+    )
     record("criterion 3 (derivative oracles)", worst_g <= 1e-6 and worst_h <= 1e-4,
            f"gradient rel {worst_g:.2e} <= 1e-6, hessian rel {worst_h:.2e} <= 1e-4",
            time.monotonic() - start, 60.0)
@@ -281,16 +249,8 @@ def test_criterion_6c_sgd_instability():
 def test_criterion_7_covariance_formula():
     """The explicit covariance equals the benchmark matrix and the curvature inverse."""
     start = time.monotonic()
-    params = TwoByTwoParams(1.0, 1.0, 2.0)
-    explicit = covariance_2x2_explicit(params)
-    exact_ok = np.allclose(explicit, EXPECTED_COV, rtol=0, atol=1e-9)
-    table = forward_probs_2x2(params)
-    curvature = fd_hessian_of(
-        lambda theta: chart_log_likelihood(theta, table),
-        np.array([1.0, 1.0, 2.0]),
-    )
-    oracle = np.linalg.inv(-curvature)
-    rel = float(np.max(np.abs(explicit - oracle) / np.abs(oracle)))
+    # One instance: the benchmark (1, 1, 2) only, so the seed draws nothing.
+    exact_ok, _, rel = covariance_formula_errors(seed=0, instances=1)
     record("criterion 7 (covariance formula)", exact_ok and rel <= 1e-4,
            f"matches benchmark matrix: {exact_ok}, inverse-curvature rel {rel:.2e} <= 1e-4",
            time.monotonic() - start, 5.0)
@@ -299,12 +259,9 @@ def test_criterion_7_covariance_formula():
 def test_criterion_8_clt_covariance():
     """Monte Carlo covariance of scaled errors matches the closed form within 10%."""
     start = time.monotonic()
-    kernel = validate_kernel(DENSE2, "ensemble")
-    result = clt_experiment(kernel, 10_000, 10_000, 11)
-    empirical = chart_covariance_2x2(result.covariance)
-    rel = float(np.max(np.abs(empirical - EXPECTED_COV) / np.abs(EXPECTED_COV)))
-    record("criterion 8 (clt covariance)", result.failures == 0 and rel <= 0.10,
-           f"max entrywise rel {rel:.3f} <= 0.10, failures {result.failures}",
+    rel, failures = clt_covariance_error(seed=11, reps=10_000, n=10_000)
+    record("criterion 8 (clt covariance)", failures == 0 and rel <= 0.10,
+           f"max entrywise rel {rel:.3f} <= 0.10, failures {failures}",
            time.monotonic() - start, 600.0)
 
 

@@ -206,6 +206,7 @@ class TestInputBoundary:
         ["verify", "--seed", "-1"],
         ["sample", "--kernel", "1 1; 1 2", "--n", "5", "--seed", str(2**128)],
         ["experiment", "--config", "{negative_seed}", "--out", "{out}"],
+        ["estimate", "--batch", "{batch}", "--method", "block", "--blocks", "[[0,1],[2,3]]"],
     ], ids=["inline-kernel", "blocks-json", "blocks-triple", "blocks-repeat",
             "config-json", "config-kernel-entry", "batch-mask",
             "config-not-object", "sgd-iters", "newton-iters", "eta-zero", "eta-negative",
@@ -214,7 +215,7 @@ class TestInputBoundary:
             "sizes-descending", "a-zero", "b-negative", "c-nan",
             "sample-seed-negative", "estimate-seed-negative", "experiment-seed-negative",
             "berry-esseen-seed-negative", "verify-seed-negative", "seed-2-pow-128",
-            "config-seed-negative"])
+            "config-seed-negative", "blocks-cover"])
     def test_exit_code_and_one_line(self, argv, tmp_path, kernel_file, capsys):
         paths = {
             "batch": tmp_path / "batch.csv",
@@ -244,6 +245,13 @@ class TestInputBoundary:
         assert code == 2
         assert err.startswith("config error: ") and err.count("\n") == 1
 
+    def test_verify_largest_seed(self, capsys):
+        # the checks run at seed + k, which must wrap into [0, 2**128)
+        code = main(["verify", "--seed", str(2**128 - 1)])
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert code == 0
+        assert len(lines) == 6 and all(ln.startswith("[PASS]") for ln in lines)
+
 
 class TestConfigValidation:
     def test_method_kernel_shape(self):
@@ -269,6 +277,22 @@ class TestConfigValidation:
     def test_largest_seed_runs(self):
         config = ExperimentConfig("x", np.eye(2), "moments", (100,), (2**128 - 1,))
         assert len(run_experiment(config).rows) == 1
+
+    @pytest.mark.parametrize("field", [
+        {"seeds": [1.5]},
+        {"seeds": [True]},
+        {"sample_sizes": [10.7]},
+        {"iterations": 2.9},
+        {"method": "block", "blocks": [[0, 1.0]]},
+    ], ids=["seeds-float", "seeds-bool", "sample-sizes-float", "iterations-float", "blocks-float"])
+    def test_non_integral_values_rejected(self, field, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"kernel": [[1, 0], [0, 1]], "method": "sgd",
+                                      "sample_sizes": [10], **field}))
+        code = main(["experiment", "--config", str(config), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("config error: ") and err.count("\n") == 1
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError):

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from dppmle.asymptotics import symmetric_chart_basis
 from dppmle.errors import EmptyBatch, SingularPrincipalMinor
 from dppmle.kernels import (
     DistributionTable,
@@ -19,6 +18,7 @@ from dppmle.likelihood import (
     hessian,
     kl_gap,
     log_likelihood,
+    vech_embedding,
 )
 from dppmle.numdiff import fd_gradient, fd_hessian
 from dppmle.sampling import SampleBatch, sample_batch
@@ -141,8 +141,8 @@ class TestHessian:
     def test_negative_definite_on_symmetric_chart_at_truth(self):
         ctx = exact_ctx(DENSE2)
         h = hessian(ctx, DENSE2)
-        basis = symmetric_chart_basis(2)
-        restricted = basis.T @ h @ basis
+        embed = vech_embedding(2)
+        restricted = embed.T @ h @ embed
         eigs = np.linalg.eigvalsh((restricted + restricted.T) / 2)
         assert eigs.max() < -1e-3
 
@@ -151,14 +151,15 @@ class TestHessian:
             kernel = random_irreducible_ensemble(n, rng)
             ctx = LikelihoodContext(enumerate_distribution(kernel))
             h = hessian(ctx, kernel)
-            basis = symmetric_chart_basis(n)
-            restricted = basis.T @ h @ basis
+            embed = vech_embedding(n)
+            restricted = embed.T @ h @ embed
             eigs = np.linalg.eigvalsh((restricted + restricted.T) / 2)
             assert eigs.max() < 0
 
     def test_antisymmetric_null_direction_at_exact_tables(self):
         # the score is a symmetric matrix a.s., so exact tables annihilate
-        # antisymmetric directions; this pins the pseudo-inverse convention
+        # antisymmetric directions; Newton and the covariance therefore
+        # work in the upper-triangle chart
         ctx = exact_ctx(DENSE2)
         h = hessian(ctx, DENSE2)
         v = np.array([0.0, 1.0, -1.0, 0.0])
@@ -180,6 +181,16 @@ class TestHessian:
             analytic = hessian(ctx, kernel)
             numeric = fd_hessian(ctx, kernel)
             np.testing.assert_allclose(analytic, numeric, atol=1e-6, rtol=1e-6)
+
+
+class TestVechEmbedding:
+    def test_embeds_upper_triangle(self, rng):
+        # vec(S) = J vech(S), with vech in np.triu_indices order: (a, b, c) at n = 2
+        for n in range(1, 6):
+            w = rng.normal(size=(n, n))
+            sym = w + w.T
+            vech = sym[np.triu_indices(n)]
+            np.testing.assert_array_equal(vech_embedding(n) @ vech, sym.reshape(-1))
 
 
 class TestKlGap:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from dppmle.closed_form import mle_2x2
 from dppmle.errors import SingularPrincipalMinor
 from dppmle.experiments import SGD, TRIDIAGONAL_3, TRIDIAGONAL_3_START, preset_configs
 from dppmle.kernels import (
@@ -16,11 +17,13 @@ from dppmle.optimize import (
     CONVERGED,
     DIVERGED,
     MAX_ITER,
+    SINGULAR,
     IterationTrace,
     newton_raphson,
     sgd,
 )
 from dppmle.sampling import SampleBatch, make_rng, sample_batch
+from dppmle.verify_support import random_irreducible_ensemble
 
 DENSE2 = np.array([[1.0, 1.0], [1.0, 2.0]])
 DIAG3 = np.diag([7.0, 5.0, 9.0])
@@ -131,6 +134,34 @@ class TestNewton:
         assert np.linalg.norm(gradient(ctx, estimate.entries)) <= 1e-8
         # the maximizer sits near the truth at this sample size
         assert np.max(np.abs(estimate.entries - DENSE2)) < 0.1
+
+    @staticmethod
+    def _moves_from_maximizer(ctx, start) -> list:
+        """(status, drift) when ten Newton steps from an exact maximizer end badly or move."""
+        estimate, trace = newton_raphson(ctx, start, max_iter=10, grad_tol=0.0)
+        drift = float(np.max(np.abs(estimate.entries - start)))
+        return [(trace.status, drift)] if trace.status in (SINGULAR, DIVERGED) or drift > 1e-9 else []
+
+    def test_holds_at_closed_form_maximizer(self):
+        # At every interior 2x2 MLE the N^2 Hessian annihilates the antisymmetric
+        # direction; a step in the upper-triangle chart never meets that null space.
+        kernel = validate_kernel(DENSE2, "ensemble")
+        moved = []
+        for seed in range(30):
+            ctx = LikelihoodContext.from_batch(sample_batch(kernel, 30_000, seed, "enumeration"))
+            params, _ = mle_2x2(ctx.dist)
+            moved += self._moves_from_maximizer(ctx, params.matrix())
+        assert moved == []
+
+    def test_holds_at_truth_of_theoretical_table(self):
+        rng = np.random.default_rng(3)
+        moved = []
+        for n in (2, 3):
+            for _ in range(50):
+                kernel = random_irreducible_ensemble(n, rng)
+                ctx = LikelihoodContext(enumerate_distribution(kernel))
+                moved += self._moves_from_maximizer(ctx, kernel.entries)
+        assert moved == []
 
 
 class TestSgd:
