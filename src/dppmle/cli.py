@@ -93,8 +93,8 @@ def _cmd_sample(args) -> int:
 def _cmd_estimate(args) -> int:
     if args.iters < 1:
         raise ConfigError("--iters must be at least 1")
-    if not args.eta > 0:
-        raise ConfigError("--eta must be positive")
+    if not (np.isfinite(args.eta) and args.eta > 0):
+        raise ConfigError("--eta must be a positive finite number")
     batch = _parsed(f"batch {args.batch}", load_batch, args.batch)
     if args.method == experiments.CLOSED_2X2 and batch.n_ground != 2:
         raise ConfigError(f"--method closed2x2 needs a 2-item batch, not {batch.n_ground} items")

@@ -22,7 +22,7 @@ class EigendecompositionFailure(DppError):
 
 
 class GroundSetTooLarge(DppError):
-    """The requested operation needs a dense 2^n table and n is too big."""
+    """The requested operation needs a dense 2^n table or an int64 bit mask, and n is too big."""
 
 
 class SupportMismatch(DppError):

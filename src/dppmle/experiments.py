@@ -75,8 +75,8 @@ class ExperimentConfig:
             raise ConfigError(f"unknown sampler {self.sampler!r}")
         if self.iterations < 1:
             raise ConfigError("iterations must be positive")
-        if self.eta <= 0:
-            raise ConfigError("eta must be positive")
+        if not (np.isfinite(self.eta) and self.eta > 0):
+            raise ConfigError(f"eta must be a positive finite number, not {self.eta!r}")
         return self
 
 
@@ -87,8 +87,15 @@ def _integer(key: str, value) -> int:
     return int(value)
 
 
+def _real(key: str, value) -> float:
+    """``value`` as a float if it is a real number and not a bool; a ConfigError otherwise."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ConfigError(f"{key}: {value!r} is not a real number")
+    return float(value)
+
+
 def config_from_dict(raw: dict) -> ExperimentConfig:
-    """Build a config from parsed JSON; unknown keys and non-integral counts are rejected."""
+    """Build a config from parsed JSON; unknown keys, non-integral counts and a non-real eta are rejected."""
     known = {
         "kernel_id", "kernel", "kernel_file", "method", "sample_sizes",
         "seeds", "iterations", "eta", "sampler", "initial", "blocks",
@@ -110,7 +117,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         sample_sizes=tuple(_integer("sample_sizes", n) for n in raw.get("sample_sizes", ())),
         seeds=tuple(_integer("seeds", s) for s in raw.get("seeds", (0,))),
         iterations=_integer("iterations", raw.get("iterations", 100)),
-        eta=float(raw.get("eta", 0.1)),
+        eta=_real("eta", raw.get("eta", 0.1)),
         sampler=raw.get("sampler", ENUMERATION),
         initial=None if raw.get("initial") is None else np.asarray(raw["initial"], dtype=float),
         blocks=None if raw.get("blocks") is None else tuple(

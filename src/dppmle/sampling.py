@@ -5,6 +5,11 @@ chain-rule draw from the selected projection kernel) and an inverse-CDF
 sampler over the dense enumerated table, which serves as the oracle for
 the first.
 
+The spectral sampler batches its draws by size. It first consumes the
+stream draw by draw, in the order single draws would, and then runs the
+chain rule once per pick over all draws with the same number of items.
+A batch and the same number of single draws are therefore identical.
+
 All randomness flows through numpy Generators backed by the counter-based
 Philox bit generator, keyed by a single seed in [0, 2**128), so batches
 replay bit-exactly.
@@ -16,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EigendecompositionFailure
+from .errors import EigendecompositionFailure, GroundSetTooLarge
 from .kernels import (
     DistributionTable,
     KernelMatrix,
@@ -32,6 +37,12 @@ ENUMERATION = "enumeration"
 
 #: Philox keys are 128-bit: a seed is valid when 0 <= seed < SEED_LIMIT.
 SEED_LIMIT = 2**128
+
+#: Largest ground set whose subsets fit an int64 bit mask.
+MAX_MASK_GROUND_SET = 63
+
+#: Draws of one size advanced together by the spectral sampler; bounds its (m, n, k) arrays.
+_SPECTRAL_CHUNK = 1 << 10
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -53,6 +64,8 @@ class SampleBatch:
     sampler: str
 
     def __post_init__(self):
+        if not 0 <= self.n_ground <= MAX_MASK_GROUND_SET:
+            raise ValueError(f"n_ground must be in [0, {MAX_MASK_GROUND_SET}], not {self.n_ground}")
         arr = np.asarray(self.masks, dtype=np.int64)
         if arr.ndim != 1:
             raise ValueError("masks must be a flat array")
@@ -73,30 +86,6 @@ class SampleBatch:
 # ---------------------------------------------------------------------------
 
 
-def _eliminate(vectors: np.ndarray, rng: np.random.Generator) -> int:
-    """Chain-rule draw from the projection DPP K = V Vᵀ of orthonormal columns V; return a mask.
-
-    Pick s has probability proportional to the diagonal of K's Schur complement
-    on the earlier picks; each pick adds one column of the Cholesky factor of
-    K over the picks and downdates that diagonal by its square.
-    """
-    n, k = vectors.shape
-    weights = np.sum(vectors * vectors, axis=1)
-    basis = np.empty((n, k))
-    mask = 0
-    for s in range(k):
-        # Rounding in the downdate can leave picked items slightly negative.
-        w = np.clip(weights, 0.0, None)
-        cdf = np.cumsum(w / w.sum())
-        item = min(int(np.searchsorted(cdf, rng.random(), side="right")), n - 1)
-        mask |= 1 << item
-        if s == k - 1:
-            break
-        basis[:, s] = (vectors @ vectors[item] - basis[:, :s] @ basis[item, :s]) / np.sqrt(w[item])
-        weights -= basis[:, s] ** 2
-    return mask
-
-
 def spectral_sample(kernel, rng: np.random.Generator) -> Subset:
     """One draw distributed as the ensemble's point process.
 
@@ -104,10 +93,13 @@ def spectral_sample(kernel, rng: np.random.Generator) -> Subset:
     lam_i / (1 + lam_i); the active eigenvectors then span a projection
     kernel K, and items are picked one at a time from K's chain-rule
     conditionals (the Schur complements of K on the items already picked).
+    Draws are batched by size on one stream, so successive calls on
+    ``make_rng(seed)`` give exactly the masks of
+    ``sample_batch(kernel, count, seed, "spectral")``.
     """
     entries = as_array(kernel)
     lam, vecs = _decompose(entries)
-    return Subset(_spectral_draw(lam, vecs, rng), entries.shape[0])
+    return Subset(int(_spectral_draws(lam, vecs, rng, 1)[0]), entries.shape[0])
 
 
 def _decompose(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -119,11 +111,57 @@ def _decompose(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lam, vecs
 
 
-def _spectral_draw(lam: np.ndarray, vecs: np.ndarray, rng: np.random.Generator) -> int:
-    selection = rng.random(lam.size) < lam / (1.0 + lam)
-    if not selection.any():
-        return 0
-    return _eliminate(vecs[:, selection], rng)
+def _spectral_draws(lam: np.ndarray, vecs: np.ndarray, rng: np.random.Generator, count: int) -> np.ndarray:
+    """``count`` draws from the ensemble with eigenpairs (lam, vecs), as int64 masks.
+
+    The stream is consumed draw by draw: n uniforms select the eigenvectors,
+    then one uniform per selected vector drives one pick. The chain rule
+    then runs once per pick over every draw of the same size k. Pick s has
+    probability proportional to the diagonal of K's Schur complement on the
+    earlier picks; each pick adds one column of the Cholesky factor of K
+    over the picks and downdates that diagonal by its square.
+    """
+    n = lam.size
+    if n > MAX_MASK_GROUND_SET:
+        raise GroundSetTooLarge(f"{n} items do not fit an int64 mask (limit {MAX_MASK_GROUND_SET})")
+    keep = lam / (1.0 + lam)
+    selections = np.empty((count, n), dtype=bool)
+    uniforms = np.empty((count, n))
+    for row in range(count):
+        selected = np.less(rng.random(n), keep, out=selections[row])
+        k = np.count_nonzero(selected)
+        if k:
+            rng.random(out=uniforms[row, :k])
+    sizes = np.count_nonzero(selections, axis=1)
+    masks = np.zeros(count, dtype=np.int64)
+    for k in np.unique(sizes[sizes > 0]):
+        group = np.flatnonzero(sizes == k)
+        for start in range(0, group.size, _SPECTRAL_CHUNK):
+            rows = group[start:start + _SPECTRAL_CHUNK]
+            m = rows.size
+            draw = np.arange(m)
+            picks = uniforms[rows, :k]
+            columns = np.nonzero(selections[rows])[1].reshape(m, k)
+            vectors = vecs[np.arange(n)[:, None], columns[:, None, :]]
+            weights = np.sum(vectors * vectors, axis=2)
+            basis = np.empty((m, n, k))
+            mask = np.zeros(m, dtype=np.int64)
+            for s in range(k):
+                # Rounding in the downdate can leave picked items slightly negative.
+                w = np.clip(weights, 0.0, None)
+                cdf = np.cumsum(w / w.sum(axis=1, keepdims=True), axis=1)
+                # cdf is nondecreasing, so this count is searchsorted(cdf, u, "right").
+                item = np.minimum(np.count_nonzero(cdf <= picks[:, s, None], axis=1), n - 1)
+                mask |= np.left_shift(1, item)
+                if s == k - 1:
+                    break
+                column = vectors @ vectors[draw, item, :, None]
+                if s:
+                    column -= basis[:, :, :s] @ basis[draw, item, :s, None]
+                basis[:, :, s] = column[:, :, 0] / np.sqrt(w[draw, item])[:, None]
+                weights -= basis[:, :, s] ** 2
+            masks[rows] = mask
+    return masks
 
 
 # ---------------------------------------------------------------------------
@@ -160,9 +198,7 @@ def sample_batch(kernel: KernelMatrix, n: int, seed: int, sampler: str = SPECTRA
         masks = _enumeration_draw_many(table, n, rng)
     else:
         lam, vecs = _decompose(entries)
-        masks = np.fromiter(
-            (_spectral_draw(lam, vecs, rng) for _ in range(n)), dtype=np.int64, count=n
-        )
+        masks = _spectral_draws(lam, vecs, rng, n)
     return SampleBatch(entries.shape[0], masks, seed, sampler)
 
 

@@ -207,6 +207,8 @@ class TestInputBoundary:
         ["sample", "--kernel", "1 1; 1 2", "--n", "5", "--seed", str(2**128)],
         ["experiment", "--config", "{negative_seed}", "--out", "{out}"],
         ["estimate", "--batch", "{batch}", "--method", "block", "--blocks", "[[0,1],[2,3]]"],
+        ["estimate", "--batch", "{batch64}", "--method", "moments"],
+        ["estimate", "--batch", "{batch}", "--method", "sgd", "--eta", "inf"],
     ], ids=["inline-kernel", "blocks-json", "blocks-triple", "blocks-repeat",
             "config-json", "config-kernel-entry", "batch-mask",
             "config-not-object", "sgd-iters", "newton-iters", "eta-zero", "eta-negative",
@@ -215,7 +217,7 @@ class TestInputBoundary:
             "sizes-descending", "a-zero", "b-negative", "c-nan",
             "sample-seed-negative", "estimate-seed-negative", "experiment-seed-negative",
             "berry-esseen-seed-negative", "verify-seed-negative", "seed-2-pow-128",
-            "config-seed-negative", "blocks-cover"])
+            "config-seed-negative", "blocks-cover", "batch-n-ground-64", "eta-inf"])
     def test_exit_code_and_one_line(self, argv, tmp_path, kernel_file, capsys):
         paths = {
             "batch": tmp_path / "batch.csv",
@@ -228,6 +230,7 @@ class TestInputBoundary:
             "items_mismatch": tmp_path / "items_mismatch.csv",
             "batch3": tmp_path / "batch3.csv",
             "negative_seed": tmp_path / "negative_seed.json",
+            "batch64": tmp_path / "batch64.csv",
         }
         main(["sample", "--kernel", str(kernel_file), "--n", "100", "--out", str(paths["batch"])])
         paths["malformed"].write_text('{"kernel": [[1, 0], [0')
@@ -237,6 +240,7 @@ class TestInputBoundary:
         paths["no_metadata"].write_text("index,mask,items\n0,1,0\n")
         paths["items_mismatch"].write_text("# n_ground=2\nindex,mask,items\n0,3,0\n")
         paths["batch3"].write_text("# n_ground=3\nindex,mask,items\n0,1,0\n1,6,1;2\n")
+        paths["batch64"].write_text("# n_ground=64\nindex,mask,items\n0,1,0\n")
         paths["negative_seed"].write_text(json.dumps(
             {"kernel": [[1, 0], [0, 1]], "method": "moments", "sample_sizes": [10], "seeds": [-1]}))
         capsys.readouterr()
@@ -244,6 +248,16 @@ class TestInputBoundary:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("config error: ") and err.count("\n") == 1
+
+    def test_ground_set_beyond_int64_masks(self, tmp_path, capsys):
+        # draws are int64 bit masks: 63 items fit, 64 give one error line and exit 1
+        for n, expected in ((63, 0), (64, 1)):
+            path = tmp_path / f"kernel{n}.txt"
+            save_kernel(validate_kernel(np.eye(n), "ensemble"), path)
+            code = main(["sample", "--kernel", str(path), "--n", "5", "--out", str(tmp_path / "batch.csv")])
+            err = capsys.readouterr().err
+            assert code == expected
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_verify_largest_seed(self, capsys):
         # the checks run at seed + k, which must wrap into [0, 2**128)
@@ -289,6 +303,17 @@ class TestConfigValidation:
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"kernel": [[1, 0], [0, 1]], "method": "sgd",
                                       "sample_sizes": [10], **field}))
+        code = main(["experiment", "--config", str(config), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("config error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("eta", [True, "0.1", float("nan"), "nan", float("inf")],
+                             ids=["bool", "string", "nan", "nan-string", "inf"])
+    def test_eta_must_be_positive_real(self, eta, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"kernel": [[1, 0], [0, 1]], "method": "sgd",
+                                      "sample_sizes": [10], "iterations": 10, "eta": eta}))
         code = main(["experiment", "--config", str(config), "--out", str(tmp_path / "out")])
         err = capsys.readouterr().err
         assert code == 2

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare
 
+from dppmle import sampling
 from dppmle.kernels import (
     DistributionTable,
     enumerate_distribution,
@@ -61,16 +62,40 @@ def _gram_schmidt_eliminate(v, rng):
     return mask
 
 
-def _gram_schmidt_batch(entries, count, seed):
-    """Spectral draws with the same Bernoulli selection and RNG stream as ``sample_batch``."""
+def _chain_rule_eliminate(vectors, rng):
+    """The per-draw chain-rule loop that the lockstep sampler runs over many draws at once."""
+    n, k = vectors.shape
+    weights = np.sum(vectors * vectors, axis=1)
+    basis = np.empty((n, k))
+    mask = 0
+    for s in range(k):
+        w = np.clip(weights, 0.0, None)
+        cdf = np.cumsum(w / w.sum())
+        item = min(int(np.searchsorted(cdf, rng.random(), side="right")), n - 1)
+        mask |= 1 << item
+        if s == k - 1:
+            break
+        basis[:, s] = (vectors @ vectors[item] - basis[:, :s] @ basis[item, :s]) / np.sqrt(w[item])
+        weights -= basis[:, s] ** 2
+    return mask
+
+
+def _per_draw_batch(entries, count, seed, eliminate):
+    """Spectral draws one at a time, with the same Bernoulli selection and RNG stream as ``sample_batch``."""
     lam, vecs = np.linalg.eigh(entries)
     lam = np.clip(lam, 0.0, None)
     rng = make_rng(seed)
     masks = []
     for _ in range(count):
         selection = rng.random(lam.size) < lam / (1.0 + lam)
-        masks.append(_gram_schmidt_eliminate(vecs[:, selection], rng) if selection.any() else 0)
+        masks.append(eliminate(vecs[:, selection], rng) if selection.any() else 0)
     return np.array(masks, dtype=np.int64)
+
+
+def _fixed_spectrum_kernel(lam, seed):
+    """A kernel with eigenvalues lam in a random orthonormal basis, so its draw-size law is known."""
+    basis, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(len(lam), len(lam))))
+    return (basis * lam) @ basis.T
 
 
 class TestSpectralSampler:
@@ -134,14 +159,43 @@ class TestChainRuleStep:
     @pytest.mark.parametrize("n,seed", [(2, 0), (3, 1), (5, 2), (10, 3), (12, 4)])
     def test_same_masks_as_gram_schmidt(self, n, seed):
         entries = random_ensemble(n, np.random.default_rng(seed)).entries
-        expected = _gram_schmidt_batch(entries, 2000, seed)
+        expected = _per_draw_batch(entries, 2000, seed, _gram_schmidt_eliminate)
         np.testing.assert_array_equal(sample_batch(entries, 2000, seed, "spectral").masks, expected)
 
     def test_rank3_same_masks_as_gram_schmidt(self):
         entries = _rank3_kernel(12, 5)
-        expected = _gram_schmidt_batch(entries, 2000, 5)
+        expected = _per_draw_batch(entries, 2000, 5, _gram_schmidt_eliminate)
         assert max(int(m).bit_count() for m in expected) == 3
         np.testing.assert_array_equal(sample_batch(entries, 2000, 5, "spectral").masks, expected)
+
+
+class TestLockstepDraws:
+    """Draws advanced together, in chunks of equal size, match draws made one at a time."""
+
+    def test_single_draws_replay_the_batch_stream(self):
+        entries = random_ensemble(5, np.random.default_rng(1)).entries
+        rng = make_rng(11)
+        singles = [spectral_sample(entries, rng).mask for _ in range(300)]
+        np.testing.assert_array_equal(singles, sample_batch(entries, 300, 11, "spectral").masks)
+        lam = np.clip(np.linalg.eigh(entries)[0], 0.0, None)
+        manual = make_rng(11)
+        for _ in range(300):
+            k = np.count_nonzero(manual.random(lam.size) < lam / (1.0 + lam))
+            if k:
+                manual.random(k)
+        assert rng.random() == manual.random()
+
+    @pytest.mark.parametrize("lam", [
+        [1.0, 1.5],
+        [1e9] * 6 + [1.0, 1.5, 0.0, 0.0],
+    ], ids=["n2", "n10"])
+    def test_chunked_groups_match_per_draw_loop(self, lam):
+        entries = _fixed_spectrum_kernel(lam, 6)
+        count = 5 * sampling._SPECTRAL_CHUNK
+        expected = _per_draw_batch(entries, count, 6, _chain_rule_eliminate)
+        group_sizes = np.bincount([int(m).bit_count() for m in expected])[1:]
+        assert group_sizes[group_sizes > 0].min() > sampling._SPECTRAL_CHUNK
+        assert np.array_equal(sample_batch(entries, count, 6, "spectral").masks, expected)
 
 
 class TestEnumerationSampler:
