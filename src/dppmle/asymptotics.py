@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse.csgraph import connected_components
 from scipy.stats import norm
 
 from .closed_form import TwoByTwoParams, _mle_2x2_arrays, forward_probs_2x2
@@ -40,21 +41,9 @@ def is_irreducible(kernel) -> bool:
     so the asymptotic covariance only exists for connected patterns.
     """
     entries = as_array(kernel)
-    n = entries.shape[0]
-    if n == 1:
-        return True
     tol = 1e-12 * max(1.0, float(np.max(np.abs(entries))))
-    adjacency = np.abs(entries) > tol
-    np.fill_diagonal(adjacency, False)
-    seen = {0}
-    frontier = [0]
-    while frontier:
-        i = frontier.pop()
-        for j in np.nonzero(adjacency[i])[0]:
-            if int(j) not in seen:
-                seen.add(int(j))
-                frontier.append(int(j))
-    return len(seen) == n
+    n_components, _ = connected_components(np.abs(entries) > tol, directed=False)
+    return n_components == 1
 
 
 def asymptotic_covariance(kernel_star: KernelMatrix) -> np.ndarray:
@@ -159,8 +148,8 @@ def clt_experiment(kernel_star: KernelMatrix, n: int, reps: int, seed: int) -> C
     upper = np.triu_indices(kernel_star.n)
     star = kernel_star.entries
     dim = upper[0].size
+    tables = _multinomial_tables(table.probs, n, reps, rng)
     if kernel_star.n == 2:
-        tables = _multinomial_tables(table.probs, n, reps, rng)
         a, b, c, ok = _mle_2x2_arrays(tables[:, 0], tables[:, 1], tables[:, 2], tables[:, 3])
         # b >= 0 by construction and the truth has b >= 0, so the identity
         # diagonal is already the nearest orbit representative.
@@ -169,8 +158,8 @@ def clt_experiment(kernel_star: KernelMatrix, n: int, reps: int, seed: int) -> C
     else:
         rows = []
         failures = 0
-        for counts in rng.multinomial(n, table.probs, size=reps):
-            ctx = LikelihoodContext(DistributionTable(kernel_star.n, counts / n))
+        for empirical in tables:
+            ctx = LikelihoodContext(DistributionTable(kernel_star.n, empirical))
             estimate, trace = newton_raphson(ctx, kernel_star, max_iter=50)
             if trace.status != CONVERGED:
                 failures += 1

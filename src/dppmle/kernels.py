@@ -170,7 +170,7 @@ def _eigvalsh(entries: np.ndarray) -> np.ndarray:
         raise EigendecompositionFailure(str(exc)) from exc
 
 
-def validate_kernel(entries, kind: str, tol_psd: float = PSD_TOL_DEFAULT) -> KernelMatrix:
+def validate_kernel(entries, kind: str) -> KernelMatrix:
     """Validate raw entries as a kernel of the given kind.
 
     Parameters
@@ -182,7 +182,7 @@ def validate_kernel(entries, kind: str, tol_psd: float = PSD_TOL_DEFAULT) -> Ker
     kind:
         ``"ensemble"`` requires eigenvalues >= -tol, ``"marginal"``
         requires eigenvalues in [-tol, 1 + tol], with
-        tol = tol_psd * max(1, largest absolute eigenvalue).
+        tol = PSD_TOL_DEFAULT * max(1, largest absolute eigenvalue).
 
     Returns
     -------
@@ -197,7 +197,7 @@ def validate_kernel(entries, kind: str, tol_psd: float = PSD_TOL_DEFAULT) -> Ker
         raise ValueError(f"kernel entries must be square, got shape {arr.shape}")
     kernel = KernelMatrix(arr.shape[0], arr, kind)
     eigs = kernel.eigenvalues()
-    tol = tol_psd * max(1.0, float(np.max(np.abs(eigs))) if eigs.size else 0.0)
+    tol = PSD_TOL_DEFAULT * max(1.0, float(np.max(np.abs(eigs))) if eigs.size else 0.0)
     low = float(eigs.min()) if eigs.size else 0.0
     high = float(eigs.max()) if eigs.size else 0.0
     if low < -tol:
@@ -259,6 +259,14 @@ def _size_groups(masks: np.ndarray, n: int):
         yield where, np.nonzero(bits[where])[1].reshape(where.size, k)
 
 
+def _log_normalizer(entries: np.ndarray) -> float:
+    """log det(L + I); EigenvalueOutOfRange when the determinant is not positive."""
+    sign, logdet = np.linalg.slogdet(entries + np.eye(entries.shape[0]))
+    if sign <= 0:
+        raise EigenvalueOutOfRange("det(L + I) is not positive; kernel is not PSD", float("nan"))
+    return logdet
+
+
 def ensemble_probability(kernel, subset) -> float:
     """Atomic probability det(L_A) / det(L + I) of observing exactly A.
 
@@ -267,9 +275,7 @@ def ensemble_probability(kernel, subset) -> float:
     """
     entries = as_array(kernel)
     mask = subset.mask if isinstance(subset, Subset) else int(subset)
-    sign_norm, logdet_norm = np.linalg.slogdet(entries + np.eye(entries.shape[0]))
-    if sign_norm <= 0:
-        raise EigenvalueOutOfRange("det(L + I) is not positive; kernel is not PSD", float("nan"))
+    logdet_norm = _log_normalizer(entries)
     sign, logdet, _ = _principal_minors(entries, np.array([subset_indices(mask)], dtype=np.intp))
     # PSD minors have nonnegative determinant; a negative sign is roundoff.
     return float(np.exp(logdet[0] - logdet_norm)) if sign[0] > 0 else 0.0
@@ -320,9 +326,7 @@ def enumerate_distribution(kernel) -> DistributionTable:
     n = entries.shape[0]
     if n > MAX_DENSE_GROUND_SET:
         raise GroundSetTooLarge(f"dense table over 2^{n} subsets refused (limit 2^{MAX_DENSE_GROUND_SET})")
-    sign_norm, logdet_norm = np.linalg.slogdet(entries + np.eye(n))
-    if sign_norm <= 0:
-        raise EigenvalueOutOfRange("det(L + I) is not positive; kernel is not PSD", float("nan"))
+    logdet_norm = _log_normalizer(entries)
     probs = np.empty(1 << n)
     for start in range(0, 1 << n, _ENUMERATION_CHUNK):
         masks = np.arange(start, min(start + _ENUMERATION_CHUNK, 1 << n))
@@ -410,8 +414,8 @@ def kernel_to_text(kernel) -> str:
     return "\n".join(lines) + "\n"
 
 
-def kernel_from_text(text: str, kind: str = ENSEMBLE, tol_psd: float = PSD_TOL_DEFAULT) -> KernelMatrix:
-    """Parse the plain-text matrix format and validate the result."""
+def kernel_from_text(text: str) -> KernelMatrix:
+    """Parse the plain-text matrix format and validate the result as an ensemble kernel."""
     tokens = text.split()
     if not tokens:
         raise ValueError("empty kernel file")
@@ -420,7 +424,7 @@ def kernel_from_text(text: str, kind: str = ENSEMBLE, tol_psd: float = PSD_TOL_D
     if len(values) != n * n:
         raise ValueError(f"expected {n * n} entries for size {n}, found {len(values)}")
     arr = np.array([float(v) for v in values]).reshape(n, n)
-    return validate_kernel(arr, kind, tol_psd)
+    return validate_kernel(arr, ENSEMBLE)
 
 
 def save_kernel(kernel, path) -> None:
@@ -428,6 +432,6 @@ def save_kernel(kernel, path) -> None:
         fh.write(kernel_to_text(kernel))
 
 
-def load_kernel(path, kind: str = ENSEMBLE, tol_psd: float = PSD_TOL_DEFAULT) -> KernelMatrix:
+def load_kernel(path) -> KernelMatrix:
     with open(path, "r", encoding="utf-8") as fh:
-        return kernel_from_text(fh.read(), kind, tol_psd)
+        return kernel_from_text(fh.read())

@@ -160,11 +160,12 @@ def sgd(
     is one LAPACK ``dgesv`` per matrix, M and L + I, each solved against I;
     the sign is read off that LU as ``slogdet`` reads it (LU semantics:
     valid iff the sign is > 0, and an exactly zero pivot is singular). The
-    update is M^{-1} - diag(1 - z) - (L + I)^{-1}. ValueError when the
-    initial kernel does not match the batch's ground set.
+    update is M^{-1} - diag(1 - z) - (L + I)^{-1}. ValueError when eta is
+    not a positive finite number or the initial kernel does not match the
+    batch's ground set.
     """
-    if eta <= 0:
-        raise ValueError("step size must be positive")
+    if not (np.isfinite(eta) and eta > 0):
+        raise ValueError(f"step size must be a positive finite number, not {eta!r}")
     n = batch.n_ground
     entries = _symmetric_start(initial, n)
     ctx = LikelihoodContext.from_batch(batch)

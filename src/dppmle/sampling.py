@@ -5,10 +5,13 @@ chain-rule draw from the selected projection kernel) and an inverse-CDF
 sampler over the dense enumerated table, which serves as the oracle for
 the first.
 
-The spectral sampler batches its draws by size. It first consumes the
-stream draw by draw, in the order single draws would, and then runs the
-chain rule once per pick over all draws with the same number of items.
-A batch and the same number of single draws are therefore identical.
+Each spectral draw reads 2n uniforms from the stream: n select the
+eigenvectors, then one per selected vector drives a pick, and the rest
+are unused. The sampler reads the rows of a chunk of draws as one block
+and runs the chain rule once per pick over all draws of the chunk with
+the same number of items. A batch and the same number of single draws
+are therefore identical. (Earlier versions read n + k uniforms per draw,
+so their spectral batches differ from these at the same seed.)
 
 All randomness flows through numpy Generators backed by the counter-based
 Philox bit generator, keyed by a single seed in [0, 2**128), so batches
@@ -41,8 +44,8 @@ SEED_LIMIT = 2**128
 #: Largest ground set whose subsets fit an int64 bit mask.
 MAX_MASK_GROUND_SET = 63
 
-#: Draws of one size advanced together by the spectral sampler; bounds its (m, n, k) arrays.
-_SPECTRAL_CHUNK = 1 << 10
+#: Draws per uniform block of the spectral sampler; bounds the block and its (m, n, k) arrays.
+_SPECTRAL_CHUNK = 1 << 11
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -93,7 +96,7 @@ def spectral_sample(kernel, rng: np.random.Generator) -> Subset:
     lam_i / (1 + lam_i); the active eigenvectors then span a projection
     kernel K, and items are picked one at a time from K's chain-rule
     conditionals (the Schur complements of K on the items already picked).
-    Draws are batched by size on one stream, so successive calls on
+    Each draw reads 2n uniforms, so successive calls on
     ``make_rng(seed)`` give exactly the masks of
     ``sample_batch(kernel, count, seed, "spectral")``.
     """
@@ -114,33 +117,29 @@ def _decompose(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _spectral_draws(lam: np.ndarray, vecs: np.ndarray, rng: np.random.Generator, count: int) -> np.ndarray:
     """``count`` draws from the ensemble with eigenpairs (lam, vecs), as int64 masks.
 
-    The stream is consumed draw by draw: n uniforms select the eigenvectors,
-    then one uniform per selected vector drives one pick. The chain rule
-    then runs once per pick over every draw of the same size k. Pick s has
-    probability proportional to the diagonal of K's Schur complement on the
-    earlier picks; each pick adds one column of the Cholesky factor of K
-    over the picks and downdates that diagonal by its square.
+    Each chunk of draws reads one ``(m, 2n)`` block of uniforms, row i for
+    draw i: the first n select the eigenvectors, and the next k, one per
+    selected vector, drive the k picks. Rows are read in draw order, so the
+    chunking never shows in the draws. Within a chunk the chain rule runs
+    once per pick over every draw of the same size k. Pick s has
+    probability proportional to the diagonal of K's Schur complement on
+    the earlier picks; each pick adds one column of the Cholesky factor of
+    K over the picks and downdates that diagonal by its square.
     """
     n = lam.size
     if n > MAX_MASK_GROUND_SET:
         raise GroundSetTooLarge(f"{n} items do not fit an int64 mask (limit {MAX_MASK_GROUND_SET})")
     keep = lam / (1.0 + lam)
-    selections = np.empty((count, n), dtype=bool)
-    uniforms = np.empty((count, n))
-    for row in range(count):
-        selected = np.less(rng.random(n), keep, out=selections[row])
-        k = np.count_nonzero(selected)
-        if k:
-            rng.random(out=uniforms[row, :k])
-    sizes = np.count_nonzero(selections, axis=1)
     masks = np.zeros(count, dtype=np.int64)
-    for k in np.unique(sizes[sizes > 0]):
-        group = np.flatnonzero(sizes == k)
-        for start in range(0, group.size, _SPECTRAL_CHUNK):
-            rows = group[start:start + _SPECTRAL_CHUNK]
+    for start in range(0, count, _SPECTRAL_CHUNK):
+        u = rng.random((min(_SPECTRAL_CHUNK, count - start), 2 * n))
+        selections = u[:, :n] < keep
+        sizes = np.count_nonzero(selections, axis=1)
+        for k in np.unique(sizes[sizes > 0]):
+            rows = np.flatnonzero(sizes == k)
             m = rows.size
             draw = np.arange(m)
-            picks = uniforms[rows, :k]
+            picks = u[rows, n:n + k]
             columns = np.nonzero(selections[rows])[1].reshape(m, k)
             vectors = vecs[np.arange(n)[:, None], columns[:, None, :]]
             weights = np.sum(vectors * vectors, axis=2)
@@ -160,7 +159,7 @@ def _spectral_draws(lam: np.ndarray, vecs: np.ndarray, rng: np.random.Generator,
                     column -= basis[:, :, :s] @ basis[draw, item, :s, None]
                 basis[:, :, s] = column[:, :, 0] / np.sqrt(w[draw, item])[:, None]
                 weights -= basis[:, :, s] ** 2
-            masks[rows] = mask
+            masks[start + rows] = mask
     return masks
 
 

@@ -228,6 +228,12 @@ class TestSgd:
         with pytest.raises(ValueError):
             sgd(batch, np.eye(2), eta=0.0, iters=10, seed=0)
 
+    @pytest.mark.parametrize("eta", [np.nan, np.inf])
+    def test_non_finite_eta_rejected(self, eta):
+        batch = SampleBatch(2, np.zeros(5, dtype=int), 0, "enumeration")
+        with pytest.raises(ValueError, match="positive finite"):
+            sgd(batch, np.eye(2), eta=eta, iters=10, seed=0)
+
     def test_initial_size_must_match(self):
         batch = SampleBatch(2, np.array([0, 3, 1]), 0, "enumeration")
         with pytest.raises(ValueError):

@@ -44,13 +44,14 @@ def _orthonormalize(columns):
     return np.column_stack(kept)
 
 
-def _gram_schmidt_eliminate(v, rng):
+def _gram_schmidt_eliminate(v, picks):
     """The projection phase before the chain-rule loop: pivot, delete a column, re-orthonormalize."""
+    picks = iter(picks)
     mask = 0
     while v.shape[1] > 0:
         weights = np.clip(np.sum(v * v, axis=1), 0.0, None)
         cdf = np.cumsum(weights / weights.sum())
-        item = min(int(np.searchsorted(cdf, rng.random(), side="right")), len(weights) - 1)
+        item = min(int(np.searchsorted(cdf, next(picks), side="right")), len(weights) - 1)
         mask |= 1 << item
         if v.shape[1] == 1:
             break
@@ -62,7 +63,7 @@ def _gram_schmidt_eliminate(v, rng):
     return mask
 
 
-def _chain_rule_eliminate(vectors, rng):
+def _chain_rule_eliminate(vectors, picks):
     """The per-draw chain-rule loop that the lockstep sampler runs over many draws at once."""
     n, k = vectors.shape
     weights = np.sum(vectors * vectors, axis=1)
@@ -71,7 +72,7 @@ def _chain_rule_eliminate(vectors, rng):
     for s in range(k):
         w = np.clip(weights, 0.0, None)
         cdf = np.cumsum(w / w.sum())
-        item = min(int(np.searchsorted(cdf, rng.random(), side="right")), n - 1)
+        item = min(int(np.searchsorted(cdf, picks[s], side="right")), n - 1)
         mask |= 1 << item
         if s == k - 1:
             break
@@ -81,14 +82,19 @@ def _chain_rule_eliminate(vectors, rng):
 
 
 def _per_draw_batch(entries, count, seed, eliminate):
-    """Spectral draws one at a time, with the same Bernoulli selection and RNG stream as ``sample_batch``."""
+    """Spectral draws one at a time, with the same Bernoulli selection and RNG stream as ``sample_batch``.
+
+    Each draw reads 2n uniforms: n for the selection, then one per pick.
+    """
     lam, vecs = np.linalg.eigh(entries)
     lam = np.clip(lam, 0.0, None)
     rng = make_rng(seed)
+    n = lam.size
     masks = []
     for _ in range(count):
-        selection = rng.random(lam.size) < lam / (1.0 + lam)
-        masks.append(eliminate(vecs[:, selection], rng) if selection.any() else 0)
+        u = rng.random(2 * n)
+        selection = u[:n] < lam / (1.0 + lam)
+        masks.append(eliminate(vecs[:, selection], u[n:]) if selection.any() else 0)
     return np.array(masks, dtype=np.int64)
 
 
@@ -180,9 +186,7 @@ class TestLockstepDraws:
         lam = np.clip(np.linalg.eigh(entries)[0], 0.0, None)
         manual = make_rng(11)
         for _ in range(300):
-            k = np.count_nonzero(manual.random(lam.size) < lam / (1.0 + lam))
-            if k:
-                manual.random(k)
+            manual.random(2 * lam.size)
         assert rng.random() == manual.random()
 
     @pytest.mark.parametrize("lam", [
