@@ -41,8 +41,6 @@ from .errors import (
 from .kernels import (
     DistributionTable,
     KernelMatrix,
-    SignDiagonal,
-    Subset,
     atomic_probability_from_marginal,
     ensemble_probability,
     enumerate_distribution,
@@ -69,12 +67,10 @@ from .likelihood import (
 from .optimize import IterationTrace, newton_raphson, sgd
 from .sampling import (
     SampleBatch,
-    enumeration_sample,
     load_batch,
     make_rng,
     sample_batch,
     save_batch,
-    spectral_sample,
 )
 
 __version__ = "0.1.0"

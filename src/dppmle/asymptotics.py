@@ -93,10 +93,10 @@ def covariance_2x2_explicit(params: TwoByTwoParams) -> np.ndarray:
     return d * inner
 
 
-def inverse_sqrt(matrix: np.ndarray, floor: float = EIG_FLOOR) -> np.ndarray:
-    """Symmetric inverse square root with an eigenvalue floor."""
+def inverse_sqrt(matrix: np.ndarray) -> np.ndarray:
+    """Symmetric inverse square root with eigenvalues floored at EIG_FLOOR."""
     eigs, vecs = np.linalg.eigh((matrix + matrix.T) / 2.0)
-    eigs = np.maximum(eigs, floor)
+    eigs = np.maximum(eigs, EIG_FLOOR)
     return (vecs / np.sqrt(eigs)) @ vecs.T
 
 
@@ -159,7 +159,7 @@ def clt_experiment(kernel_star: KernelMatrix, n: int, reps: int, seed: int) -> C
         rows = []
         failures = 0
         for empirical in tables:
-            ctx = LikelihoodContext(DistributionTable(kernel_star.n, empirical))
+            ctx = LikelihoodContext(DistributionTable(empirical))
             estimate, trace = newton_raphson(ctx, kernel_star, max_iter=50)
             if trace.status != CONVERGED:
                 failures += 1
@@ -273,12 +273,12 @@ def berry_esseen_experiment(
     return RateReport(sizes, tuple(distances), reps, seed, tuple(outside))
 
 
-def _band_exit_fraction(estimates: np.ndarray, low: float = 0.05, high: float = 0.95) -> float:
-    """Fraction of (a, b, c) estimates whose marginal eigenvalues leave [low, high]."""
+def _band_exit_fraction(estimates: np.ndarray) -> float:
+    """Fraction of (a, b, c) estimates whose marginal eigenvalues leave [0.05, 0.95]."""
     a, b, c = estimates[:, 0], estimates[:, 1], estimates[:, 2]
     center = (a + c) / 2.0
     radius = np.sqrt(((a - c) / 2.0) ** 2 + b**2)
     eigs = np.stack([center - radius, center + radius], axis=1)
     marginal = eigs / (1.0 + eigs)
-    bad = np.any((marginal < low) | (marginal > high), axis=1)
+    bad = np.any((marginal < 0.05) | (marginal > 0.95), axis=1)
     return float(np.mean(bad))

@@ -58,7 +58,7 @@ def forward_probs_2x2(params: TwoByTwoParams) -> DistributionTable:
     a, b, c = params.a, params.b, params.c
     d = (a + 1.0) * (c + 1.0) - b * b
     det = max(a * c - b * b, 0.0)
-    return DistributionTable(2, np.array([1.0, a, c, det]) / d)
+    return DistributionTable(np.array([1.0, a, c, det]) / d)
 
 
 def mle_2x2(table: DistributionTable) -> tuple[TwoByTwoParams, str]:
@@ -153,13 +153,13 @@ def mle_block(batch: SampleBatch, structure: BlockStructure) -> KernelMatrix:
             ]
         ) / total
         try:
-            params, _ = mle_2x2(DistributionTable(2, cells))
+            params, _ = mle_2x2(DistributionTable(cells))
         except DegenerateTable as exc:
             raise DegenerateTable(f"block {index} (elements {u},{v}): {exc}") from exc
         out[u, u] = params.a
         out[v, v] = params.c
         out[u, v] = out[v, u] = params.b
-    return KernelMatrix(batch.n_ground, out, ENSEMBLE)
+    return KernelMatrix(out, ENSEMBLE)
 
 
 def moments_estimator(table: DistributionTable) -> tuple[np.ndarray, np.ndarray]:
@@ -189,7 +189,7 @@ def moments_estimator(table: DistributionTable) -> tuple[np.ndarray, np.ndarray]
 def moments_kernel(table: DistributionTable) -> KernelMatrix:
     """Moments estimate assembled as a matrix with nonnegative off-diagonals."""
     diag, magnitudes = moments_estimator(table)
-    return KernelMatrix(table.n, np.diag(diag) + magnitudes, ENSEMBLE)
+    return KernelMatrix(np.diag(diag) + magnitudes, ENSEMBLE)
 
 
 # ---------------------------------------------------------------------------

@@ -172,7 +172,8 @@ def estimate(method: str, batch, initial=None, iterations: int = 100, eta: float
     iterative solvers, ``seed`` picks SGD's draws, and ``blocks`` is the
     pair partition of ``block``. The status is the solver's trace status,
     the closed form's tag, or ``ok``; the iteration count is the Newton
-    steps taken, SGD's budget, or 0. DegenerateTable propagates.
+    steps taken, SGD's budget, or 0. DegenerateTable propagates; an
+    unknown method is a ValueError.
     """
     if initial is None:
         initial = np.eye(batch.n_ground)
@@ -188,7 +189,9 @@ def estimate(method: str, batch, initial=None, iterations: int = 100, eta: float
         return params.matrix(), tag, 0
     if method == BLOCK:
         return mle_block(batch, BlockStructure(blocks)).entries, "ok", 0
-    return moments_kernel(empirical_distribution(batch)).entries, "ok", 0
+    if method == MOMENTS:
+        return moments_kernel(empirical_distribution(batch)).entries, "ok", 0
+    raise ValueError(f"unknown method {method!r} (choose from {METHODS})")
 
 
 def _estimate_cell(config: ExperimentConfig, truth: KernelMatrix, n: int, seed: int) -> RunRow:

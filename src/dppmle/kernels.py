@@ -1,4 +1,4 @@
-"""Kernel matrices, subsets, and exact probabilities of finite L-ensembles.
+"""Kernel matrices and exact probabilities of finite L-ensembles.
 
 The ground set is {0, ..., n-1}. A subset is an n-bit mask with bit i
 marking element i, so a dense table over all 2^n subsets is indexed
@@ -39,6 +39,9 @@ MAX_DENSE_GROUND_SET = 20
 #: Masks factorized per batch by enumerate_distribution.
 _ENUMERATION_CHUNK = 1 << 12
 
+#: Sign classes tabulated at once by sign_distance; bounds its table at large n.
+_SIGN_CHUNK = 1 << 12
+
 
 @functools.lru_cache(maxsize=1 << 16)
 def subset_indices(mask: int) -> tuple[int, ...]:
@@ -55,68 +58,6 @@ def subset_indices(mask: int) -> tuple[int, ...]:
 
 
 @dataclass(frozen=True)
-class Subset:
-    """A subset of the ground set, encoded as an n-bit mask."""
-
-    mask: int
-    n: int
-
-    def __post_init__(self):
-        if not 0 <= self.mask < (1 << self.n):
-            raise ValueError(f"mask {self.mask} out of range for ground set of size {self.n}")
-
-    @classmethod
-    def from_indices(cls, indices, n: int) -> "Subset":
-        mask = 0
-        for i in indices:
-            if not 0 <= i < n:
-                raise ValueError(f"element {i} outside ground set of size {n}")
-            mask |= 1 << i
-        return cls(mask, n)
-
-    @property
-    def indices(self) -> tuple[int, ...]:
-        return subset_indices(self.mask)
-
-    def __iter__(self):
-        return iter(self.indices)
-
-    def __len__(self) -> int:
-        return self.mask.bit_count()
-
-
-@dataclass(frozen=True)
-class SignDiagonal:
-    """Diagonal matrix of +/-1 entries; bit i of ``signs`` set means -1 at i.
-
-    Conjugation L -> D L D flips the sign of row/column blocks without
-    changing the induced point process, so these index the identifiability
-    orbit of a kernel.
-    """
-
-    signs: int
-    n: int
-
-    def __post_init__(self):
-        if not 0 <= self.signs < (1 << self.n):
-            raise ValueError("sign mask out of range")
-
-    def vector(self) -> np.ndarray:
-        v = np.ones(self.n)
-        for i in subset_indices(self.signs):
-            v[i] = -1.0
-        return v
-
-    def matrix(self) -> np.ndarray:
-        return np.diag(self.vector())
-
-    def conjugate(self, entries: np.ndarray) -> np.ndarray:
-        """Return D @ entries @ D without forming the diagonal matrix."""
-        v = self.vector()
-        return entries * np.outer(v, v)
-
-
-@dataclass(frozen=True)
 class KernelMatrix:
     """Symmetric kernel parameterizing a finite point process.
 
@@ -127,7 +68,6 @@ class KernelMatrix:
     :func:`validate_kernel`, the validating entry point for external data.
     """
 
-    n: int
     entries: np.ndarray
     kind: str
 
@@ -135,11 +75,9 @@ class KernelMatrix:
         arr = np.array(self.entries, dtype=float)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError(f"kernel entries must be square, got shape {arr.shape}")
-        if arr.shape[0] != self.n:
-            raise ValueError(f"declared size {self.n} does not match shape {arr.shape}")
         if self.kind not in (ENSEMBLE, MARGINAL):
             raise ValueError(f"unknown kernel kind {self.kind!r}")
-        deviation = float(np.max(np.abs(arr - arr.T))) if self.n else 0.0
+        deviation = float(np.max(np.abs(arr - arr.T))) if arr.size else 0.0
         if deviation > SYMMETRY_TOL:
             raise NotSymmetric(
                 f"kernel deviates from symmetry by {deviation:.3e} (limit {SYMMETRY_TOL:.0e})"
@@ -147,6 +85,10 @@ class KernelMatrix:
         arr = (arr + arr.T) / 2.0
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
+
+    @property
+    def n(self) -> int:
+        return self.entries.shape[0]
 
     def eigenvalues(self) -> np.ndarray:
         return _eigvalsh(self.entries)
@@ -176,7 +118,7 @@ def validate_kernel(entries, kind: str) -> KernelMatrix:
     Parameters
     ----------
     entries:
-        Square array of real numbers. Symmetry deviations up to
+        Square array of finite real numbers. Symmetry deviations up to
         ``SYMMETRY_TOL`` are repaired by averaging; larger ones raise
         :class:`NotSymmetric`.
     kind:
@@ -190,12 +132,13 @@ def validate_kernel(entries, kind: str) -> KernelMatrix:
 
     Raises
     ------
-    NotSymmetric, EigenvalueOutOfRange
+    ValueError (entries not square or not all finite), NotSymmetric, EigenvalueOutOfRange
     """
     arr = np.asarray(entries, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError(f"kernel entries must be square, got shape {arr.shape}")
-    kernel = KernelMatrix(arr.shape[0], arr, kind)
+    # NaN fails every eigenvalue comparison below, so it must be refused here.
+    if not np.isfinite(arr).all():
+        raise ValueError("kernel entries must be finite")
+    kernel = KernelMatrix(arr, kind)
     eigs = kernel.eigenvalues()
     tol = PSD_TOL_DEFAULT * max(1.0, float(np.max(np.abs(eigs))) if eigs.size else 0.0)
     low = float(eigs.min()) if eigs.size else 0.0
@@ -215,13 +158,12 @@ def validate_kernel(entries, kind: str) -> KernelMatrix:
 class DistributionTable:
     """Dense probability vector over all 2^n subsets, indexed by mask."""
 
-    n: int
     probs: np.ndarray
 
     def __post_init__(self):
         arr = np.array(self.probs, dtype=float)
-        if arr.shape != (1 << self.n,):
-            raise ValueError(f"expected {1 << self.n} probabilities, got shape {arr.shape}")
+        if arr.ndim != 1 or arr.size & (arr.size - 1) or not arr.size:
+            raise ValueError(f"expected 2^n probabilities, got shape {arr.shape}")
         if np.any(arr < 0.0):
             raise ValueError(f"negative probability {arr.min():.3e}")
         total = float(arr.sum())
@@ -229,6 +171,10 @@ class DistributionTable:
             raise ValueError(f"probabilities sum to {total!r}, not 1")
         arr.setflags(write=False)
         object.__setattr__(self, "probs", arr)
+
+    @property
+    def n(self) -> int:
+        return self.probs.size.bit_length() - 1
 
 
 # ---------------------------------------------------------------------------
@@ -267,16 +213,15 @@ def _log_normalizer(entries: np.ndarray) -> float:
     return logdet
 
 
-def ensemble_probability(kernel, subset) -> float:
-    """Atomic probability det(L_A) / det(L + I) of observing exactly A.
+def ensemble_probability(kernel, mask: int) -> float:
+    """Atomic probability det(L_A) / det(L + I) that Y is exactly the subset A = ``mask``.
 
     The empty minor has determinant 1 by convention. Log-determinants are
     used so large ground sets do not underflow.
     """
     entries = as_array(kernel)
-    mask = subset.mask if isinstance(subset, Subset) else int(subset)
     logdet_norm = _log_normalizer(entries)
-    sign, logdet, _ = _principal_minors(entries, np.array([subset_indices(mask)], dtype=np.intp))
+    sign, logdet, _ = _principal_minors(entries, np.array([subset_indices(int(mask))], dtype=np.intp))
     # PSD minors have nonnegative determinant; a negative sign is roundoff.
     return float(np.exp(logdet[0] - logdet_norm)) if sign[0] > 0 else 0.0
 
@@ -295,18 +240,17 @@ def marginal_of(kernel: KernelMatrix) -> KernelMatrix:
         raise EigendecompositionFailure(str(exc)) from exc
     marginal = (vecs * (lam / (1.0 + lam))) @ vecs.T
     marginal = (marginal + marginal.T) / 2.0
-    return KernelMatrix(kernel.n, marginal, MARGINAL)
+    return KernelMatrix(marginal, MARGINAL)
 
 
-def atomic_probability_from_marginal(kernel, subset) -> float:
-    """Atomic probability |det(K - I_Abar)| computed from a marginal kernel.
+def atomic_probability_from_marginal(kernel, mask: int) -> float:
+    """Atomic probability |det(K - I_Abar)| of the subset A = ``mask``, from a marginal kernel.
 
     I_Abar is the diagonal indicator of the complement of A, so the value
     agrees with the ensemble route whenever K is the marginal of L.
     """
     entries = as_array(kernel)
     n = entries.shape[0]
-    mask = subset.mask if isinstance(subset, Subset) else int(subset)
     shifted = entries.copy()
     for i in range(n):
         if not mask >> i & 1:
@@ -333,7 +277,7 @@ def enumerate_distribution(kernel) -> DistributionTable:
         for where, index in _size_groups(masks, n):
             sign, logdet, _ = _principal_minors(entries, index)
             probs[masks[where]] = np.where(sign > 0, np.exp(logdet - logdet_norm), 0.0)
-    return DistributionTable(n, probs)
+    return DistributionTable(probs)
 
 
 def inclusion_probabilities(table: DistributionTable) -> np.ndarray:
@@ -368,35 +312,38 @@ def kl_divergence(p: DistributionTable, q: DistributionTable) -> float:
 # ---------------------------------------------------------------------------
 
 
-def sign_distance(kernel_a, kernel_b) -> tuple[float, SignDiagonal]:
+def sign_distance(kernel_a, kernel_b) -> tuple[float, np.ndarray]:
     """Minimal Frobenius distance between two kernels modulo sign conjugation.
 
-    Scans the 2^(n-1) sign classes (D and -D conjugate identically) and
-    returns the distance together with the first minimizing diagonal in
-    mask order. This is the right error metric for estimators, which can
-    only recover the kernel up to D L D.
+    Conjugation L -> D L D by a diagonal D of +/-1 entries leaves the point
+    process unchanged, so estimators recover a kernel only up to it. Scans
+    the 2^(n-1) sign classes (D and -D conjugate identically) and returns
+    the distance together with the +/-1 diagonal of the first minimizing
+    class, in mask order, as a float vector.
     """
     a = as_array(kernel_a)
     b = as_array(kernel_b)
     if a.shape != b.shape:
         raise ValueError(f"kernel shapes differ: {a.shape} vs {b.shape}")
     n = a.shape[0]
+    classes = 1 << max(n - 1, 0)
     best = np.inf
-    best_mask = 0
-    for mask in range(1 << max(n - 1, 0)):
-        # Element 0 is pinned to +1; bits of mask set signs of elements 1..n-1.
-        d = SignDiagonal(mask << 1, n)
-        dist = float(np.linalg.norm(a - d.conjugate(b)))
-        if dist < best - 1e-15:
-            best = dist
-            best_mask = mask << 1
-    return best, SignDiagonal(best_mask, n)
+    best_signs = np.ones(n)
+    for start in range(0, classes, _SIGN_CHUNK):
+        # Element 0 is pinned to +1; bit i of a class sets the sign of element i + 1.
+        rows = np.arange(start, min(start + _SIGN_CHUNK, classes))[:, None] << 1 >> np.arange(n) & 1
+        for signs in np.where(rows == 1, -1.0, 1.0):
+            dist = float(np.linalg.norm(a - b * (signs[:, None] * signs)))
+            if dist < best - 1e-15:
+                best = dist
+                best_signs = signs
+    return best, best_signs
 
 
 def sign_align(kernel_hat, kernel_star) -> np.ndarray:
     """Conjugate the estimate onto the orbit representative nearest the truth."""
-    dist, d = sign_distance(kernel_star, kernel_hat)
-    return d.conjugate(as_array(kernel_hat))
+    _, signs = sign_distance(kernel_star, kernel_hat)
+    return as_array(kernel_hat) * np.outer(signs, signs)
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,7 @@ def empirical_distribution(batch: SampleBatch) -> DistributionTable:
     if len(batch) == 0:
         raise EmptyBatch("cannot build an empirical distribution from zero draws")
     counts = np.bincount(batch.masks, minlength=1 << batch.n_ground)
-    return DistributionTable(batch.n_ground, counts / len(batch))
+    return DistributionTable(counts / len(batch))
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from .likelihood import LikelihoodContext, gradient, log_likelihood
 FD_STEP = 1e-5
 
 
-def fd_gradient(ctx: LikelihoodContext, kernel, step: float = FD_STEP) -> np.ndarray:
+def fd_gradient(ctx: LikelihoodContext, kernel) -> np.ndarray:
     """Objective gradient by symmetrized central differences.
 
     The domain is symmetric matrices, so off-diagonal coordinates perturb
@@ -27,7 +27,7 @@ def fd_gradient(ctx: LikelihoodContext, kernel, step: float = FD_STEP) -> np.nda
     out = np.empty((n, n))
     for i in range(n):
         for j in range(n):
-            h = step * (1.0 + abs(entries[i, j]))
+            h = FD_STEP * (1.0 + abs(entries[i, j]))
             bump = np.zeros_like(entries)
             if i == j:
                 bump[i, i] = h
@@ -40,7 +40,7 @@ def fd_gradient(ctx: LikelihoodContext, kernel, step: float = FD_STEP) -> np.nda
     return out
 
 
-def fd_hessian(ctx: LikelihoodContext, kernel, step: float = FD_STEP) -> np.ndarray:
+def fd_hessian(ctx: LikelihoodContext, kernel) -> np.ndarray:
     """Hessian by central differences of the gradient in the N^2 chart.
 
     The vectorized chart treats every entry as a free coordinate, so each
@@ -52,7 +52,7 @@ def fd_hessian(ctx: LikelihoodContext, kernel, step: float = FD_STEP) -> np.ndar
     out = np.empty((n * n, n * n))
     for k in range(n):
         for l in range(n):
-            h = step * (1.0 + abs(entries[k, l]))
+            h = FD_STEP * (1.0 + abs(entries[k, l]))
             bump = np.zeros_like(entries)
             bump[k, l] = h
             diff = (gradient(ctx, entries + bump) - gradient(ctx, entries - bump)) / (2.0 * h)
@@ -60,15 +60,15 @@ def fd_hessian(ctx: LikelihoodContext, kernel, step: float = FD_STEP) -> np.ndar
     return out
 
 
-def fd_hessian_of(fn, x: np.ndarray, step: float = 1e-3) -> np.ndarray:
+def fd_hessian_of(fn, x: np.ndarray) -> np.ndarray:
     """Dense Hessian of a scalar function of a flat vector.
 
-    Second central differences at steps h and h/2 combined by Richardson
-    extrapolation, cancelling the O(h^2) truncation term while keeping the
-    step wide enough that the eps / h^2 roundoff stays negligible.
+    Second central differences at base steps h = 1e-3 and h/2 combined by
+    Richardson extrapolation, cancelling the O(h^2) truncation term while
+    keeping the step wide enough that the eps / h^2 roundoff stays negligible.
     """
-    coarse = _fd_hessian_single(fn, x, step)
-    fine = _fd_hessian_single(fn, x, step / 2.0)
+    coarse = _fd_hessian_single(fn, x, 1e-3)
+    fine = _fd_hessian_single(fn, x, 1e-3 / 2.0)
     return (4.0 * fine - coarse) / 3.0
 
 

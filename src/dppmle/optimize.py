@@ -77,7 +77,7 @@ def _lu_sign(lu: np.ndarray, piv: np.ndarray) -> int:
 
 def _final(entries: np.ndarray, trace: IterationTrace) -> tuple[KernelMatrix, IterationTrace]:
     sym = (entries + entries.T) / 2.0
-    return KernelMatrix(sym.shape[0], sym, ENSEMBLE), trace
+    return KernelMatrix(sym, ENSEMBLE), trace
 
 
 def newton_raphson(

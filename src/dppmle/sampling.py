@@ -9,8 +9,8 @@ Each spectral draw reads 2n uniforms from the stream: n select the
 eigenvectors, then one per selected vector drives a pick, and the rest
 are unused. The sampler reads the rows of a chunk of draws as one block
 and runs the chain rule once per pick over all draws of the chunk with
-the same number of items. A batch and the same number of single draws
-are therefore identical. (Earlier versions read n + k uniforms per draw,
+the same number of items. A batch is therefore a prefix of any larger
+batch at the same seed. (Earlier versions read n + k uniforms per draw,
 so their spectral batches differ from these at the same seed.)
 
 All randomness flows through numpy Generators backed by the counter-based
@@ -28,7 +28,6 @@ from .errors import EigendecompositionFailure, GroundSetTooLarge
 from .kernels import (
     DistributionTable,
     KernelMatrix,
-    Subset,
     as_array,
     enumerate_distribution,
     subset_indices,
@@ -55,11 +54,7 @@ def make_rng(seed: int) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class SampleBatch:
-    """Ordered draws from one sampler run.
-
-    ``masks`` stores one bit mask per draw; iterating yields them as
-    :class:`Subset` objects.
-    """
+    """Ordered draws from one sampler run; ``masks`` stores one bit mask per draw."""
 
     n_ground: int
     masks: np.ndarray
@@ -80,42 +75,19 @@ class SampleBatch:
     def __len__(self) -> int:
         return int(self.masks.size)
 
-    def __iter__(self):
-        return (Subset(int(m), self.n_ground) for m in self.masks)
-
 
 # ---------------------------------------------------------------------------
 # Spectral sampler
 # ---------------------------------------------------------------------------
 
 
-def spectral_sample(kernel, rng: np.random.Generator) -> Subset:
-    """One draw distributed as the ensemble's point process.
+def _spectral_draws(lam: np.ndarray, vecs: np.ndarray, rng: np.random.Generator, count: int) -> np.ndarray:
+    """``count`` draws from the ensemble with eigenpairs (lam, vecs), as int64 masks.
 
-    Eigenvector i joins the active set independently with probability
+    Eigenvector i joins a draw's active set independently with probability
     lam_i / (1 + lam_i); the active eigenvectors then span a projection
     kernel K, and items are picked one at a time from K's chain-rule
     conditionals (the Schur complements of K on the items already picked).
-    Each draw reads 2n uniforms, so successive calls on
-    ``make_rng(seed)`` give exactly the masks of
-    ``sample_batch(kernel, count, seed, "spectral")``.
-    """
-    entries = as_array(kernel)
-    lam, vecs = _decompose(entries)
-    return Subset(int(_spectral_draws(lam, vecs, rng, 1)[0]), entries.shape[0])
-
-
-def _decompose(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    try:
-        lam, vecs = np.linalg.eigh(entries)
-    except np.linalg.LinAlgError as exc:
-        raise EigendecompositionFailure(str(exc)) from exc
-    lam = np.clip(lam, 0.0, None)
-    return lam, vecs
-
-
-def _spectral_draws(lam: np.ndarray, vecs: np.ndarray, rng: np.random.Generator, count: int) -> np.ndarray:
-    """``count`` draws from the ensemble with eigenpairs (lam, vecs), as int64 masks.
 
     Each chunk of draws reads one ``(m, 2n)`` block of uniforms, row i for
     draw i: the first n select the eigenvectors, and the next k, one per
@@ -168,12 +140,8 @@ def _spectral_draws(lam: np.ndarray, vecs: np.ndarray, rng: np.random.Generator,
 # ---------------------------------------------------------------------------
 
 
-def enumeration_sample(table: DistributionTable, rng: np.random.Generator) -> Subset:
-    """Inverse-CDF draw from the exact table; oracle for the spectral route."""
-    return Subset(int(_enumeration_draw_many(table, 1, rng)[0]), table.n)
-
-
 def _enumeration_draw_many(table: DistributionTable, count: int, rng: np.random.Generator) -> np.ndarray:
+    """``count`` inverse-CDF draws from the exact table; oracle for the spectral route."""
     cdf = np.cumsum(table.probs)
     masks = np.searchsorted(cdf, rng.random(count), side="right")
     return np.minimum(masks, (1 << table.n) - 1).astype(np.int64)
@@ -196,8 +164,11 @@ def sample_batch(kernel: KernelMatrix, n: int, seed: int, sampler: str = SPECTRA
         table = enumerate_distribution(entries)
         masks = _enumeration_draw_many(table, n, rng)
     else:
-        lam, vecs = _decompose(entries)
-        masks = _spectral_draws(lam, vecs, rng, n)
+        try:
+            lam, vecs = np.linalg.eigh(entries)
+        except np.linalg.LinAlgError as exc:
+            raise EigendecompositionFailure(str(exc)) from exc
+        masks = _spectral_draws(np.clip(lam, 0.0, None), vecs, rng, n)
     return SampleBatch(entries.shape[0], masks, seed, sampler)
 
 
@@ -226,8 +197,8 @@ def batch_to_csv(batch: SampleBatch) -> str:
 def batch_from_csv(text: str) -> SampleBatch:
     """Inverse of :func:`batch_to_csv`.
 
-    ValueError when the ``n_ground`` metadata is missing or a row's
-    ``items`` disagree with its ``mask``.
+    ValueError when the ``n_ground`` metadata is missing, a row's mask is
+    outside [0, 2**63) or its ``items`` disagree with its ``mask``.
     """
     lines = [ln for ln in text.splitlines() if ln.strip()]
     meta = {"n_ground": None, "seed": 0, "sampler": ENUMERATION}
@@ -246,8 +217,9 @@ def batch_from_csv(text: str) -> SampleBatch:
             if len(fields) != 3:
                 raise ValueError(f"row {ln!r}: expected {BATCH_HEADER}")
             mask = int(fields[1])
-            if mask < 0:  # subset_indices never returns on a negative mask
-                raise ValueError(f"row {ln!r}: negative mask")
+            # subset_indices never returns on a negative mask, and masks are int64.
+            if not 0 <= mask < 1 << MAX_MASK_GROUND_SET:
+                raise ValueError(f"row {ln!r}: mask outside [0, 2**{MAX_MASK_GROUND_SET})")
             items = fields[2].split(";") if fields[2] else ()
             if tuple(map(int, items)) != subset_indices(mask):
                 raise ValueError(f"row {ln!r}: items do not match mask {mask}")

@@ -98,7 +98,7 @@ def derivative_errors(rng: np.random.Generator, sizes, routes) -> list[float]:
     for n in sizes:
         kernel = random_ensemble(n, rng, jitter=0.3)
         probs = rng.dirichlet(np.ones(1 << n))
-        ctx = LikelihoodContext(DistributionTable(n, probs / probs.sum()))
+        ctx = LikelihoodContext(DistributionTable(probs / probs.sum()))
         for k, (analytic, numeric) in enumerate(routes):
             exact = analytic(ctx, kernel)
             error = np.abs(exact - numeric(ctx, kernel)) / (1.0 + np.abs(exact))

@@ -16,7 +16,7 @@ def random_ensemble(n: int, rng: np.random.Generator, jitter: float = 0.0) -> Ke
     """
     w = rng.normal(size=(n, n))
     entries = w @ w.T + (0.25 + jitter) * np.eye(n)
-    return KernelMatrix(n, entries, ENSEMBLE)
+    return KernelMatrix(entries, ENSEMBLE)
 
 
 def random_irreducible_ensemble(n: int, rng: np.random.Generator) -> KernelMatrix:

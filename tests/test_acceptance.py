@@ -99,7 +99,7 @@ def test_criterion_4_closed_form_optimality():
         counts = rng.multinomial(1000, exact.probs)
         if np.any(counts == 0):
             continue
-        table = DistributionTable(2, counts / 1000)
+        table = DistributionTable(counts / 1000)
         params, tag = mle_2x2(table)
         if tag != INTERIOR:
             continue
@@ -305,7 +305,7 @@ def test_criterion_10_consistency_trend():
         for seed in range(100):
             rng = make_rng(seed * 7919 + n)
             counts = rng.multinomial(n, table3.probs)
-            ctx = LikelihoodContext(DistributionTable(3, counts / n))
+            ctx = LikelihoodContext(DistributionTable(counts / n))
             estimate, trace = newton_raphson(ctx, kernel3, max_iter=100)
             if trace.status == CONVERGED:
                 dists.append(sign_distance(estimate, kernel3)[0])

@@ -10,12 +10,13 @@ from dppmle.errors import ConfigError
 from dppmle.experiments import (
     ExperimentConfig,
     config_from_dict,
+    estimate,
     preset_configs,
     run_experiment,
     write_results,
 )
 from dppmle.kernels import kernel_from_text, save_kernel, validate_kernel
-from dppmle.sampling import load_batch
+from dppmle.sampling import load_batch, sample_batch
 
 DENSE2 = np.array([[1.0, 1.0], [1.0, 2.0]])
 
@@ -209,6 +210,10 @@ class TestInputBoundary:
         ["estimate", "--batch", "{batch}", "--method", "block", "--blocks", "[[0,1],[2,3]]"],
         ["estimate", "--batch", "{batch64}", "--method", "moments"],
         ["estimate", "--batch", "{batch}", "--method", "sgd", "--eta", "inf"],
+        ["sample", "--kernel", "nan", "--n", "3"],
+        ["sample", "--kernel", "{inf_kernel}", "--n", "3"],
+        ["experiment", "--config", "{nan_kernel}", "--out", "{out}"],
+        ["estimate", "--batch", "{huge_mask}", "--method", "moments"],
     ], ids=["inline-kernel", "blocks-json", "blocks-triple", "blocks-repeat",
             "config-json", "config-kernel-entry", "batch-mask",
             "config-not-object", "sgd-iters", "newton-iters", "eta-zero", "eta-negative",
@@ -217,7 +222,8 @@ class TestInputBoundary:
             "sizes-descending", "a-zero", "b-negative", "c-nan",
             "sample-seed-negative", "estimate-seed-negative", "experiment-seed-negative",
             "berry-esseen-seed-negative", "verify-seed-negative", "seed-2-pow-128",
-            "config-seed-negative", "blocks-cover", "batch-n-ground-64", "eta-inf"])
+            "config-seed-negative", "blocks-cover", "batch-n-ground-64", "eta-inf",
+            "kernel-nan", "kernel-file-inf", "config-kernel-nan", "batch-mask-2-pow-70"])
     def test_exit_code_and_one_line(self, argv, tmp_path, kernel_file, capsys):
         paths = {
             "batch": tmp_path / "batch.csv",
@@ -231,6 +237,9 @@ class TestInputBoundary:
             "batch3": tmp_path / "batch3.csv",
             "negative_seed": tmp_path / "negative_seed.json",
             "batch64": tmp_path / "batch64.csv",
+            "inf_kernel": tmp_path / "inf_kernel.txt",
+            "nan_kernel": tmp_path / "nan_kernel.json",
+            "huge_mask": tmp_path / "huge_mask.csv",
         }
         main(["sample", "--kernel", str(kernel_file), "--n", "100", "--out", str(paths["batch"])])
         paths["malformed"].write_text('{"kernel": [[1, 0], [0')
@@ -241,6 +250,10 @@ class TestInputBoundary:
         paths["items_mismatch"].write_text("# n_ground=2\nindex,mask,items\n0,3,0\n")
         paths["batch3"].write_text("# n_ground=3\nindex,mask,items\n0,1,0\n1,6,1;2\n")
         paths["batch64"].write_text("# n_ground=64\nindex,mask,items\n0,1,0\n")
+        paths["inf_kernel"].write_text("2\n1 0 0 inf\n")
+        paths["nan_kernel"].write_text(json.dumps(
+            {"kernel": [[float("nan"), 0], [0, 1]], "method": "newton", "sample_sizes": [10]}))
+        paths["huge_mask"].write_text(f"# n_ground=2\nindex,mask,items\n0,{2**70},70\n")
         paths["negative_seed"].write_text(json.dumps(
             {"kernel": [[1, 0], [0, 1]], "method": "moments", "sample_sizes": [10], "seeds": [-1]}))
         capsys.readouterr()
@@ -318,6 +331,11 @@ class TestConfigValidation:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("config error: ") and err.count("\n") == 1
+
+    def test_estimate_rejects_unknown_method(self):
+        batch = sample_batch(validate_kernel(DENSE2, "ensemble"), 100, 0, "enumeration")
+        with pytest.raises(ValueError, match="unknown method"):
+            estimate("nwton", batch)
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError):

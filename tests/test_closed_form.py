@@ -59,7 +59,7 @@ class TestMle2x2:
         assert (params.a, params.b, params.c) == pytest.approx((1.0, 1.0, 2.0))
 
     def test_uniform_table(self):
-        params, tag = mle_2x2(DistributionTable(2, 0.25 * np.ones(4)))
+        params, tag = mle_2x2(DistributionTable(0.25 * np.ones(4)))
         assert tag == INTERIOR
         assert (params.a, params.b, params.c) == pytest.approx((1.0, 0.0, 1.0))
 
@@ -76,7 +76,7 @@ class TestMle2x2:
 
     def test_boundary_branch(self):
         # discriminant p1 p2 - p0 p3 < 0 forces b = 0
-        table = DistributionTable(2, np.array([0.4, 0.05, 0.05, 0.5]))
+        table = DistributionTable(np.array([0.4, 0.05, 0.05, 0.5]))
         params, tag = mle_2x2(table)
         assert tag == BOUNDARY_B0
         assert params.b == 0.0
@@ -94,11 +94,11 @@ class TestMle2x2:
 
     def test_degenerate_table(self):
         with pytest.raises(DegenerateTable):
-            mle_2x2(DistributionTable(2, np.array([0.0, 0.5, 0.5, 0.0])))
+            mle_2x2(DistributionTable(np.array([0.0, 0.5, 0.5, 0.0])))
 
     def test_requires_two_elements(self):
         with pytest.raises(ValueError):
-            mle_2x2(DistributionTable(1, np.array([0.5, 0.5])))
+            mle_2x2(DistributionTable(np.array([0.5, 0.5])))
 
     def test_stationarity_of_interior_estimate(self, rng):
         for _ in range(25):
@@ -108,7 +108,7 @@ class TestMle2x2:
             counts = rng.multinomial(2000, exact.probs)
             if np.any(counts == 0):
                 continue
-            table = DistributionTable(2, counts / 2000)
+            table = DistributionTable(counts / 2000)
             params, tag = mle_2x2(table)
             if tag != INTERIOR:
                 continue
@@ -142,7 +142,7 @@ class TestGridOptimality:
             counts = rng.multinomial(1000, exact.probs)
             if np.any(counts == 0):
                 continue
-            table = DistributionTable(2, counts / 1000)
+            table = DistributionTable(counts / 1000)
             params, tag = mle_2x2(table)
             if tag != INTERIOR:
                 continue
@@ -227,7 +227,7 @@ class TestMoments:
 
     def test_degenerate(self):
         with pytest.raises(DegenerateTable):
-            moments_estimator(DistributionTable(2, np.array([0.0, 0.5, 0.25, 0.25])))
+            moments_estimator(DistributionTable(np.array([0.0, 0.5, 0.25, 0.25])))
 
 
 class TestConsistencyTrend:
@@ -240,7 +240,7 @@ class TestConsistencyTrend:
             for seed in range(100):
                 rng = make_rng(seed * 1009 + n)
                 counts = rng.multinomial(n, table.probs)
-                params, _ = mle_2x2(DistributionTable(2, counts / n))
+                params, _ = mle_2x2(DistributionTable(counts / n))
                 errors.append(np.linalg.norm(params.matrix() - DENSE2))
             medians.append(float(np.median(errors)))
         assert all(b <= a for a, b in zip(medians, medians[1:]))

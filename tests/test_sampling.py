@@ -14,10 +14,8 @@ from dppmle.sampling import (
     SampleBatch,
     batch_from_csv,
     batch_to_csv,
-    enumeration_sample,
     make_rng,
     sample_batch,
-    spectral_sample,
 )
 from dppmle.verify_support import random_ensemble
 
@@ -107,15 +105,13 @@ def _fixed_spectrum_kernel(lam, seed):
 class TestSpectralSampler:
     def test_zero_kernel_always_empty(self):
         kernel = validate_kernel(np.zeros((2, 2)), "ensemble")
-        rng = make_rng(0)
-        assert all(spectral_sample(kernel, rng).mask == 0 for _ in range(50))
+        assert all(sample_batch(kernel, 50, 0, "spectral").masks == 0)
 
     def test_saturated_kernel_always_full(self):
         kernel = validate_kernel(1e6 * np.eye(2), "ensemble")
-        rng = make_rng(0)
-        assert all(spectral_sample(kernel, rng).mask == 0b11 for _ in range(50))
+        assert all(sample_batch(kernel, 50, 0, "spectral").masks == 0b11)
         kernel = validate_kernel(1e6 * _rank3_kernel(12, 4), "ensemble")
-        assert all(spectral_sample(kernel, rng).mask.bit_count() == 3 for _ in range(50))
+        assert all(int(m).bit_count() == 3 for m in sample_batch(kernel, 50, 0, "spectral").masks)
 
     def test_matches_enumeration_in_total_variation(self):
         kernel = validate_kernel(DENSE2, "ensemble")
@@ -178,15 +174,17 @@ class TestChainRuleStep:
 class TestLockstepDraws:
     """Draws advanced together, in chunks of equal size, match draws made one at a time."""
 
-    def test_single_draws_replay_the_batch_stream(self):
+    def test_batch_is_a_prefix_of_larger_batches(self):
         entries = random_ensemble(5, np.random.default_rng(1)).entries
+        count = sampling._SPECTRAL_CHUNK + 300
+        batch = sample_batch(entries, count, 11, "spectral").masks
+        np.testing.assert_array_equal(batch[:300], sample_batch(entries, 300, 11, "spectral").masks)
+        np.testing.assert_array_equal(batch, sample_batch(entries, 2 * count, 11, "spectral").masks[:count])
+        lam, vecs = np.linalg.eigh(entries)
         rng = make_rng(11)
-        singles = [spectral_sample(entries, rng).mask for _ in range(300)]
-        np.testing.assert_array_equal(singles, sample_batch(entries, 300, 11, "spectral").masks)
-        lam = np.clip(np.linalg.eigh(entries)[0], 0.0, None)
+        sampling._spectral_draws(np.clip(lam, 0.0, None), vecs, rng, count)
         manual = make_rng(11)
-        for _ in range(300):
-            manual.random(2 * lam.size)
+        manual.random((count, 2 * lam.size))
         assert rng.random() == manual.random()
 
     @pytest.mark.parametrize("lam", [
@@ -197,21 +195,22 @@ class TestLockstepDraws:
         entries = _fixed_spectrum_kernel(lam, 6)
         count = 5 * sampling._SPECTRAL_CHUNK
         expected = _per_draw_batch(entries, count, 6, _chain_rule_eliminate)
-        group_sizes = np.bincount([int(m).bit_count() for m in expected])[1:]
-        assert group_sizes[group_sizes > 0].min() > sampling._SPECTRAL_CHUNK
+        chunks = [expected[i:i + sampling._SPECTRAL_CHUNK] for i in range(0, count, sampling._SPECTRAL_CHUNK)]
+        assert len(chunks) >= 2
+        for chunk in chunks:
+            sizes = np.unique([int(m).bit_count() for m in chunk])
+            assert np.count_nonzero(sizes) >= 2
         assert np.array_equal(sample_batch(entries, count, 6, "spectral").masks, expected)
 
 
 class TestEnumerationSampler:
     def test_degenerate_table(self):
-        table = DistributionTable(2, np.array([1.0, 0.0, 0.0, 0.0]))
-        rng = make_rng(5)
-        assert all(enumeration_sample(table, rng).mask == 0 for _ in range(50))
+        table = DistributionTable(np.array([1.0, 0.0, 0.0, 0.0]))
+        assert all(sampling._enumeration_draw_many(table, 50, make_rng(5)) == 0)
 
     def test_uniform_table_frequencies(self):
-        table = DistributionTable(2, 0.25 * np.ones(4))
-        rng = make_rng(5)
-        masks = np.array([enumeration_sample(table, rng).mask for _ in range(100_000)])
+        table = DistributionTable(0.25 * np.ones(4))
+        masks = sampling._enumeration_draw_many(table, 100_000, make_rng(5))
         freqs = np.bincount(masks, minlength=4) / masks.size
         np.testing.assert_allclose(freqs, 0.25, atol=0.01)
 
