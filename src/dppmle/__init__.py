@@ -47,7 +47,6 @@ from .kernels import (
     inclusion_probabilities,
     kernel_from_text,
     kernel_to_text,
-    kl_divergence,
     load_kernel,
     marginal_of,
     save_kernel,
@@ -60,7 +59,6 @@ from .likelihood import (
     empirical_distribution,
     gradient,
     hessian,
-    kl_gap,
     log_likelihood,
     vech_embedding,
 )

@@ -17,7 +17,7 @@ import numpy as np
 from . import experiments
 from .asymptotics import berry_esseen_experiment
 from .closed_form import BlockStructure, TwoByTwoParams
-from .errors import ConfigError, DppError
+from .errors import ConfigError, DppError, EigenvalueOutOfRange, NotSymmetric
 from .kernels import (
     ENSEMBLE,
     kernel_to_text,
@@ -49,10 +49,10 @@ def _parse_inline_kernel(text: str) -> np.ndarray:
 
 
 def _parsed(what: str, parse, text):
-    """parse(text); a ValueError or TypeError there is bad input, reported as a ConfigError."""
+    """parse(text); a ValueError, a TypeError or a failed kernel check is bad input, a ConfigError."""
     try:
         return parse(text)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, NotSymmetric, EigenvalueOutOfRange) as exc:
         raise ConfigError(f"invalid {what}: {exc}") from exc
 
 

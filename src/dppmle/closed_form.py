@@ -214,33 +214,3 @@ def chart_log_likelihood(theta, table: DistributionTable) -> float:
         total += p3 * np.log(det)
     return float(total)
 
-
-def chart_gradient(theta, table: DistributionTable) -> np.ndarray:
-    """Analytic gradient of the chart objective at an interior point."""
-    a, b, c = theta
-    p0, p1, p2, p3 = (float(x) for x in table.probs)
-    det = a * c - b * b
-    d = (a + 1.0) * (c + 1.0) - b * b
-    return np.array(
-        [
-            p1 / a + p3 * c / det - (c + 1.0) / d,
-            -2.0 * b * p3 / det + 2.0 * b / d,
-            p2 / c + p3 * a / det - (a + 1.0) / d,
-        ]
-    )
-
-
-def chart_hessian(theta, table: DistributionTable) -> np.ndarray:
-    """Analytic Hessian of the chart objective at an interior point."""
-    a, b, c = theta
-    p0, p1, p2, p3 = (float(x) for x in table.probs)
-    det = a * c - b * b
-    d = (a + 1.0) * (c + 1.0) - b * b
-    h = np.empty((3, 3))
-    h[0, 0] = -p1 / a**2 - p3 * c**2 / det**2 + (c + 1.0) ** 2 / d**2
-    h[2, 2] = -p2 / c**2 - p3 * a**2 / det**2 + (a + 1.0) ** 2 / d**2
-    h[1, 1] = -2.0 * p3 * (det + 2.0 * b * b) / det**2 + 2.0 * (d + 2.0 * b * b) / d**2
-    h[0, 1] = h[1, 0] = 2.0 * b * c * p3 / det**2 - 2.0 * b * (c + 1.0) / d**2
-    h[1, 2] = h[2, 1] = 2.0 * a * b * p3 / det**2 - 2.0 * b * (a + 1.0) / d**2
-    h[0, 2] = h[2, 0] = -p3 * b * b / det**2 + b * b / d**2
-    return h

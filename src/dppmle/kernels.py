@@ -19,7 +19,6 @@ from .errors import (
     EigenvalueOutOfRange,
     GroundSetTooLarge,
     NotSymmetric,
-    SupportMismatch,
 )
 
 ENSEMBLE = "ensemble"
@@ -182,18 +181,15 @@ class DistributionTable:
 # ---------------------------------------------------------------------------
 
 
-def _principal_minors(entries: np.ndarray, index: np.ndarray, inverse: bool = False):
+def _principal_minors(entries: np.ndarray, index: np.ndarray):
     """Factorize the principal minors of ``entries`` at the rows of ``index``.
 
     ``index`` is an ``(m, k)`` stack of ascending element indices, one minor
     per row (k = 0: the empty minor, det 1). Returns batched ``slogdet``
-    signs and log-determinants, and the inverses if asked and no sign is 0
-    (else None). LU semantics: a minor is valid iff its sign is > 0.
+    signs and log-determinants. LU semantics: a minor is valid iff its
+    sign is > 0.
     """
-    minors = entries[index[:, :, None], index[:, None, :]]
-    sign, logdet = np.linalg.slogdet(minors)
-    inv = np.linalg.inv(minors) if inverse and sign.all() else None
-    return sign, logdet, inv
+    return np.linalg.slogdet(entries[index[:, :, None], index[:, None, :]])
 
 
 def _size_groups(masks: np.ndarray, n: int):
@@ -203,6 +199,14 @@ def _size_groups(masks: np.ndarray, n: int):
     for k in np.unique(sizes):
         where = np.nonzero(sizes == k)[0]
         yield where, np.nonzero(bits[where])[1].reshape(where.size, k)
+
+
+def _checked_mask(mask, n: int) -> int:
+    """``mask`` as an int; ValueError unless it names a subset of the n items, 0 <= mask < 2^n."""
+    mask = int(mask)
+    if not 0 <= mask < 1 << n:
+        raise ValueError(f"mask {mask} is outside [0, 2^{n}) for a ground set of {n} items")
+    return mask
 
 
 def _log_normalizer(entries: np.ndarray) -> float:
@@ -217,11 +221,13 @@ def ensemble_probability(kernel, mask: int) -> float:
     """Atomic probability det(L_A) / det(L + I) that Y is exactly the subset A = ``mask``.
 
     The empty minor has determinant 1 by convention. Log-determinants are
-    used so large ground sets do not underflow.
+    used so large ground sets do not underflow. ValueError unless
+    0 <= mask < 2^n.
     """
     entries = as_array(kernel)
+    mask = _checked_mask(mask, entries.shape[0])
     logdet_norm = _log_normalizer(entries)
-    sign, logdet, _ = _principal_minors(entries, np.array([subset_indices(int(mask))], dtype=np.intp))
+    sign, logdet = _principal_minors(entries, np.array([subset_indices(mask)], dtype=np.intp))
     # PSD minors have nonnegative determinant; a negative sign is roundoff.
     return float(np.exp(logdet[0] - logdet_norm)) if sign[0] > 0 else 0.0
 
@@ -248,9 +254,11 @@ def atomic_probability_from_marginal(kernel, mask: int) -> float:
 
     I_Abar is the diagonal indicator of the complement of A, so the value
     agrees with the ensemble route whenever K is the marginal of L.
+    ValueError unless 0 <= mask < 2^n.
     """
     entries = as_array(kernel)
     n = entries.shape[0]
+    mask = _checked_mask(mask, n)
     shifted = entries.copy()
     for i in range(n):
         if not mask >> i & 1:
@@ -275,7 +283,7 @@ def enumerate_distribution(kernel) -> DistributionTable:
     for start in range(0, 1 << n, _ENUMERATION_CHUNK):
         masks = np.arange(start, min(start + _ENUMERATION_CHUNK, 1 << n))
         for where, index in _size_groups(masks, n):
-            sign, logdet, _ = _principal_minors(entries, index)
+            sign, logdet = _principal_minors(entries, index)
             probs[masks[where]] = np.where(sign > 0, np.exp(logdet - logdet_norm), 0.0)
     return DistributionTable(probs)
 
@@ -292,19 +300,6 @@ def inclusion_probabilities(table: DistributionTable) -> np.ndarray:
         view = sums.reshape(-1, 2, 1 << i)
         view[:, 0, :] += view[:, 1, :]
     return sums
-
-
-def kl_divergence(p: DistributionTable, q: DistributionTable) -> float:
-    """Kullback-Leibler divergence sum p log(p/q) over the support of p."""
-    if p.n != q.n:
-        raise ValueError(f"tables over different ground sets: {p.n} vs {q.n}")
-    support = p.probs > 0.0
-    if np.any(q.probs[support] <= 0.0):
-        bad = int(np.nonzero(support & (q.probs <= 0.0))[0][0])
-        raise SupportMismatch(f"q vanishes on supported subset mask {bad}")
-    ps = p.probs[support]
-    qs = q.probs[support]
-    return float(np.sum(ps * (np.log(ps) - np.log(qs))))
 
 
 # ---------------------------------------------------------------------------

@@ -76,7 +76,7 @@ def _lu_sign(lu: np.ndarray, piv: np.ndarray) -> int:
 
 
 def _final(entries: np.ndarray, trace: IterationTrace) -> tuple[KernelMatrix, IterationTrace]:
-    sym = (entries + entries.T) / 2.0
+    sym = np.ascontiguousarray((entries + entries.T) / 2.0)
     return KernelMatrix(sym, ENSEMBLE), trace
 
 
@@ -166,16 +166,17 @@ def sgd(
     """
     if not (np.isfinite(eta) and eta > 0):
         raise ValueError(f"step size must be a positive finite number, not {eta!r}")
-    n = batch.n_ground
-    entries = _symmetric_start(initial, n)
+    entries = np.asfortranarray(_symmetric_start(initial, batch.n_ground))
     ctx = LikelihoodContext.from_batch(batch)
     rng = make_rng(seed)
     picks = rng.integers(0, len(batch), size=iters)
-    # (z z^T, diag(1 - z)) per distinct drawn mask z, built once.
-    distinct, slots = np.unique(batch.masks, return_inverse=True)
-    bits = (distinct[:, None] >> np.arange(n) & 1).astype(float)
-    embeddings = [(np.outer(z, z), np.diag(1.0 - z)) for z in bits]
-    eye = np.eye(n)
+    # Every drawn mask is supported, so its (keep, rest) is a slot of the
+    # context's embedding. Both are symmetric: the transposed stack gives
+    # the same values as Fortran-ordered views, the layout dgesv returns.
+    _, keeps, rests = ctx.embedding
+    keeps, rests = keeps.transpose(0, 2, 1), rests.transpose(0, 2, 1)
+    slots = np.searchsorted(ctx.support[0], batch.masks) + 1
+    eye = rests[0]
     trace = IterationTrace()
     trace.status = MAX_ITER
     for step, slot in enumerate(slots[picks].tolist()):
@@ -187,7 +188,7 @@ def sgd(
                 trace.status = DIVERGED
                 break
             trace.record(entries, point.value, grad_norm)
-        keep, rest = embeddings[slot]
+        keep, rest = keeps[slot], rests[slot]
         lu, piv, inv_m, info = dgesv(entries * keep + rest, eye)
         if info > 0 or _lu_sign(lu, piv) <= 0:
             trace.status = DIVERGED

@@ -20,7 +20,6 @@ from dppmle.closed_form import (
     INTERIOR,
     TwoByTwoParams,
     _mle_2x2_arrays,
-    chart_gradient,
     chart_log_likelihood,
     forward_probs_2x2,
     mle_2x2,
@@ -38,6 +37,7 @@ from dppmle.verify import (
     sampler_fit,
 )
 from dppmle.verify_support import random_irreducible_ensemble
+from oracles import chart_gradient
 
 DENSE2 = np.array([[1.0, 1.0], [1.0, 2.0]])
 DENSE2_START = np.array([[0.5, 0.1], [0.1, 0.5]])

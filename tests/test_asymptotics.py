@@ -11,12 +11,13 @@ from dppmle.asymptotics import (
     inverse_sqrt,
     is_irreducible,
 )
-from dppmle.closed_form import TwoByTwoParams, chart_hessian, chart_log_likelihood, forward_probs_2x2
+from dppmle.closed_form import TwoByTwoParams, chart_log_likelihood, forward_probs_2x2
 from dppmle.errors import DegenerateTable, ReducibleKernel, ZeroB
 from dppmle.kernels import enumerate_distribution, validate_kernel
 from dppmle.likelihood import LikelihoodContext, hessian, vech_embedding
 from dppmle.numdiff import fd_hessian_of
 from dppmle.verify_support import random_irreducible_ensemble
+from oracles import chart_hessian
 
 DENSE2 = np.array([[1.0, 1.0], [1.0, 2.0]])
 EXPECTED_COV = np.array([[10.0, 12.5, 10.0], [12.5, 20.0, 20.0], [10.0, 20.0, 30.0]])

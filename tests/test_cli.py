@@ -214,6 +214,8 @@ class TestInputBoundary:
         ["sample", "--kernel", "{inf_kernel}", "--n", "3"],
         ["experiment", "--config", "{nan_kernel}", "--out", "{out}"],
         ["estimate", "--batch", "{huge_mask}", "--method", "moments"],
+        ["sample", "--kernel", "1 2; 0 1", "--n", "3"],
+        ["sample", "--kernel", "1 2; 2 1", "--n", "3"],
     ], ids=["inline-kernel", "blocks-json", "blocks-triple", "blocks-repeat",
             "config-json", "config-kernel-entry", "batch-mask",
             "config-not-object", "sgd-iters", "newton-iters", "eta-zero", "eta-negative",
@@ -223,7 +225,8 @@ class TestInputBoundary:
             "sample-seed-negative", "estimate-seed-negative", "experiment-seed-negative",
             "berry-esseen-seed-negative", "verify-seed-negative", "seed-2-pow-128",
             "config-seed-negative", "blocks-cover", "batch-n-ground-64", "eta-inf",
-            "kernel-nan", "kernel-file-inf", "config-kernel-nan", "batch-mask-2-pow-70"])
+            "kernel-nan", "kernel-file-inf", "config-kernel-nan", "batch-mask-2-pow-70",
+            "kernel-asymmetric", "kernel-not-psd"])
     def test_exit_code_and_one_line(self, argv, tmp_path, kernel_file, capsys):
         paths = {
             "batch": tmp_path / "batch.csv",

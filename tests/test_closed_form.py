@@ -10,7 +10,6 @@ from dppmle.closed_form import (
     INTERIOR,
     BlockStructure,
     TwoByTwoParams,
-    chart_gradient,
     chart_log_likelihood,
     forward_probs_2x2,
     mle_2x2,
@@ -25,6 +24,7 @@ from dppmle.kernels import (
 )
 from dppmle.likelihood import empirical_distribution
 from dppmle.sampling import SampleBatch, make_rng, sample_batch
+from oracles import chart_gradient
 
 DENSE2 = np.array([[1.0, 1.0], [1.0, 2.0]])
 

@@ -18,12 +18,12 @@ from dppmle.kernels import (
     inclusion_probabilities,
     kernel_from_text,
     kernel_to_text,
-    kl_divergence,
     marginal_of,
     sign_distance,
     validate_kernel,
 )
 from conftest import conjugate, random_kernel
+from oracles import kl_divergence
 
 DENSE2 = np.array([[1.0, 1.0], [1.0, 2.0]])
 
@@ -103,6 +103,16 @@ class TestProbabilities:
         # a projection marginal draws every element, so singletons have mass 0
         k = validate_kernel(np.eye(2), "marginal")
         assert atomic_probability_from_marginal(k, 0b01) == pytest.approx(0.0, abs=1e-15)
+
+    @pytest.mark.parametrize("mask", [-1, 4, 1 << 40])
+    def test_ensemble_route_refuses_masks_outside_ground_set(self, mask):
+        with pytest.raises(ValueError, match="outside"):
+            ensemble_probability(validate_kernel(DENSE2, "ensemble"), mask)
+
+    @pytest.mark.parametrize("mask", [-1, 4, 1 << 40])
+    def test_marginal_route_refuses_masks_outside_ground_set(self, mask):
+        with pytest.raises(ValueError, match="outside"):
+            atomic_probability_from_marginal(marginal_of(validate_kernel(DENSE2, "ensemble")), mask)
 
     def test_enumerate_identity(self):
         table = enumerate_distribution(validate_kernel(np.eye(2), "ensemble"))

@@ -7,15 +7,14 @@ from dppmle.errors import EmptyBatch, SingularPrincipalMinor
 from dppmle.kernels import (
     DistributionTable,
     enumerate_distribution,
-    kl_divergence,
     validate_kernel,
 )
 from dppmle.likelihood import (
     LikelihoodContext,
+    LikelihoodPoint,
     empirical_distribution,
     gradient,
     hessian,
-    kl_gap,
     log_likelihood,
     vech_embedding,
 )
@@ -23,6 +22,7 @@ from dppmle.numdiff import fd_gradient, fd_hessian
 from dppmle.sampling import SampleBatch, sample_batch
 from dppmle.verify_support import random_irreducible_ensemble
 from conftest import conjugate, random_kernel, random_table
+from oracles import kl_divergence, kl_gap
 
 DENSE2 = np.array([[1.0, 1.0], [1.0, 2.0]])
 
@@ -256,3 +256,114 @@ class TestBatchedSupport:
             gradient(ctx, entries)
         assert info.value.mask == 7
         assert log_likelihood(ctx, entries) == -np.inf
+
+
+def _gather_scatter_point(ctx: LikelihoodContext, kernel):
+    """Reference (value, gradient or exception, Hessian or exception) from per-size gathers.
+
+    Each size group of supported masks gathers its k x k minors by fancy
+    index, factorizes them with one slogdet and one inv, and scatters the
+    inverses into zero-filled n x n pads; L + I is factorized on its own.
+    """
+    entries = np.asarray(kernel, dtype=float)
+    n = entries.shape[0]
+    masks, weights = ctx.support
+    bits = masks[:, None] >> np.arange(n) & 1
+    sizes = bits.sum(axis=1)
+    sign_norm, logdet_norm = np.linalg.slogdet(entries + np.eye(n))
+    valid, singular, terms = True, [], []
+    for k in np.unique(sizes):
+        at = np.nonzero(sizes == k)[0]
+        index = np.nonzero(bits[at])[1].reshape(at.size, k)
+        minors = entries[index[:, :, None], index[:, None, :]]
+        sign, logdet = np.linalg.slogdet(minors)
+        valid = valid and bool(np.all(sign > 0))
+        singular.extend(masks[at][sign == 0])
+        if sign.all():
+            padded = np.zeros((at.size, n, n))
+            padded[np.arange(at.size)[:, None, None], index[:, :, None], index[:, None, :]] = np.linalg.inv(minors)
+            terms.append((weights[at], logdet, padded))
+    value = sum(w @ logdet for w, logdet, _ in terms) - logdet_norm \
+        if valid and sign_norm > 0 else -np.inf
+    try:
+        norm_inv = np.linalg.inv(entries + np.eye(n))
+        if singular:
+            raise SingularPrincipalMinor("singular", int(min(singular)))
+    except (np.linalg.LinAlgError, SingularPrincipalMinor) as exc:
+        return value, exc, exc
+    grad = -norm_inv
+    tensor = np.einsum("ik,lj->ijkl", norm_inv, norm_inv)
+    for w, _, padded in terms:
+        grad = grad + np.einsum("m,mij->ij", w, padded)
+        tensor = tensor - np.einsum("m,mik,mlj->ijkl", w, padded, padded)
+    return value, grad, tensor.reshape(n * n, n * n)
+
+
+class TestEmbeddedStack:
+    """One embedded stack reproduces the per-size gather/scatter factorization."""
+
+    @staticmethod
+    def assert_same_point(ctx, kernel):
+        point = LikelihoodPoint(ctx, kernel)
+        value, grad, hess = _gather_scatter_point(ctx, kernel)
+        assert point.value == pytest.approx(value, rel=1e-12, abs=0.0)
+        for method, expected in ((point.gradient, grad), (point.hessian, hess)):
+            if isinstance(expected, Exception):
+                with pytest.raises(type(expected)) as info:
+                    method()
+                assert getattr(info.value, "mask", None) == getattr(expected, "mask", None)
+            else:
+                actual = method()
+                assert np.linalg.norm(actual - expected) <= 1e-12 * np.linalg.norm(expected)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_matches_gather_scatter(self, n, rng):
+        for _ in range(5):
+            for table in (random_table(n, rng), TestBatchedSupport.sparse_table(n, rng)):
+                self.assert_same_point(LikelihoodContext(table), random_kernel(n, rng, jitter=0.3).entries)
+
+    def test_smallest_singular_mask_is_reported(self):
+        # {0, 1, 2} (mask 7, size 3) and {3} (mask 8, size 1) are exactly
+        # singular: the smaller mask is reported although its size is larger
+        entries = np.array([
+            [1.0, 0.0, 1.0, 0.0],
+            [0.0, 1.0, 1.0, 0.0],
+            [1.0, 1.0, 2.0, 0.0],
+            [0.0, 0.0, 0.0, 0.0],
+        ])
+        probs = np.zeros(16)
+        probs[[0, 5, 7, 8]] = 0.25
+        ctx = LikelihoodContext(DistributionTable(probs))
+        self.assert_same_point(ctx, entries)
+        point = LikelihoodPoint(ctx, entries)
+        assert point.value == -np.inf and not point.valid
+        for method in (point.gradient, point.hessian):
+            with pytest.raises(SingularPrincipalMinor) as info:
+                method()
+            assert info.value.mask == 7
+
+    @pytest.mark.parametrize("entries, mask, valid", [
+        ([[1.0, 3.0], [3.0, 1.0]], 0b11, False),  # supported minor with det < 0
+        ([[-3.0, 0.0], [0.0, 2.0]], 0b10, True),  # det(L + I) < 0, supported minor positive
+    ], ids=["minor-negative", "normalizer-negative"])
+    def test_non_positive_determinant_gives_minus_infinity(self, entries, mask, valid):
+        probs = np.zeros(4)
+        probs[mask] = 1.0
+        ctx = LikelihoodContext(DistributionTable(probs))
+        self.assert_same_point(ctx, entries)
+        point = LikelihoodPoint(ctx, entries)
+        assert point.value == -np.inf and point.valid == valid
+        assert np.all(np.isfinite(point.gradient()))
+
+    @pytest.mark.parametrize("entries", [
+        [[-1.0, 0.0], [0.0, 2.0]],  # only L + I is singular
+        [[-1.0, 0.0], [0.0, 0.0]],  # the supported minor {1} is singular too
+    ], ids=["normalizer", "normalizer-and-minor"])
+    def test_singular_normalizer_raises_linalg_error(self, entries):
+        ctx = LikelihoodContext(DistributionTable(np.array([0.0, 0.0, 1.0, 0.0])))
+        self.assert_same_point(ctx, entries)
+        point = LikelihoodPoint(ctx, entries)
+        assert point.value == -np.inf
+        for method in (point.gradient, point.hessian):
+            with pytest.raises(np.linalg.LinAlgError):
+                method()
