@@ -8,6 +8,7 @@ degenerate cells are recorded in the status column, never fatal.
 
 from __future__ import annotations
 
+import csv
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -47,6 +48,11 @@ class ExperimentConfig:
     output_dir: str | None = None
 
     def validated(self) -> "ExperimentConfig":
+        # A kernel_id with a control character would end a runs.csv row early.
+        if not isinstance(self.kernel_id, str) or not self.kernel_id.isprintable():
+            raise ConfigError(f"kernel_id must be a printable string, not {self.kernel_id!r}")
+        if self.output_dir is not None and not isinstance(self.output_dir, str):
+            raise ConfigError(f"output_dir must be a string, not {self.output_dir!r}")
         if self.method not in METHODS:
             raise ConfigError(f"unknown method {self.method!r} (choose from {METHODS})")
         if not self.sample_sizes:
@@ -105,13 +111,16 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     if "kernel_file" in raw:
+        # open() takes an int as a file descriptor: 0 would read stdin.
+        if not isinstance(raw["kernel_file"], str):
+            raise ConfigError(f"kernel_file must be a string, not {raw['kernel_file']!r}")
         kernel = load_kernel(raw["kernel_file"]).entries
     elif "kernel" in raw:
         kernel = np.asarray(raw["kernel"], dtype=float)
     else:
         raise ConfigError("config needs 'kernel' (inline rows) or 'kernel_file'")
     return ExperimentConfig(
-        kernel_id=str(raw.get("kernel_id", "kernel")),
+        kernel_id=raw.get("kernel_id", "kernel"),
         kernel=kernel,
         method=raw.get("method", NEWTON),
         sample_sizes=tuple(_integer("sample_sizes", n) for n in raw.get("sample_sizes", ())),
@@ -138,12 +147,11 @@ class RunRow:
     distance: float
     estimate: np.ndarray
 
-    def to_csv(self) -> str:
+    def fields(self) -> list[str]:
+        """The runs.csv fields, in RUNS_HEADER order."""
         flat = ";".join(repr(float(x)) for x in self.estimate.reshape(-1))
-        return (
-            f"{self.kernel_id},{self.n},{self.seed},{self.method},"
-            f"{self.iterations},{self.status},{self.distance!r},{flat}"
-        )
+        return [self.kernel_id, str(self.n), str(self.seed), self.method,
+                str(self.iterations), self.status, repr(self.distance), flat]
 
 
 @dataclass
@@ -219,16 +227,18 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
 
 def write_results(results: list[ExperimentResult], out_dir) -> tuple[Path, Path]:
-    """Write runs.csv and summary.json; rows sorted deterministically."""
+    """Write runs.csv and summary.json; rows sorted deterministically.
+
+    A runs.csv field holding a comma, a quote or a line break is quoted.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rows = [row for result in results for row in result.rows]
     rows.sort(key=lambda r: (r.kernel_id, r.method, r.n, r.seed))
     runs_path = out / "runs.csv"
-    with open(runs_path, "w", encoding="utf-8") as fh:
+    with open(runs_path, "w", encoding="utf-8", newline="") as fh:
         fh.write(RUNS_HEADER + "\n")
-        for row in rows:
-            fh.write(row.to_csv() + "\n")
+        csv.writer(fh, lineterminator="\n").writerows(row.fields() for row in rows)
     summary_path = out / "summary.json"
     with open(summary_path, "w", encoding="utf-8") as fh:
         json.dump([result.summary for result in results], fh, indent=2, sort_keys=True)

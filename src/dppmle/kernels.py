@@ -90,7 +90,10 @@ class KernelMatrix:
         return self.entries.shape[0]
 
     def eigenvalues(self) -> np.ndarray:
-        return _eigvalsh(self.entries)
+        try:
+            return np.linalg.eigvalsh(self.entries)
+        except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails here
+            raise EigendecompositionFailure(str(exc)) from exc
 
 
 def as_array(kernel) -> np.ndarray:
@@ -102,13 +105,6 @@ def as_array(kernel) -> np.ndarray:
     if isinstance(kernel, KernelMatrix):
         return kernel.entries
     return np.asarray(kernel, dtype=float)
-
-
-def _eigvalsh(entries: np.ndarray) -> np.ndarray:
-    try:
-        return np.linalg.eigvalsh(entries)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails here
-        raise EigendecompositionFailure(str(exc)) from exc
 
 
 def validate_kernel(entries, kind: str) -> KernelMatrix:
@@ -181,15 +177,17 @@ class DistributionTable:
 # ---------------------------------------------------------------------------
 
 
-def _principal_minors(entries: np.ndarray, index: np.ndarray):
-    """Factorize the principal minors of ``entries`` at the rows of ``index``.
+def _minor_probabilities(entries: np.ndarray, index: np.ndarray, log_norm: float) -> np.ndarray:
+    """Atomic probabilities det(L_A) / det(L + I) of the subsets at the rows of ``index``.
 
-    ``index`` is an ``(m, k)`` stack of ascending element indices, one minor
-    per row (k = 0: the empty minor, det 1). Returns batched ``slogdet``
-    signs and log-determinants. LU semantics: a minor is valid iff its
-    sign is > 0.
+    ``index`` is an ``(m, k)`` stack of ascending element indices, one
+    subset per row (k = 0: the empty minor, det 1); ``log_norm`` is
+    log det(L + I). The minors are factorized in one batched ``slogdet``.
+    PSD minors have nonnegative determinant, so a sign that is not > 0 is
+    roundoff and gives probability 0.
     """
-    return np.linalg.slogdet(entries[index[:, :, None], index[:, None, :]])
+    sign, logdet = np.linalg.slogdet(entries[index[:, :, None], index[:, None, :]])
+    return np.where(sign > 0, np.exp(logdet - log_norm), 0.0)
 
 
 def _size_groups(masks: np.ndarray, n: int):
@@ -226,10 +224,8 @@ def ensemble_probability(kernel, mask: int) -> float:
     """
     entries = as_array(kernel)
     mask = _checked_mask(mask, entries.shape[0])
-    logdet_norm = _log_normalizer(entries)
-    sign, logdet = _principal_minors(entries, np.array([subset_indices(mask)], dtype=np.intp))
-    # PSD minors have nonnegative determinant; a negative sign is roundoff.
-    return float(np.exp(logdet[0] - logdet_norm)) if sign[0] > 0 else 0.0
+    index = np.array([subset_indices(mask)], dtype=np.intp)
+    return float(_minor_probabilities(entries, index, _log_normalizer(entries))[0])
 
 
 def marginal_of(kernel: KernelMatrix) -> KernelMatrix:
@@ -283,8 +279,7 @@ def enumerate_distribution(kernel) -> DistributionTable:
     for start in range(0, 1 << n, _ENUMERATION_CHUNK):
         masks = np.arange(start, min(start + _ENUMERATION_CHUNK, 1 << n))
         for where, index in _size_groups(masks, n):
-            sign, logdet = _principal_minors(entries, index)
-            probs[masks[where]] = np.where(sign > 0, np.exp(logdet - logdet_norm), 0.0)
+            probs[masks[where]] = _minor_probabilities(entries, index, logdet_norm)
     return DistributionTable(probs)
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .asymptotics import is_irreducible
 from .kernels import ENSEMBLE, KernelMatrix
 
 
@@ -21,8 +22,6 @@ def random_ensemble(n: int, rng: np.random.Generator, jitter: float = 0.0) -> Ke
 
 def random_irreducible_ensemble(n: int, rng: np.random.Generator) -> KernelMatrix:
     """Random PD kernel with a connected off-diagonal pattern."""
-    from .asymptotics import is_irreducible
-
     while True:
         kernel = random_ensemble(n, rng, jitter=0.25)
         if is_irreducible(kernel):

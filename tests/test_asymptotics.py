@@ -133,6 +133,17 @@ class TestCltExperiment:
         assert result.degenerate
         np.testing.assert_array_equal(result.covariance, np.zeros((3, 3)))
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_negative_b_mirrors_positive_b(self, seed):
+        # L and D L D with D = diag(1, -1) have the same table, so the
+        # aligned errors mirror exactly: b's coordinate changes sign.
+        pos = clt_experiment(validate_kernel([[1.0, 1.0], [1.0, 2.0]], "ensemble"), 10_000, 2000, seed)
+        neg = clt_experiment(validate_kernel([[1.0, -1.0], [-1.0, 2.0]], "ensemble"), 10_000, 2000, seed)
+        flip = np.diag([1.0, -1.0, 1.0])
+        np.testing.assert_array_equal(neg.covariance, flip @ pos.covariance @ flip)
+        np.testing.assert_array_equal(neg.mean, flip @ pos.mean)
+        assert neg.failures == pos.failures
+
     def test_newton_path_for_three_elements(self, rng):
         kernel = random_irreducible_ensemble(3, rng)
         result = clt_experiment(kernel, 4000, 60, 17)
@@ -158,6 +169,19 @@ class TestBerryEsseen:
         params = TwoByTwoParams(1.0, 1.0, 2.0)
         report = berry_esseen_experiment(params, (n,), 2000, 7)
         assert report.kolmogorov_distances[0] <= 0.05
+
+    @pytest.mark.parametrize("seed", [100, 101])
+    def test_distance_decays_at_root_n_rate(self, seed):
+        # Berry-Esseen: D_N = O(1/sqrt(N)). With 4e5 replications the Monte
+        # Carlo floor (about 1e-3) stays below D_N up to N = 6400, so the
+        # band on sqrt(N) D_N and the slope both fail for a mis-scaled whitener.
+        sizes = (400, 800, 1600, 3200, 6400)
+        report = berry_esseen_experiment(TwoByTwoParams(1.0, 1.0, 2.0), sizes, 400_000, seed)
+        dists = np.array(report.kolmogorov_distances)
+        scaled = np.sqrt(sizes) * dists
+        assert np.all((scaled >= 0.6) & (scaled <= 1.1)), scaled
+        slope = np.polyfit(np.log(sizes), np.log(dists), 1)[0]
+        assert -0.6 <= slope <= -0.4, slope
 
     def test_requires_positive_b(self):
         with pytest.raises(ZeroB):

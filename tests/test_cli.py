@@ -1,10 +1,16 @@
 """End-to-end CLI flows: subcommands, file schemas, determinism, exit codes."""
 
+import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dppmle
 from dppmle.cli import main
 from dppmle.errors import ConfigError
 from dppmle.experiments import (
@@ -121,6 +127,32 @@ class TestExperimentCommand:
         assert main(["experiment", "--config", str(config)]) == 0
         assert (out / "runs.csv").exists()
 
+    def test_degenerate_rows_keep_eight_fields(self, tmp_path):
+        # two draws leave cells empty; the status message holds commas
+        out = tmp_path / "runs"
+        code = main([
+            "experiment", "--kernel", "1 1; 1 2", "--method", "closed2x2",
+            "--n", "2", "--seed", "0", "1", "2", "3", "--out", str(out),
+        ])
+        assert code == 0
+        with open(out / "runs.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert all(len(row) == 8 for row in rows)
+        assert any(row[5].startswith("degenerate:") and "," in row[5] for row in rows[1:])
+
+    def test_kernel_id_with_comma_is_quoted(self, tmp_path):
+        out = tmp_path / "runs"
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "kernel_id": "a,b", "kernel": [[1.0, 1.0], [1.0, 2.0]],
+            "method": "closed2x2", "sample_sizes": [500], "seeds": [0, 1],
+        }))
+        assert main(["experiment", "--config", str(config), "--out", str(out)]) == 0
+        with open(out / "runs.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert [row[0] for row in rows[1:]] == ["a,b", "a,b"]
+        assert all(len(row) == 8 for row in rows)
+
     def test_divergence_is_recorded_not_fatal(self, tmp_path):
         # plain SGD on the repulsive 2x2 benchmark diverges; the run must
         # complete and carry the status in its row
@@ -216,6 +248,9 @@ class TestInputBoundary:
         ["estimate", "--batch", "{huge_mask}", "--method", "moments"],
         ["sample", "--kernel", "1 2; 0 1", "--n", "3"],
         ["sample", "--kernel", "1 2; 2 1", "--n", "3"],
+        ["experiment", "--config", "{output_dir_number}"],
+        ["experiment", "--config", "{kernel_id_number}", "--out", "{out}"],
+        ["experiment", "--config", "{kernel_file_number}", "--out", "{out}"],
     ], ids=["inline-kernel", "blocks-json", "blocks-triple", "blocks-repeat",
             "config-json", "config-kernel-entry", "batch-mask",
             "config-not-object", "sgd-iters", "newton-iters", "eta-zero", "eta-negative",
@@ -226,7 +261,8 @@ class TestInputBoundary:
             "berry-esseen-seed-negative", "verify-seed-negative", "seed-2-pow-128",
             "config-seed-negative", "blocks-cover", "batch-n-ground-64", "eta-inf",
             "kernel-nan", "kernel-file-inf", "config-kernel-nan", "batch-mask-2-pow-70",
-            "kernel-asymmetric", "kernel-not-psd"])
+            "kernel-asymmetric", "kernel-not-psd", "config-output-dir-number",
+            "config-kernel-id-number", "config-kernel-file-number"])
     def test_exit_code_and_one_line(self, argv, tmp_path, kernel_file, capsys):
         paths = {
             "batch": tmp_path / "batch.csv",
@@ -243,6 +279,9 @@ class TestInputBoundary:
             "inf_kernel": tmp_path / "inf_kernel.txt",
             "nan_kernel": tmp_path / "nan_kernel.json",
             "huge_mask": tmp_path / "huge_mask.csv",
+            "output_dir_number": tmp_path / "output_dir_number.json",
+            "kernel_id_number": tmp_path / "kernel_id_number.json",
+            "kernel_file_number": tmp_path / "kernel_file_number.json",
         }
         main(["sample", "--kernel", str(kernel_file), "--n", "100", "--out", str(paths["batch"])])
         paths["malformed"].write_text('{"kernel": [[1, 0], [0')
@@ -259,6 +298,12 @@ class TestInputBoundary:
         paths["huge_mask"].write_text(f"# n_ground=2\nindex,mask,items\n0,{2**70},70\n")
         paths["negative_seed"].write_text(json.dumps(
             {"kernel": [[1, 0], [0, 1]], "method": "moments", "sample_sizes": [10], "seeds": [-1]}))
+        for key, extra in (("output_dir_number", {"output_dir": 5}), ("kernel_id_number", {"kernel_id": 5})):
+            paths[key].write_text(json.dumps(
+                {"kernel": [[1, 0], [0, 1]], "method": "moments", "sample_sizes": [10], **extra}))
+        # an int kernel_file would be opened as a file descriptor; this one is not open
+        paths["kernel_file_number"].write_text(json.dumps(
+            {"kernel_file": 1 << 20, "method": "moments", "sample_sizes": [10]}))
         capsys.readouterr()
         code = main([arg.format(**paths) for arg in argv])
         err = capsys.readouterr().err
@@ -303,6 +348,12 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="seeds must be in"):
             config_from_dict({"kernel": [[1, 0], [0, 1]], "method": "moments",
                               "sample_sizes": [100], "seeds": list(seeds)})
+
+    @pytest.mark.parametrize("kernel_id", [5, "a\rb"], ids=["number", "carriage-return"])
+    def test_kernel_id_printable_string(self, kernel_id):
+        # csv.writer does not quote a lone carriage return, which would split the row.
+        with pytest.raises(ConfigError, match="kernel_id"):
+            ExperimentConfig(kernel_id, np.eye(2), "moments", (100,), (0,)).validated()
 
     def test_largest_seed_runs(self):
         config = ExperimentConfig("x", np.eye(2), "moments", (100,), (2**128 - 1,))
@@ -359,3 +410,14 @@ class TestConfigValidation:
         assert result.rows[0].distance < 0.1
         write_results([result], tmp_path / "out")
         assert (tmp_path / "out" / "runs.csv").exists()
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    # scipy.stats costs most of the start-up of every CLI call; the package uses scipy.special.
+    src = str(Path(dppmle.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, dppmle.cli; print('scipy.stats' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout
+    assert out.strip() == "False"
