@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.csgraph import connected_components
 from scipy.special import ndtr
 
 from .closed_form import TwoByTwoParams, _mle_2x2_arrays, forward_probs_2x2
@@ -41,9 +40,18 @@ def is_irreducible(kernel) -> bool:
     so the asymptotic covariance only exists for connected patterns.
     """
     entries = as_array(kernel)
+    if entries.ndim != 2:
+        raise ValueError(f"expected a square matrix, got shape {entries.shape}")
     tol = 1e-12 * max(1.0, float(np.max(np.abs(entries))))
-    n_components, _ = connected_components(np.abs(entries) > tol, directed=False)
-    return n_components == 1
+    linked = np.abs(entries) > tol
+    linked = linked | linked.T
+    # Grow the set of items reachable from item 0 until a sweep adds none.
+    reached = np.arange(len(linked)) == 0
+    while True:
+        grown = reached | linked[reached].any(axis=0)
+        if grown.sum() == reached.sum():
+            return bool(reached.all())
+        reached = grown
 
 
 def asymptotic_covariance(kernel_star: KernelMatrix) -> np.ndarray:

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import experiments
 from .asymptotics import berry_esseen_experiment
-from .closed_form import BlockStructure, TwoByTwoParams
+from .closed_form import TwoByTwoParams
 from .errors import ConfigError, DppError, EigenvalueOutOfRange, NotSymmetric
 from .kernels import (
     ENSEMBLE,
@@ -91,22 +91,11 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    if args.iters < 1:
-        raise ConfigError("--iters must be at least 1")
-    if not (np.isfinite(args.eta) and args.eta > 0):
-        raise ConfigError("--eta must be a positive finite number")
     batch = _parsed(f"batch {args.batch}", load_batch, args.batch)
-    if args.method == experiments.CLOSED_2X2 and batch.n_ground != 2:
-        raise ConfigError(f"--method closed2x2 needs a 2-item batch, not {batch.n_ground} items")
+    blocks = _parsed("--blocks", json.loads, args.blocks) if args.blocks else None
+    experiments.check_method(args.method, batch.n_ground, args.iters, args.eta, blocks)
     truth = _kernel_on(args.kernel, "--kernel", batch.n_ground) if args.kernel else None
     initial = _kernel_on(args.l0, "--l0", batch.n_ground).entries if args.l0 else None
-    blocks = None
-    if args.method == experiments.BLOCK:
-        structure = _parsed("--blocks", lambda t: BlockStructure(tuple(tuple(b) for b in json.loads(t))),
-                            args.blocks)
-        if structure.n != batch.n_ground:
-            raise ConfigError(f"--blocks covers {structure.n} items but the batch has {batch.n_ground}")
-        blocks = structure.blocks
     entries, status, _ = experiments.estimate(
         args.method, batch, initial, args.iters, args.eta, args.seed, blocks
     )
@@ -161,8 +150,6 @@ def _cmd_berry_esseen(args) -> int:
         raise ConfigError("--sizes must be at least 1")
     if args.sizes != sorted(args.sizes):
         raise ConfigError("--sizes must be ascending")
-    if not np.isfinite([args.a, args.b, args.c]).all():
-        raise ConfigError("--a, --b and --c must be finite")
     params = _parsed("--a/--b/--c", lambda abc: TwoByTwoParams(*abc), (args.a, args.b, args.c))
     report = berry_esseen_experiment(params, args.sizes, args.reps, args.seed)
     text = report.to_csv()

@@ -17,6 +17,7 @@ b is reported nonnegative always; the sign orbit is handled by
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +43,9 @@ class TwoByTwoParams:
     c: float
 
     def __post_init__(self):
+        # NaN fails every comparison below and inf passes them all.
+        if not all(map(math.isfinite, (self.a, self.b, self.c))):
+            raise ValueError(f"a, b and c must be finite, got ({self.a}, {self.b}, {self.c})")
         if self.a <= 0 or self.c <= 0:
             raise ValueError(f"diagonal entries must be positive, got ({self.a}, {self.c})")
         if self.b < 0:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from statistics import median
 
@@ -35,11 +35,13 @@ RUNS_HEADER = "kernel,n,seed,method,iterations,status,distance,estimate"
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    kernel_id: str
-    kernel: np.ndarray
-    method: str
-    sample_sizes: tuple[int, ...]
-    seeds: tuple[int, ...]
+    """One estimation request, checked and normalized on construction; a violation is a ConfigError."""
+
+    kernel_id: str = "kernel"
+    kernel: np.ndarray | None = None
+    method: str = NEWTON
+    sample_sizes: tuple[int, ...] = ()
+    seeds: tuple[int, ...] = (0,)
     iterations: int = 100
     eta: float = 0.1
     sampler: str = ENUMERATION
@@ -47,43 +49,43 @@ class ExperimentConfig:
     blocks: tuple[tuple[int, int], ...] | None = None
     output_dir: str | None = None
 
-    def validated(self) -> "ExperimentConfig":
+    def __post_init__(self):
         # A kernel_id with a control character would end a runs.csv row early.
         if not isinstance(self.kernel_id, str) or not self.kernel_id.isprintable():
             raise ConfigError(f"kernel_id must be a printable string, not {self.kernel_id!r}")
         if self.output_dir is not None and not isinstance(self.output_dir, str):
             raise ConfigError(f"output_dir must be a string, not {self.output_dir!r}")
-        if self.method not in METHODS:
-            raise ConfigError(f"unknown method {self.method!r} (choose from {METHODS})")
-        if not self.sample_sizes:
-            raise ConfigError("sample_sizes must be nonempty")
-        if any(n < 1 for n in self.sample_sizes):
-            raise ConfigError("sample sizes must be positive")
-        if not self.seeds:
-            raise ConfigError("seeds must be nonempty")
-        if not all(0 <= seed < SEED_LIMIT for seed in self.seeds):
-            raise ConfigError("seeds must be in [0, 2**128)")
+        if self.kernel is None:
+            raise ConfigError("config needs 'kernel' (inline rows) or 'kernel_file'")
         try:
             kernel = validate_kernel(self.kernel, ENSEMBLE)
         except Exception as exc:
             raise ConfigError(f"invalid kernel: {exc}") from exc
-        if self.initial is not None and np.shape(self.initial) != (kernel.n, kernel.n):
+        sample_sizes = tuple(_integer("sample_sizes", n) for n in self.sample_sizes)
+        if not sample_sizes:
+            raise ConfigError("sample_sizes must be nonempty")
+        if any(n < 1 for n in sample_sizes):
+            raise ConfigError("sample sizes must be positive")
+        seeds = tuple(_integer("seeds", s) for s in self.seeds)
+        if not seeds:
+            raise ConfigError("seeds must be nonempty")
+        if not all(0 <= seed < SEED_LIMIT for seed in seeds):
+            raise ConfigError("seeds must be in [0, 2**128)")
+        initial = None if self.initial is None else np.asarray(self.initial, dtype=float)
+        if initial is not None and initial.shape != (kernel.n, kernel.n):
             raise ConfigError(f"initial must be {kernel.n}x{kernel.n} like the kernel")
-        if self.method == CLOSED_2X2 and kernel.n != 2:
-            raise ConfigError("closed2x2 requires a 2x2 kernel")
-        if self.method == BLOCK:
-            if self.blocks is None:
-                raise ConfigError("block method requires a declared block structure")
-            structure = BlockStructure(tuple(self.blocks))
-            if structure.n != kernel.n:
-                raise ConfigError("block structure does not cover the ground set")
         if self.sampler not in (ENUMERATION, SPECTRAL):
             raise ConfigError(f"unknown sampler {self.sampler!r}")
-        if self.iterations < 1:
-            raise ConfigError("iterations must be positive")
-        if not (np.isfinite(self.eta) and self.eta > 0):
-            raise ConfigError(f"eta must be a positive finite number, not {self.eta!r}")
-        return self
+        iterations = _integer("iterations", self.iterations)
+        eta = _real("eta", self.eta)
+        blocks = None if self.blocks is None else tuple(
+            (_integer("blocks", u), _integer("blocks", v)) for u, v in self.blocks
+        )
+        check_method(self.method, kernel.n, iterations, eta, blocks)
+        normalized = dict(kernel=kernel.entries, sample_sizes=sample_sizes, seeds=seeds,
+                          iterations=iterations, eta=eta, initial=initial, blocks=blocks)
+        for name, value in normalized.items():
+            object.__setattr__(self, name, value)
 
 
 def _integer(key: str, value) -> int:
@@ -100,40 +102,45 @@ def _real(key: str, value) -> float:
     return float(value)
 
 
+def check_method(method: str, n_ground: int, iterations: int, eta: float, blocks) -> None:
+    """ConfigError unless ``method`` can estimate a kernel on ``n_ground`` items.
+
+    Every method needs at least one iteration and a positive finite eta;
+    closed2x2 needs 2 items, and block a pair partition ``blocks`` of the
+    items. Configs and ``dppmle estimate`` share these rules.
+    """
+    if method not in METHODS:
+        raise ConfigError(f"unknown method {method!r} (choose from {METHODS})")
+    if iterations < 1:
+        raise ConfigError("iterations must be positive")
+    if not (np.isfinite(eta) and eta > 0):
+        raise ConfigError(f"eta must be a positive finite number, not {eta!r}")
+    if method == CLOSED_2X2 and n_ground != 2:
+        raise ConfigError(f"closed2x2 requires 2 items, not {n_ground}")
+    if method == BLOCK:
+        if blocks is None:
+            raise ConfigError("block method requires a declared block structure")
+        try:
+            structure = BlockStructure(blocks)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"invalid blocks: {exc}") from exc
+        if structure.n != n_ground:
+            raise ConfigError(f"block structure covers {structure.n} items, not {n_ground}")
+
+
 def config_from_dict(raw: dict) -> ExperimentConfig:
-    """Build a config from parsed JSON; unknown keys, non-integral counts and a non-real eta are rejected."""
-    known = {
-        "kernel_id", "kernel", "kernel_file", "method", "sample_sizes",
-        "seeds", "iterations", "eta", "sampler", "initial", "blocks",
-        "output_dir",
-    }
-    unknown = set(raw) - known
+    """Build a config from parsed JSON; unknown keys are rejected and ``kernel_file`` is read."""
+    unknown = set(raw) - {f.name for f in fields(ExperimentConfig)} - {"kernel_file"}
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    raw = dict(raw)
     if "kernel_file" in raw:
+        path = raw.pop("kernel_file")
         # open() takes an int as a file descriptor: 0 would read stdin.
-        if not isinstance(raw["kernel_file"], str):
-            raise ConfigError(f"kernel_file must be a string, not {raw['kernel_file']!r}")
-        kernel = load_kernel(raw["kernel_file"]).entries
-    elif "kernel" in raw:
-        kernel = np.asarray(raw["kernel"], dtype=float)
-    else:
-        raise ConfigError("config needs 'kernel' (inline rows) or 'kernel_file'")
-    return ExperimentConfig(
-        kernel_id=raw.get("kernel_id", "kernel"),
-        kernel=kernel,
-        method=raw.get("method", NEWTON),
-        sample_sizes=tuple(_integer("sample_sizes", n) for n in raw.get("sample_sizes", ())),
-        seeds=tuple(_integer("seeds", s) for s in raw.get("seeds", (0,))),
-        iterations=_integer("iterations", raw.get("iterations", 100)),
-        eta=_real("eta", raw.get("eta", 0.1)),
-        sampler=raw.get("sampler", ENUMERATION),
-        initial=None if raw.get("initial") is None else np.asarray(raw["initial"], dtype=float),
-        blocks=None if raw.get("blocks") is None else tuple(
-            (_integer("blocks", u), _integer("blocks", v)) for u, v in raw["blocks"]
-        ),
-        output_dir=raw.get("output_dir"),
-    ).validated()
+        if not isinstance(path, str):
+            raise ConfigError(f"kernel_file must be a string, not {path!r}")
+        raw["kernel"] = load_kernel(path).entries
+    return ExperimentConfig(**raw)
 
 
 @dataclass
@@ -216,9 +223,8 @@ def _estimate_cell(config: ExperimentConfig, truth: KernelMatrix, n: int, seed: 
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
-    """Run every (n, seed) cell of a validated config."""
-    config = config.validated()
-    truth = validate_kernel(config.kernel, ENSEMBLE)
+    """Run every (n, seed) cell of a config."""
+    truth = KernelMatrix(config.kernel, ENSEMBLE)
     result = ExperimentResult(config)
     for n in config.sample_sizes:
         for seed in config.seeds:

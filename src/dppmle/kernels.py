@@ -162,7 +162,8 @@ class DistributionTable:
         if np.any(arr < 0.0):
             raise ValueError(f"negative probability {arr.min():.3e}")
         total = float(arr.sum())
-        if abs(total - 1.0) > 1e-12:
+        # Written so that a NaN sum fails it: no probability may be non-finite.
+        if not abs(total - 1.0) <= 1e-12:
             raise ValueError(f"probabilities sum to {total!r}, not 1")
         arr.setflags(write=False)
         object.__setattr__(self, "probs", arr)

@@ -2,6 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.sparse.csgraph import connected_components
 
 from dppmle.asymptotics import (
     asymptotic_covariance,
@@ -38,6 +42,20 @@ class TestIrreducibility:
         entries[:2, :2] = DENSE2
         entries[2:, 2:] = DENSE2
         assert not is_irreducible(entries)
+
+    def test_empty_kernel_raises(self):
+        with pytest.raises(ValueError):
+            is_irreducible(np.zeros((0, 0)))
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.integers(1, 8).flatmap(lambda n: arrays(
+        float, (n, n), elements=st.sampled_from([0.0, 1e-13, 0.5, -2.0, 1e13])
+    )))
+    def test_matches_connected_components(self, entries):
+        # asymmetric patterns included: an entry on either side links its pair
+        tol = 1e-12 * max(1.0, float(np.max(np.abs(entries))))
+        n_components, _ = connected_components(np.abs(entries) > tol, directed=False)
+        assert is_irreducible(entries) == (n_components == 1)
 
 
 class TestExplicitCovariance:

@@ -22,7 +22,7 @@ from dppmle.experiments import (
     write_results,
 )
 from dppmle.kernels import kernel_from_text, save_kernel, validate_kernel
-from dppmle.sampling import load_batch, sample_batch
+from dppmle.sampling import load_batch, sample_batch, save_batch
 
 DENSE2 = np.array([[1.0, 1.0], [1.0, 2.0]])
 
@@ -328,23 +328,58 @@ class TestInputBoundary:
         assert len(lines) == 6 and all(ln.startswith("[PASS]") for ln in lines)
 
 
+class TestMethodRules:
+    """``estimate`` and ``experiment --config`` share one home for the method rules."""
+
+    @pytest.mark.parametrize("n, method, flags, fields", [
+        (2, "sgd", ["--iters", "0"], {"iterations": 0}),
+        (2, "sgd", ["--eta", "-1"], {"eta": -1.0}),
+        (3, "closed2x2", [], {}),
+        (2, "block", ["--blocks", "[[0,1],[2,3]]"], {"blocks": [[0, 1], [2, 3]]}),
+    ], ids=["iterations", "eta", "closed2x2-items", "block-cover"])
+    def test_same_error_line(self, n, method, flags, fields, tmp_path, capsys):
+        batch, config = tmp_path / "batch.csv", tmp_path / "config.json"
+        save_batch(sample_batch(validate_kernel(np.eye(n), "ensemble"), 50, 0, "enumeration"), batch)
+        config.write_text(json.dumps({"kernel": np.eye(n).tolist(), "method": method,
+                                      "sample_sizes": [50], **fields}))
+        errors = []
+        for argv in (["estimate", "--batch", str(batch), "--method", method, *flags],
+                     ["experiment", "--config", str(config), "--out", str(tmp_path / "out")]):
+            code = main(argv)
+            err = capsys.readouterr().err
+            assert code == 2
+            assert err.startswith("config error: ") and err.count("\n") == 1
+            errors.append(err)
+        assert errors[0] == errors[1]
+
+
 class TestConfigValidation:
+    @pytest.mark.parametrize("field", [
+        {"iterations": 2.5},
+        {"sample_sizes": (10.5,)},
+        {"seeds": (True,)},
+    ], ids=["iterations-float", "sample-sizes-float", "seeds-bool"])
+    def test_direct_construction_checks_types(self, field):
+        fields = {"sample_sizes": (100,), **field}
+        with pytest.raises(ConfigError, match="is not an integer"):
+            ExperimentConfig("x", np.eye(2), "sgd", **fields)
+
     def test_method_kernel_shape(self):
         with pytest.raises(ConfigError):
-            ExperimentConfig("x", np.eye(3), "closed2x2", (100,), (0,)).validated()
+            ExperimentConfig("x", np.eye(3), "closed2x2", (100,), (0,))
 
     def test_initial_kernel_shape(self):
         with pytest.raises(ConfigError):
-            ExperimentConfig("x", np.eye(2), "sgd", (100,), (0,), initial=np.eye(3)).validated()
+            ExperimentConfig("x", np.eye(2), "sgd", (100,), (0,), initial=np.eye(3))
 
     def test_block_needs_structure(self):
         with pytest.raises(ConfigError):
-            ExperimentConfig("x", np.eye(4), "block", (100,), (0,)).validated()
+            ExperimentConfig("x", np.eye(4), "block", (100,), (0,))
 
     @pytest.mark.parametrize("seeds", [(-1,), (0, 2**128)], ids=["negative", "2-pow-128"])
     def test_seed_range(self, seeds):
         with pytest.raises(ConfigError, match="seeds must be in"):
-            ExperimentConfig("x", np.eye(2), "moments", (100,), seeds).validated()
+            ExperimentConfig("x", np.eye(2), "moments", (100,), seeds)
         with pytest.raises(ConfigError, match="seeds must be in"):
             config_from_dict({"kernel": [[1, 0], [0, 1]], "method": "moments",
                               "sample_sizes": [100], "seeds": list(seeds)})
@@ -353,7 +388,7 @@ class TestConfigValidation:
     def test_kernel_id_printable_string(self, kernel_id):
         # csv.writer does not quote a lone carriage return, which would split the row.
         with pytest.raises(ConfigError, match="kernel_id"):
-            ExperimentConfig(kernel_id, np.eye(2), "moments", (100,), (0,)).validated()
+            ExperimentConfig(kernel_id, np.eye(2), "moments", (100,), (0,))
 
     def test_largest_seed_runs(self):
         config = ExperimentConfig("x", np.eye(2), "moments", (100,), (2**128 - 1,))
@@ -396,8 +431,9 @@ class TestConfigValidation:
             config_from_dict({"kernel": [[1]], "bogus": 1})
 
     def test_presets_validate(self):
+        # construction validates; rebuilding from the normalized fields must pass too
         for config in preset_configs("table1") + preset_configs("twobytwo"):
-            config.validated()
+            ExperimentConfig(**vars(config))
 
     def test_block_method_runs(self, tmp_path):
         truth = np.zeros((4, 4))
@@ -413,11 +449,12 @@ class TestConfigValidation:
 
 
 def test_cli_import_leaves_out_scipy_stats():
-    # scipy.stats costs most of the start-up of every CLI call; the package uses scipy.special.
+    # scipy.stats and scipy.sparse cost start-up time and memory in every CLI call;
+    # the package uses scipy.linalg and scipy.special only.
     src = str(Path(dppmle.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run(
-        [sys.executable, "-c", "import sys, dppmle.cli; print('scipy.stats' in sys.modules)"],
+        [sys.executable, "-c", "import sys, dppmle.cli; print({'scipy.stats', 'scipy.sparse'} & set(sys.modules))"],
         env=env, capture_output=True, text=True, check=True,
     ).stdout
-    assert out.strip() == "False"
+    assert out.strip() == "set()"

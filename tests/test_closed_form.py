@@ -29,6 +29,14 @@ from oracles import chart_gradient
 DENSE2 = np.array([[1.0, 1.0], [1.0, 2.0]])
 
 
+class TestTwoByTwoParams:
+    @pytest.mark.parametrize("abc", [(np.nan, 1.0, 2.0), (np.inf, 1.0, 2.0), (1.0, np.nan, 2.0),
+                                     (1.0, 1.0, np.inf)], ids=["a-nan", "a-inf", "b-nan", "c-inf"])
+    def test_refuses_non_finite(self, abc):
+        with pytest.raises(ValueError, match="finite"):
+            TwoByTwoParams(*abc)
+
+
 class TestForwardProbs:
     def test_identity_parameters(self):
         table = forward_probs_2x2(TwoByTwoParams(1.0, 0.0, 1.0))

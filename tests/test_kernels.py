@@ -184,6 +184,11 @@ class TestDistributionInvariants:
         with pytest.raises(ValueError):
             DistributionTable(np.array([0.5, 0.25, 0.25]))
 
+    def test_table_refuses_nan(self):
+        # NaN fails the sign and sum checks, which compare False with it
+        with pytest.raises(ValueError, match="sum to nan"):
+            DistributionTable(np.array([np.nan, 0.5, 0.5, 0.0]))
+
 
 class TestKlDivergence:
     def test_identical_tables(self):
