@@ -18,6 +18,7 @@ from scipy.special import ndtr
 from .closed_form import TwoByTwoParams, _mle_2x2_arrays, forward_probs_2x2
 from .errors import DegenerateTable, ReducibleKernel, SingularHessian, ZeroB
 from .kernels import (
+    ENSEMBLE,
     DistributionTable,
     KernelMatrix,
     as_array,
@@ -133,56 +134,53 @@ class CltResult:
         return self.reps - self.failures < 2
 
 
-def _multinomial_tables(probs: np.ndarray, n: int, reps: int, rng) -> np.ndarray:
-    """Empirical tables of ``reps`` batches of size n, one multinomial each.
+def _replicate(kernel_star: KernelMatrix, table: DistributionTable, n: int, reps: int,
+               rng) -> tuple[np.ndarray, int]:
+    """vech of the estimates from ``reps`` tables of n draws, and how many failed.
 
     A batch of independent draws enters every estimator only through its
-    empirical table, so sampling the table directly is equivalent in law
-    and much faster than materializing the draws.
+    empirical table, so each replication's table is one multinomial draw
+    from ``table``: equivalent in law, and much faster than materializing
+    the draws. 2x2 kernels use the closed form on every table at once
+    (b >= 0, so b is negated when the truth's is negative: that is
+    ``sign_align`` at n = 2); larger kernels run Newton from the truth and
+    align each converged estimate to the truth's sign orbit. Degenerate
+    tables and unconverged runs are dropped and counted.
     """
-    return rng.multinomial(n, probs, size=reps) / n
+    tables = rng.multinomial(n, table.probs, size=reps) / n
+    if kernel_star.n == 2:
+        estimates, _, ok = _mle_2x2_arrays(tables)
+        if kernel_star.entries[0, 1] < 0:
+            estimates[:, 1] = -estimates[:, 1]
+        return estimates[ok], int(reps - ok.sum())
+    upper = np.triu_indices(kernel_star.n)
+    rows = []
+    for empirical in tables:
+        ctx = LikelihoodContext(DistributionTable(empirical))
+        estimate, trace = newton_raphson(ctx, kernel_star, max_iter=50)
+        if trace.status == CONVERGED:
+            rows.append(sign_align(estimate, kernel_star)[upper])
+    return np.array(rows).reshape(-1, upper[0].size), reps - len(rows)
 
 
 def clt_experiment(kernel_star: KernelMatrix, n: int, reps: int, seed: int) -> CltResult:
     """Empirical covariance of sqrt(n) * vech(aligned estimate - truth).
 
-    2x2 kernels use the closed-form estimator (vectorized across
-    replications); larger kernels run Newton from the truth on each
-    replication. Estimates are aligned to the truth's sign orbit before
-    differencing. Failed replications are dropped and counted.
+    2x2 kernels use the closed form, larger ones Newton from the truth
+    (see :func:`_replicate`). Estimates are aligned to the truth's sign
+    orbit before differencing; failed replications are dropped and counted.
     """
-    rng = make_rng(seed)
-    table = enumerate_distribution(kernel_star)
-    upper = np.triu_indices(kernel_star.n)
-    star = kernel_star.entries
-    dim = upper[0].size
-    tables = _multinomial_tables(table.probs, n, reps, rng)
-    if kernel_star.n == 2:
-        a, b, c, ok = _mle_2x2_arrays(tables[:, 0], tables[:, 1], tables[:, 2], tables[:, 3])
-        # b >= 0 by construction; conjugating by diag(1, -1) negates b, which
-        # is what sign_align does at n = 2 when the truth has b < 0.
-        if star[0, 1] < 0:
-            b = -b
-        deviations = np.sqrt(n) * (np.stack([a, b, c], axis=1) - star[upper])[ok]
-        failures = int(reps - ok.sum())
-    else:
-        rows = []
-        failures = 0
-        for empirical in tables:
-            ctx = LikelihoodContext(DistributionTable(empirical))
-            estimate, trace = newton_raphson(ctx, kernel_star, max_iter=50)
-            if trace.status != CONVERGED:
-                failures += 1
-                continue
-            aligned = sign_align(estimate, kernel_star)
-            rows.append(np.sqrt(n) * (aligned - star)[upper])
-        deviations = np.array(rows) if rows else np.zeros((0, dim))
+    star = kernel_star.entries[np.triu_indices(kernel_star.n)]
+    estimates, failures = _replicate(
+        kernel_star, enumerate_distribution(kernel_star), n, reps, make_rng(seed)
+    )
+    deviations = np.sqrt(n) * (estimates - star)
     if deviations.shape[0] >= 2:
         covariance = np.cov(deviations, rowvar=False)
         mean = deviations.mean(axis=0)
     else:
-        covariance = np.zeros((dim, dim))
-        mean = deviations.mean(axis=0) if deviations.shape[0] else np.zeros(dim)
+        covariance = np.zeros((star.size, star.size))
+        mean = deviations.mean(axis=0) if deviations.shape[0] else np.zeros(star.size)
     return CltResult(covariance, mean, n, reps, failures, seed)
 
 
@@ -261,15 +259,14 @@ def berry_esseen_experiment(
     if params_star.b <= 0.0:
         raise ZeroB("the standardization needs the explicit covariance, which needs b > 0")
     table = forward_probs_2x2(params_star)
+    kernel_star = KernelMatrix(params_star.matrix(), ENSEMBLE)
     truth = np.array([params_star.a, params_star.b, params_star.c])
     whitener = inverse_sqrt(covariance_2x2_explicit(params_star))
     rng = make_rng(seed)
     distances = []
     outside = []
     for n in sizes:
-        tables = _multinomial_tables(table.probs, n, reps, rng)
-        a, b, c, ok = _mle_2x2_arrays(tables[:, 0], tables[:, 1], tables[:, 2], tables[:, 3])
-        estimates = np.stack([a, b, c], axis=1)[ok]
+        estimates, _ = _replicate(kernel_star, table, n, reps, rng)
         if not estimates.size:
             raise DegenerateTable(f"no replication at sample size {n} has an interior estimate")
         deviations = np.sqrt(n) * (estimates - truth[None, :])

@@ -50,7 +50,8 @@ class TwoByTwoParams:
             raise ValueError(f"diagonal entries must be positive, got ({self.a}, {self.c})")
         if self.b < 0:
             raise ValueError("b is reported nonnegative by convention")
-        if self.a * self.c - self.b**2 < -DISC_CLAMP:
+        # The rounding error of a c - b^2 grows with a c.
+        if self.a * self.c - self.b**2 < -DISC_CLAMP * max(1.0, self.a * self.c):
             raise ValueError("kernel [[a, b], [b, c]] must be positive semi-definite")
 
     def matrix(self) -> np.ndarray:
@@ -74,39 +75,39 @@ def mle_2x2(table: DistributionTable) -> tuple[TwoByTwoParams, str]:
     """
     if table.n != 2:
         raise ValueError("mle_2x2 requires a ground set of exactly 2 elements")
-    p0, p1, p2, p3 = (float(x) for x in table.probs)
-    a, b, c, ok = _mle_2x2_arrays(p0, p1, p2, p3)
+    estimate, interior, ok = _mle_2x2_arrays(table.probs)
     if not ok:
-        raise DegenerateTable(f"cell frequencies {[p0, p1, p2, p3]} give no positive diagonal")
-    tag = INTERIOR if p1 * p2 - p0 * p3 >= -DISC_CLAMP else BOUNDARY_B0
-    return TwoByTwoParams(float(a), float(b), float(c)), tag
+        raise DegenerateTable(_no_diagonal(table.probs))
+    return TwoByTwoParams(*map(float, estimate)), INTERIOR if interior else BOUNDARY_B0
 
 
-def _mle_2x2_arrays(p0, p1, p2, p3):
-    """Vectorized mle_2x2 over parallel probability arrays.
+def _mle_2x2_arrays(tables):
+    """The closed form over a stack of 2x2 tables, cells on the last axis.
 
-    Returns (a, b, c, ok); entries with a degenerate table are flagged
-    ok = False and carry NaN estimates. Used by the Monte Carlo drivers.
+    Returns (estimates, interior, ok): estimates[..., :] is (a, b, c),
+    interior marks the interior critical point (else the b = 0 boundary),
+    and rows with ok = False are degenerate and carry NaN.
     """
-    p0, p1, p2, p3 = (np.asarray(p, dtype=float) for p in (p0, p1, p2, p3))
+    p0, p1, p2, p3 = np.moveaxis(np.asarray(tables, dtype=float), -1, 0)
     disc = p1 * p2 - p0 * p3
-    disc = np.where((disc < 0.0) & (disc >= -DISC_CLAMP), 0.0, disc)
-    interior = disc >= 0.0
-    ok_interior = interior & (p0 > 0.0) & (p1 > 0.0) & (p2 > 0.0)
-    ok_boundary = (
-        ~interior
-        & (p0 + p2 > 0.0) & (p0 + p1 > 0.0)
-        & (p1 + p3 > 0.0) & (p2 + p3 > 0.0)
+    interior = disc >= -DISC_CLAMP
+    ok = np.where(
+        interior,
+        (p0 > 0.0) & (p1 > 0.0) & (p2 > 0.0),
+        (p0 + p2 > 0.0) & (p0 + p1 > 0.0) & (p1 + p3 > 0.0) & (p2 + p3 > 0.0),
     )
-    ok = ok_interior | ok_boundary
     with np.errstate(divide="ignore", invalid="ignore"):
-        a = np.where(interior, p1 / p0, (p1 + p3) / (p0 + p2))
-        b = np.where(interior, np.sqrt(np.maximum(disc, 0.0)) / p0, 0.0)
-        c = np.where(interior, p2 / p0, (p2 + p3) / (p0 + p1))
-    a = np.where(ok, a, np.nan)
-    b = np.where(ok, b, np.nan)
-    c = np.where(ok, c, np.nan)
-    return a, b, c, ok
+        estimates = np.stack([
+            np.where(interior, p1 / p0, (p1 + p3) / (p0 + p2)),
+            np.where(interior, np.sqrt(np.maximum(disc, 0.0)) / p0, 0.0),
+            np.where(interior, p2 / p0, (p2 + p3) / (p0 + p1)),
+        ], axis=-1)
+    return np.where(ok[..., None], estimates, np.nan), interior, ok
+
+
+def _no_diagonal(cells: np.ndarray) -> str:
+    """The DegenerateTable message for a 2x2 table with no estimate."""
+    return f"cell frequencies {cells.tolist()} give no positive diagonal"
 
 
 @dataclass(frozen=True)
@@ -132,9 +133,10 @@ def mle_block(batch: SampleBatch, structure: BlockStructure) -> KernelMatrix:
     """Closed-form estimate of a block-diagonal kernel of 2x2 blocks.
 
     The restriction of the process to each block is an independent 2x2
-    process, so each block is estimated by ``mle_2x2`` on its own
+    process, so each block is estimated by the 2x2 closed form on its own
     marginal empirical table: the four frequencies of (neither, first
-    only, second only, both) block members appearing in a draw.
+    only, second only, both) block members appearing in a draw. All
+    blocks' tables are counted, and estimated, at once.
     """
     if structure.n != batch.n_ground:
         raise ValueError(
@@ -142,27 +144,21 @@ def mle_block(batch: SampleBatch, structure: BlockStructure) -> KernelMatrix:
         )
     if len(batch) == 0:
         raise DegenerateTable("empty batch")
-    masks = batch.masks
-    total = len(batch)
+    u, v = np.array(structure.blocks).reshape(-1, 2).T
+    # Cell of each (draw, block): bit u + 2 bit v, offset by 4 per block.
+    cells = (batch.masks[:, None] >> u & 1) + 2 * (batch.masks[:, None] >> v & 1)
+    tables = np.bincount((cells + 4 * np.arange(u.size)).ravel(), minlength=4 * u.size)
+    tables = tables.reshape(-1, 4) / len(batch)
+    estimates, _, ok = _mle_2x2_arrays(tables)
+    if not ok.all():
+        index = int(np.argmin(ok))
+        raise DegenerateTable(
+            f"block {index} (elements {u[index]},{v[index]}): {_no_diagonal(tables[index])}"
+        )
     out = np.zeros((batch.n_ground, batch.n_ground))
-    for index, (u, v) in enumerate(structure.blocks):
-        in_u = (masks >> u & 1).astype(bool)
-        in_v = (masks >> v & 1).astype(bool)
-        cells = np.array(
-            [
-                np.sum(~in_u & ~in_v),
-                np.sum(in_u & ~in_v),
-                np.sum(~in_u & in_v),
-                np.sum(in_u & in_v),
-            ]
-        ) / total
-        try:
-            params, _ = mle_2x2(DistributionTable(cells))
-        except DegenerateTable as exc:
-            raise DegenerateTable(f"block {index} (elements {u},{v}): {exc}") from exc
-        out[u, u] = params.a
-        out[v, v] = params.c
-        out[u, v] = out[v, u] = params.b
+    out[u, u] = estimates[:, 0]
+    out[v, v] = estimates[:, 2]
+    out[u, v] = out[v, u] = estimates[:, 1]
     return KernelMatrix(out, ENSEMBLE)
 
 
@@ -175,19 +171,15 @@ def moments_estimator(table: DistributionTable) -> tuple[np.ndarray, np.ndarray]
     sqrt(max(p_i p_j - p_0 p_ij, 0)) / p_0 with a zero diagonal.
     Sign recovery is out of scope.
     """
-    n = table.n
     p0 = float(table.probs[0])
     if p0 <= 0.0:
         raise DegenerateTable("moments estimator needs a positive empty-set frequency")
-    singles = np.array([table.probs[1 << i] for i in range(n)])
-    diag = singles / p0
-    magnitudes = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            pair = float(table.probs[(1 << i) | (1 << j)])
-            disc = max(singles[i] * singles[j] - p0 * pair, 0.0)
-            magnitudes[i, j] = magnitudes[j, i] = np.sqrt(disc) / p0
-    return diag, magnitudes
+    bits = 1 << np.arange(table.n)
+    singles = table.probs[bits]
+    pairs = table.probs[bits[:, None] | bits[None, :]]
+    magnitudes = np.sqrt(np.maximum(np.outer(singles, singles) - p0 * pairs, 0.0)) / p0
+    np.fill_diagonal(magnitudes, 0.0)
+    return singles / p0, magnitudes
 
 
 def moments_kernel(table: DistributionTable) -> KernelMatrix:

@@ -17,7 +17,7 @@ from statistics import median
 import numpy as np
 
 from .closed_form import BlockStructure, mle_2x2, mle_block, moments_kernel
-from .errors import ConfigError, DegenerateTable
+from .errors import ConfigError, DegenerateTable, DppError
 from .kernels import ENSEMBLE, KernelMatrix, load_kernel, sign_distance, validate_kernel
 from .likelihood import LikelihoodContext, empirical_distribution
 from .optimize import newton_raphson, sgd
@@ -57,10 +57,7 @@ class ExperimentConfig:
             raise ConfigError(f"output_dir must be a string, not {self.output_dir!r}")
         if self.kernel is None:
             raise ConfigError("config needs 'kernel' (inline rows) or 'kernel_file'")
-        try:
-            kernel = validate_kernel(self.kernel, ENSEMBLE)
-        except Exception as exc:
-            raise ConfigError(f"invalid kernel: {exc}") from exc
+        kernel = _ensemble("kernel", self.kernel)
         sample_sizes = tuple(_integer("sample_sizes", n) for n in self.sample_sizes)
         if not sample_sizes:
             raise ConfigError("sample_sizes must be nonempty")
@@ -71,21 +68,38 @@ class ExperimentConfig:
             raise ConfigError("seeds must be nonempty")
         if not all(0 <= seed < SEED_LIMIT for seed in seeds):
             raise ConfigError("seeds must be in [0, 2**128)")
-        initial = None if self.initial is None else np.asarray(self.initial, dtype=float)
+        initial = None if self.initial is None else _ensemble("initial", self.initial).entries
         if initial is not None and initial.shape != (kernel.n, kernel.n):
             raise ConfigError(f"initial must be {kernel.n}x{kernel.n} like the kernel")
         if self.sampler not in (ENUMERATION, SPECTRAL):
             raise ConfigError(f"unknown sampler {self.sampler!r}")
         iterations = _integer("iterations", self.iterations)
         eta = _real("eta", self.eta)
-        blocks = None if self.blocks is None else tuple(
-            (_integer("blocks", u), _integer("blocks", v)) for u, v in self.blocks
-        )
+        blocks = None if self.blocks is None else _pairs("blocks", self.blocks)
         check_method(self.method, kernel.n, iterations, eta, blocks)
         normalized = dict(kernel=kernel.entries, sample_sizes=sample_sizes, seeds=seeds,
                           iterations=iterations, eta=eta, initial=initial, blocks=blocks)
         for name, value in normalized.items():
             object.__setattr__(self, name, value)
+
+
+def _ensemble(key: str, value) -> KernelMatrix:
+    """``value`` as a finite, symmetric, PSD ensemble kernel; a ConfigError otherwise."""
+    try:
+        return validate_kernel(value, ENSEMBLE)
+    except (TypeError, ValueError, DppError) as exc:
+        raise ConfigError(f"invalid {key}: {exc}") from exc
+
+
+def _pairs(key: str, value) -> tuple[tuple[int, int], ...]:
+    """``value`` as a tuple of integer pairs; a ConfigError otherwise."""
+    try:
+        pairs = [tuple(pair) for pair in value]
+    except TypeError:
+        pairs = None
+    if pairs is None or any(len(pair) != 2 for pair in pairs):
+        raise ConfigError(f"{key}: {value!r} is not a list of index pairs")
+    return tuple((_integer(key, u), _integer(key, v)) for u, v in pairs)
 
 
 def _integer(key: str, value) -> int:

@@ -266,6 +266,12 @@ def atomic_probability_from_marginal(kernel, mask: int) -> float:
     return float(np.exp(logdet))
 
 
+def _check_dense(n: int) -> None:
+    """GroundSetTooLarge if a dense table over 2^n subsets exceeds MAX_DENSE_GROUND_SET."""
+    if n > MAX_DENSE_GROUND_SET:
+        raise GroundSetTooLarge(f"dense table over 2^{n} subsets refused (limit 2^{MAX_DENSE_GROUND_SET})")
+
+
 def enumerate_distribution(kernel) -> DistributionTable:
     """Exact probability table of an ensemble over all 2^n subsets.
 
@@ -273,8 +279,7 @@ def enumerate_distribution(kernel) -> DistributionTable:
     """
     entries = as_array(kernel)
     n = entries.shape[0]
-    if n > MAX_DENSE_GROUND_SET:
-        raise GroundSetTooLarge(f"dense table over 2^{n} subsets refused (limit 2^{MAX_DENSE_GROUND_SET})")
+    _check_dense(n)
     logdet_norm = _log_normalizer(entries)
     probs = np.empty(1 << n)
     for start in range(0, 1 << n, _ENUMERATION_CHUNK):

@@ -41,14 +41,15 @@ from functools import cached_property
 import numpy as np
 
 from .errors import EmptyBatch, SingularPrincipalMinor
-from .kernels import DistributionTable, as_array
+from .kernels import DistributionTable, _check_dense, as_array
 from .sampling import SampleBatch
 
 
 def empirical_distribution(batch: SampleBatch) -> DistributionTable:
-    """Empirical subset frequencies of a batch."""
+    """Empirical subset frequencies of a batch, a dense table over 2^n_ground subsets."""
     if len(batch) == 0:
         raise EmptyBatch("cannot build an empirical distribution from zero draws")
+    _check_dense(batch.n_ground)
     counts = np.bincount(batch.masks, minlength=1 << batch.n_ground)
     return DistributionTable(counts / len(batch))
 

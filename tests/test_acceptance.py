@@ -149,7 +149,7 @@ def test_criterion_5_two_by_two_reproduction():
     for seed in range(100):
         rng = make_rng(seed)
         cells = rng.multinomial(30_000, table.probs) / 30_000
-        a, b, c, ok = _mle_2x2_arrays(cells[0], cells[1], cells[2], cells[3])
+        (a, b, c), _, ok = _mle_2x2_arrays(cells)
         error = np.array([float(a), float(b), float(c)]) - truth
         if bool(ok) and 30_000 * error @ precision @ error <= threshold:
             passes += 1
@@ -291,7 +291,7 @@ def test_criterion_10_consistency_trend():
         for seed in range(100):
             rng = make_rng(seed * 1000 + n)
             cells = rng.multinomial(n, table2.probs) / n
-            a, b, c, ok = _mle_2x2_arrays(cells[0], cells[1], cells[2], cells[3])
+            (a, b, c), _, ok = _mle_2x2_arrays(cells)
             estimate = np.array([[float(a), float(b)], [float(b), float(c)]])
             dists.append(sign_distance(estimate, kernel2)[0] if bool(ok) else np.inf)
         medians2.append(float(np.median(dists)))

@@ -22,7 +22,7 @@ from dppmle.experiments import (
     write_results,
 )
 from dppmle.kernels import kernel_from_text, save_kernel, validate_kernel
-from dppmle.sampling import load_batch, sample_batch, save_batch
+from dppmle.sampling import SampleBatch, load_batch, sample_batch, save_batch
 
 DENSE2 = np.array([[1.0, 1.0], [1.0, 2.0]])
 
@@ -153,6 +153,16 @@ class TestExperimentCommand:
         assert [row[0] for row in rows[1:]] == ["a,b", "a,b"]
         assert all(len(row) == 8 for row in rows)
 
+    def test_closed_form_on_a_wide_kernel(self, tmp_path):
+        # at seed 5 the estimate has a c near 1e8, where a c - b^2 rounds below -1e-12
+        code = main([
+            "experiment", "--kernel", "10000 100; 100 1", "--method", "closed2x2",
+            "--n", "100000", "--seed", "5", "--out", str(tmp_path / "runs"),
+        ])
+        assert code == 0
+        rows = list(csv.reader((tmp_path / "runs" / "runs.csv").open(newline="")))
+        assert rows[1][5] == "interior"
+
     def test_divergence_is_recorded_not_fatal(self, tmp_path):
         # plain SGD on the repulsive 2x2 benchmark diverges; the run must
         # complete and carry the status in its row
@@ -251,6 +261,7 @@ class TestInputBoundary:
         ["experiment", "--config", "{output_dir_number}"],
         ["experiment", "--config", "{kernel_id_number}", "--out", "{out}"],
         ["experiment", "--config", "{kernel_file_number}", "--out", "{out}"],
+        ["experiment", "--config", "{nan_initial}", "--out", "{out}"],
     ], ids=["inline-kernel", "blocks-json", "blocks-triple", "blocks-repeat",
             "config-json", "config-kernel-entry", "batch-mask",
             "config-not-object", "sgd-iters", "newton-iters", "eta-zero", "eta-negative",
@@ -262,7 +273,7 @@ class TestInputBoundary:
             "config-seed-negative", "blocks-cover", "batch-n-ground-64", "eta-inf",
             "kernel-nan", "kernel-file-inf", "config-kernel-nan", "batch-mask-2-pow-70",
             "kernel-asymmetric", "kernel-not-psd", "config-output-dir-number",
-            "config-kernel-id-number", "config-kernel-file-number"])
+            "config-kernel-id-number", "config-kernel-file-number", "config-initial-nan"])
     def test_exit_code_and_one_line(self, argv, tmp_path, kernel_file, capsys):
         paths = {
             "batch": tmp_path / "batch.csv",
@@ -282,6 +293,7 @@ class TestInputBoundary:
             "output_dir_number": tmp_path / "output_dir_number.json",
             "kernel_id_number": tmp_path / "kernel_id_number.json",
             "kernel_file_number": tmp_path / "kernel_file_number.json",
+            "nan_initial": tmp_path / "nan_initial.json",
         }
         main(["sample", "--kernel", str(kernel_file), "--n", "100", "--out", str(paths["batch"])])
         paths["malformed"].write_text('{"kernel": [[1, 0], [0')
@@ -295,6 +307,8 @@ class TestInputBoundary:
         paths["inf_kernel"].write_text("2\n1 0 0 inf\n")
         paths["nan_kernel"].write_text(json.dumps(
             {"kernel": [[float("nan"), 0], [0, 1]], "method": "newton", "sample_sizes": [10]}))
+        paths["nan_initial"].write_text(json.dumps({"kernel": [[1, 0], [0, 1]], "method": "newton",
+                                                    "sample_sizes": [10], "initial": [[float("nan"), 0], [0, 1]]}))
         paths["huge_mask"].write_text(f"# n_ground=2\nindex,mask,items\n0,{2**70},70\n")
         paths["negative_seed"].write_text(json.dumps(
             {"kernel": [[1, 0], [0, 1]], "method": "moments", "sample_sizes": [10], "seeds": [-1]}))
@@ -319,6 +333,28 @@ class TestInputBoundary:
             err = capsys.readouterr().err
             assert code == expected
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("method", ["moments", "newton"])
+    def test_dense_table_beyond_limit(self, method, tmp_path, capsys):
+        # moments and newton read a dense 2^n table, which stops at 20 items
+        path = tmp_path / "batch21.csv"
+        path.write_text("# n_ground=21\nindex,mask,items\n0,1,0\n1,0,\n")
+        code = main(["estimate", "--batch", str(path), "--method", method])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: dense table over 2^21 subsets") and err.count("\n") == 1
+
+    def test_block_reads_masks_beyond_dense_limit(self, tmp_path, capsys):
+        # block counts each pair's four cells from the masks, so 22 items are fine
+        first = sum(1 << (2 * k) for k in range(11))
+        masks = np.array([0, first, first << 1, first | first << 1])
+        path = tmp_path / "batch22.csv"
+        save_batch(SampleBatch(22, masks, 0, "enumeration"), path)
+        blocks = json.dumps([[2 * k, 2 * k + 1] for k in range(11)])
+        code = main(["estimate", "--batch", str(path), "--method", "block", "--blocks", blocks])
+        out = capsys.readouterr().out.splitlines()
+        assert code == 0
+        assert out[0] == "22" and json.loads(out[-1])["status"] == "ok"
 
     def test_verify_largest_seed(self, capsys):
         # the checks run at seed + k, which must wrap into [0, 2**128)
@@ -371,6 +407,22 @@ class TestConfigValidation:
     def test_initial_kernel_shape(self):
         with pytest.raises(ConfigError):
             ExperimentConfig("x", np.eye(2), "sgd", (100,), (0,), initial=np.eye(3))
+
+    @pytest.mark.parametrize("initial", [
+        [["x", 0], [0, 1]],
+        [[float("nan"), 0], [0, 1]],
+        [[1, 0.5], [0, 1]],
+        [[1, 2], [2, 1]],
+    ], ids=["string", "nan", "asymmetric", "not-psd"])
+    def test_initial_is_a_valid_kernel(self, initial):
+        with pytest.raises(ConfigError, match="invalid initial"):
+            ExperimentConfig("x", np.eye(2), "sgd", (100,), (0,), initial=initial)
+
+    @pytest.mark.parametrize("blocks", [((0, 1, 2),), (0, 1), ((0,), (1,)), 5],
+                             ids=["triple", "flat", "singletons", "number"])
+    def test_malformed_blocks(self, blocks):
+        with pytest.raises(ConfigError, match="blocks"):
+            ExperimentConfig("x", np.eye(4), "block", (100,), (0,), blocks=blocks)
 
     def test_block_needs_structure(self):
         with pytest.raises(ConfigError):

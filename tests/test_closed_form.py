@@ -10,6 +10,7 @@ from dppmle.closed_form import (
     INTERIOR,
     BlockStructure,
     TwoByTwoParams,
+    _mle_2x2_arrays,
     chart_log_likelihood,
     forward_probs_2x2,
     mle_2x2,
@@ -35,6 +36,14 @@ class TestTwoByTwoParams:
     def test_refuses_non_finite(self, abc):
         with pytest.raises(ValueError, match="finite"):
             TwoByTwoParams(*abc)
+
+    def test_psd_tolerance_is_relative(self):
+        # b one ulp above 1e4 gives a c - b^2 = -3.6e-8: noise relative to a c = 1e8
+        b = float(np.nextafter(1e4, np.inf))
+        assert 1e4 * 1e4 - b * b < -1e-12
+        TwoByTwoParams(1e4, b, 1e4)
+        with pytest.raises(ValueError, match="positive semi-definite"):
+            TwoByTwoParams(1e4, 1e4 * (1.0 + 1e-10), 1e4)
 
 
 class TestForwardProbs:
@@ -103,6 +112,37 @@ class TestMle2x2:
     def test_degenerate_table(self):
         with pytest.raises(DegenerateTable):
             mle_2x2(DistributionTable(np.array([0.0, 0.5, 0.5, 0.0])))
+
+    @pytest.mark.parametrize("probs", [
+        [1.375095408190125e-05, 0.9291532864153134, 0.07083296263060467, 0.0],
+        [1.141612605088516e-09, 0.899085443047883, 0.10091455581049746, 6.957538895937892e-15],
+    ], ids=["p3-zero", "p3-tiny"])
+    def test_large_interior_estimate_is_accepted(self, probs):
+        # a c is about 3.5e8 and 7e16: the rounding error of a c - b^2 exceeds 1e-12
+        params, tag = mle_2x2(DistributionTable(np.array(probs)))
+        assert tag == INTERIOR
+        assert params.a == probs[1] / probs[0]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(
+        st.lists(st.integers(0, 30), min_size=4, max_size=4).filter(any),
+        min_size=1, max_size=8,
+    ))
+    def test_stack_matches_one_table_calls(self, counts):
+        tables = np.array(counts, dtype=float)
+        tables /= tables.sum(axis=1, keepdims=True)
+        estimates, interior, ok = _mle_2x2_arrays(tables)
+        assert estimates.shape == (len(counts), 3)
+        for row, table in enumerate(tables):
+            try:
+                params, tag = mle_2x2(DistributionTable(table))
+            except DegenerateTable:
+                assert not ok[row]
+                assert np.isnan(estimates[row]).all()
+                continue
+            assert ok[row]
+            assert tag == (INTERIOR if interior[row] else BOUNDARY_B0)
+            np.testing.assert_array_equal(estimates[row], [params.a, params.b, params.c])
 
     def test_requires_two_elements(self):
         with pytest.raises(ValueError):
@@ -195,6 +235,31 @@ class TestMleBlock:
             mle_block(batch, BlockStructure(((0, 1), (2, 3))))
         assert "block 1" in str(err.value)
 
+    BLOCKS = ((0, 3), (4, 1), (2, 5))
+
+    @staticmethod
+    def _marginal(masks, u, v) -> DistributionTable:
+        cells = (masks >> u & 1) + 2 * (masks >> v & 1)
+        return DistributionTable(np.bincount(cells, minlength=4) / masks.size)
+
+    def test_three_blocks_match_mle_2x2(self, rng):
+        masks = rng.integers(0, 1 << 6, size=500)
+        estimate = mle_block(SampleBatch(6, masks, 0, "enumeration"), BlockStructure(self.BLOCKS))
+        expected = np.zeros((6, 6))
+        for u, v in self.BLOCKS:
+            params, _ = mle_2x2(self._marginal(masks, u, v))
+            expected[np.ix_([u, v], [u, v])] = params.matrix()
+        np.testing.assert_array_equal(estimate.entries, expected)
+
+    def test_error_names_first_degenerate_block(self, rng):
+        # items 4 and 1 (block 1) and 2 and 5 (block 2) never appear
+        masks = rng.integers(0, 1 << 6, size=200) & 0b001001
+        with pytest.raises(DegenerateTable) as err:
+            mle_block(SampleBatch(6, masks, 0, "enumeration"), BlockStructure(self.BLOCKS))
+        with pytest.raises(DegenerateTable) as single:
+            mle_2x2(self._marginal(masks, 4, 1))
+        assert str(err.value) == f"block 1 (elements 4,1): {single.value}"
+
     def test_structure_validation(self):
         with pytest.raises(ValueError):
             BlockStructure(((0, 1), (1, 2)))
@@ -236,6 +301,31 @@ class TestMoments:
     def test_degenerate(self):
         with pytest.raises(DegenerateTable):
             moments_estimator(DistributionTable(np.array([0.0, 0.5, 0.25, 0.25])))
+
+    @staticmethod
+    def _pairwise_loop(table):
+        """The estimator written as a loop over singletons and pairs i < j."""
+        n = table.n
+        p0 = float(table.probs[0])
+        singles = np.array([table.probs[1 << i] for i in range(n)])
+        magnitudes = np.zeros((n, n))
+        for i in range(n):
+            for j in range(i + 1, n):
+                pair = float(table.probs[(1 << i) | (1 << j)])
+                disc = max(singles[i] * singles[j] - p0 * pair, 0.0)
+                magnitudes[i, j] = magnitudes[j, i] = np.sqrt(disc) / p0
+        return singles / p0, magnitudes
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_matches_pairwise_loop(self, n, rng):
+        for _ in range(20):
+            counts = rng.multinomial(40, rng.dirichlet(np.ones(1 << n)))
+            counts[0] += 1
+            table = DistributionTable(counts / counts.sum())
+            diag, magnitudes = moments_estimator(table)
+            expected_diag, expected_magnitudes = self._pairwise_loop(table)
+            np.testing.assert_array_equal(diag, expected_diag)
+            np.testing.assert_array_equal(magnitudes, expected_magnitudes)
 
 
 class TestConsistencyTrend:
