@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .closed_form import TwoByTwoParams, _mle_2x2_arrays, forward_probs_2x2
 from .errors import DegenerateTable, ReducibleKernel, SingularHessian, ZeroB
@@ -209,6 +208,8 @@ class RateReport:
 
 def _ks_distance_to_normal(samples: np.ndarray) -> float:
     """Exact one-sample Kolmogorov statistic against the standard normal."""
+    from scipy.special import ndtr
+
     ordered = np.sort(samples)
     m = ordered.size
     cdf = ndtr(ordered)
@@ -223,6 +224,8 @@ GRID_POINTS = (-0.6744897501960817, 0.0, 0.6744897501960817)
 
 def _joint_rectangle_distance(standardized: np.ndarray) -> float:
     """Max deviation of joint orthant frequencies from the normal product."""
+    from scipy.special import ndtr
+
     dim = standardized.shape[1]
     grid_cdf = {x: ndtr(x) for x in GRID_POINTS}
     worst = 0.0

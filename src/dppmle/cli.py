@@ -26,7 +26,7 @@ from .kernels import (
     validate_kernel,
 )
 from .sampling import (
-    ENUMERATION,
+    SAMPLERS,
     SEED_LIMIT,
     SPECTRAL,
     batch_to_csv,
@@ -64,6 +64,9 @@ def _check_seeds(seed) -> None:
 
 
 def _resolve_kernel(spec: str):
+    if not spec.strip():
+        # Path("") is the working directory, which would be read as a kernel file.
+        raise ConfigError("empty kernel")
     path = Path(spec)
     if path.exists():
         return _parsed(f"kernel file {spec}", load_kernel, path)
@@ -94,8 +97,8 @@ def _cmd_estimate(args) -> int:
     batch = _parsed(f"batch {args.batch}", load_batch, args.batch)
     blocks = _parsed("--blocks", json.loads, args.blocks) if args.blocks else None
     experiments.check_method(args.method, batch.n_ground, args.iters, args.eta, blocks)
-    truth = _kernel_on(args.kernel, "--kernel", batch.n_ground) if args.kernel else None
-    initial = _kernel_on(args.l0, "--l0", batch.n_ground).entries if args.l0 else None
+    truth = _kernel_on(args.kernel, "--kernel", batch.n_ground) if args.kernel is not None else None
+    initial = _kernel_on(args.l0, "--l0", batch.n_ground).entries if args.l0 is not None else None
     entries, status, _ = experiments.estimate(
         args.method, batch, initial, args.iters, args.eta, args.seed, blocks
     )
@@ -114,6 +117,12 @@ def _cmd_estimate(args) -> int:
 def _cmd_experiment(args) -> int:
     seeds = tuple(args.seed) if args.seed else (0,)
     if args.preset:
+        overrides = [flag for flag, value in (
+            ("--config", args.config), ("--kernel", args.kernel), ("--method", args.method),
+            ("--n", args.n), ("--iters", args.iters), ("--eta", args.eta),
+        ) if value is not None]
+        if overrides:
+            raise ConfigError(f"--preset fixes its own grid; drop {' '.join(overrides)}")
         configs = experiments.preset_configs(args.preset, seeds=seeds)
     else:
         raw = {}
@@ -121,7 +130,7 @@ def _cmd_experiment(args) -> int:
             raw = _parsed(f"config {args.config}", json.loads, Path(args.config).read_text(encoding="utf-8"))
             if not isinstance(raw, dict):
                 raise ConfigError(f"config {args.config} must be a JSON object, not {type(raw).__name__}")
-        if args.kernel:
+        if args.kernel is not None:
             raw["kernel"] = _resolve_kernel(args.kernel).entries.tolist()
         if args.method:
             raw["method"] = args.method
@@ -181,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kernel", required=True, help="kernel file or inline rows '1 1; 1 2'")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--sampler", choices=[SPECTRAL, ENUMERATION], default=SPECTRAL)
+    p.add_argument("--sampler", choices=list(SAMPLERS), default=SPECTRAL)
     p.add_argument("--out", help="batch CSV destination (stdout when omitted)")
     p.set_defaults(func=_cmd_sample)
 

@@ -76,12 +76,15 @@ class KernelMatrix:
             raise ValueError(f"kernel entries must be square, got shape {arr.shape}")
         if self.kind not in (ENSEMBLE, MARGINAL):
             raise ValueError(f"unknown kernel kind {self.kind!r}")
-        deviation = float(np.max(np.abs(arr - arr.T))) if arr.size else 0.0
+        # Halved first, so that entries near the float limit cannot overflow below;
+        # above the subnormal range this gives the bits of arr - arr.T and (arr + arr.T) / 2.
+        half = 0.5 * arr
+        deviation = 2.0 * float(np.max(np.abs(half - half.T))) if arr.size else 0.0
         if deviation > SYMMETRY_TOL:
             raise NotSymmetric(
                 f"kernel deviates from symmetry by {deviation:.3e} (limit {SYMMETRY_TOL:.0e})"
             )
-        arr = (arr + arr.T) / 2.0
+        arr = half + half.T
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
 
@@ -363,6 +366,8 @@ def kernel_from_text(text: str) -> KernelMatrix:
     if not tokens:
         raise ValueError("empty kernel file")
     n = int(tokens[0])
+    if n < 0:
+        raise ValueError(f"kernel size must not be negative, not {n}")
     values = tokens[1:]
     if len(values) != n * n:
         raise ValueError(f"expected {n * n} entries for size {n}, found {len(values)}")

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dgesv
 
 from .errors import SingularPrincipalMinor
 from .kernels import ENSEMBLE, KernelMatrix, as_array
@@ -164,6 +163,9 @@ def sgd(
     not a positive finite number or the initial kernel does not match the
     batch's ground set.
     """
+    # Imported here so that only SGD runs load scipy.linalg.
+    from scipy.linalg.lapack import dgesv
+
     if not (np.isfinite(eta) and eta > 0):
         raise ValueError(f"step size must be a positive finite number, not {eta!r}")
     entries = np.asfortranarray(_symmetric_start(initial, batch.n_ground))

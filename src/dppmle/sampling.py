@@ -35,6 +35,7 @@ from .kernels import (
 
 SPECTRAL = "spectral"
 ENUMERATION = "enumeration"
+SAMPLERS = (SPECTRAL, ENUMERATION)
 
 
 #: Philox keys are 128-bit: a seed is valid when 0 <= seed < SEED_LIMIT.
@@ -64,6 +65,10 @@ class SampleBatch:
     def __post_init__(self):
         if not 0 <= self.n_ground <= MAX_MASK_GROUND_SET:
             raise ValueError(f"n_ground must be in [0, {MAX_MASK_GROUND_SET}], not {self.n_ground}")
+        if not 0 <= self.seed < SEED_LIMIT:
+            raise ValueError(f"seed must be in [0, 2**128), not {self.seed}")
+        if self.sampler not in SAMPLERS:
+            raise ValueError(f"unknown sampler {self.sampler!r}")
         arr = np.asarray(self.masks, dtype=np.int64)
         if arr.ndim != 1:
             raise ValueError("masks must be a flat array")
@@ -156,7 +161,7 @@ def sample_batch(kernel: KernelMatrix, n: int, seed: int, sampler: str = SPECTRA
     """Draw n independent subsets; deterministic under a fixed seed."""
     if n < 1:
         raise ValueError("batch size must be at least 1")
-    if sampler not in (SPECTRAL, ENUMERATION):
+    if sampler not in SAMPLERS:
         raise ValueError(f"unknown sampler {sampler!r}")
     entries = as_array(kernel)
     rng = make_rng(seed)
@@ -197,7 +202,8 @@ def batch_to_csv(batch: SampleBatch) -> str:
 def batch_from_csv(text: str) -> SampleBatch:
     """Inverse of :func:`batch_to_csv`.
 
-    ValueError when the ``n_ground`` metadata is missing, a row's mask is
+    ValueError when the ``n_ground`` metadata is missing, the ``seed`` is
+    outside [0, 2**128), the ``sampler`` is unknown, a row's mask is
     outside [0, 2**63) or its ``items`` disagree with its ``mask``.
     """
     lines = [ln for ln in text.splitlines() if ln.strip()]

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import chdtrc
 
 from .asymptotics import clt_experiment, covariance_2x2_explicit
 from .closed_form import TwoByTwoParams, chart_log_likelihood, forward_probs_2x2, mle_2x2
@@ -79,6 +78,8 @@ def probability_route_deviation(seed: int, kernels: int, max_size: int) -> float
 
 def sampler_fit(draws: int, seed: int) -> tuple[float, float]:
     """TV distance and chi-square p-value of spectral draws of BENCHMARK against its table."""
+    from scipy.special import chdtrc
+
     kernel = validate_kernel(BENCHMARK.matrix(), ENSEMBLE)
     table = enumerate_distribution(kernel)
     batch = sample_batch(kernel, draws, seed, "spectral")

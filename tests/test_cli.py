@@ -160,7 +160,8 @@ class TestExperimentCommand:
             "--n", "100000", "--seed", "5", "--out", str(tmp_path / "runs"),
         ])
         assert code == 0
-        rows = list(csv.reader((tmp_path / "runs" / "runs.csv").open(newline="")))
+        with (tmp_path / "runs" / "runs.csv").open(newline="") as fh:
+            rows = list(csv.reader(fh))
         assert rows[1][5] == "interior"
 
     def test_divergence_is_recorded_not_fatal(self, tmp_path):
@@ -262,6 +263,15 @@ class TestInputBoundary:
         ["experiment", "--config", "{kernel_id_number}", "--out", "{out}"],
         ["experiment", "--config", "{kernel_file_number}", "--out", "{out}"],
         ["experiment", "--config", "{nan_initial}", "--out", "{out}"],
+        ["experiment", "--preset", "twobytwo", "--config", "{valid_config}", "--out", "{out}"],
+        ["experiment", "--preset", "twobytwo", "--kernel", "1 0; 0 1", "--out", "{out}"],
+        ["experiment", "--preset", "twobytwo", "--method", "sgd", "--out", "{out}"],
+        ["experiment", "--preset", "twobytwo", "--n", "5", "--out", "{out}"],
+        ["experiment", "--preset", "table1", "--iters", "10", "--out", "{out}"],
+        ["experiment", "--preset", "table1", "--eta", "0.2", "--out", "{out}"],
+        ["sample", "--kernel", "", "--n", "3"],
+        ["estimate", "--batch", "{negative_seed_batch}", "--method", "moments"],
+        ["estimate", "--batch", "{unknown_sampler_batch}", "--method", "moments"],
     ], ids=["inline-kernel", "blocks-json", "blocks-triple", "blocks-repeat",
             "config-json", "config-kernel-entry", "batch-mask",
             "config-not-object", "sgd-iters", "newton-iters", "eta-zero", "eta-negative",
@@ -273,7 +283,9 @@ class TestInputBoundary:
             "config-seed-negative", "blocks-cover", "batch-n-ground-64", "eta-inf",
             "kernel-nan", "kernel-file-inf", "config-kernel-nan", "batch-mask-2-pow-70",
             "kernel-asymmetric", "kernel-not-psd", "config-output-dir-number",
-            "config-kernel-id-number", "config-kernel-file-number", "config-initial-nan"])
+            "config-kernel-id-number", "config-kernel-file-number", "config-initial-nan",
+            "preset-config", "preset-kernel", "preset-method", "preset-n", "preset-iters",
+            "preset-eta", "kernel-empty", "batch-seed-negative", "batch-sampler-unknown"])
     def test_exit_code_and_one_line(self, argv, tmp_path, kernel_file, capsys):
         paths = {
             "batch": tmp_path / "batch.csv",
@@ -294,6 +306,9 @@ class TestInputBoundary:
             "kernel_id_number": tmp_path / "kernel_id_number.json",
             "kernel_file_number": tmp_path / "kernel_file_number.json",
             "nan_initial": tmp_path / "nan_initial.json",
+            "valid_config": tmp_path / "valid_config.json",
+            "negative_seed_batch": tmp_path / "negative_seed_batch.csv",
+            "unknown_sampler_batch": tmp_path / "unknown_sampler_batch.csv",
         }
         main(["sample", "--kernel", str(kernel_file), "--n", "100", "--out", str(paths["batch"])])
         paths["malformed"].write_text('{"kernel": [[1, 0], [0')
@@ -309,6 +324,10 @@ class TestInputBoundary:
             {"kernel": [[float("nan"), 0], [0, 1]], "method": "newton", "sample_sizes": [10]}))
         paths["nan_initial"].write_text(json.dumps({"kernel": [[1, 0], [0, 1]], "method": "newton",
                                                     "sample_sizes": [10], "initial": [[float("nan"), 0], [0, 1]]}))
+        paths["valid_config"].write_text(json.dumps(
+            {"kernel": [[1, 0], [0, 1]], "method": "moments", "sample_sizes": [10]}))
+        paths["negative_seed_batch"].write_text("# n_ground=2 seed=-5 sampler=spectral\nindex,mask,items\n0,1,0\n")
+        paths["unknown_sampler_batch"].write_text("# n_ground=2 seed=0 sampler=bogus\nindex,mask,items\n0,1,0\n")
         paths["huge_mask"].write_text(f"# n_ground=2\nindex,mask,items\n0,{2**70},70\n")
         paths["negative_seed"].write_text(json.dumps(
             {"kernel": [[1, 0], [0, 1]], "method": "moments", "sample_sizes": [10], "seeds": [-1]}))
@@ -500,13 +519,24 @@ class TestConfigValidation:
         assert (tmp_path / "out" / "runs.csv").exists()
 
 
-def test_cli_import_leaves_out_scipy_stats():
-    # scipy.stats and scipy.sparse cost start-up time and memory in every CLI call;
-    # the package uses scipy.linalg and scipy.special only.
+def test_cli_import_leaves_out_scipy_stats(tmp_path):
+    # scipy costs start-up time and memory in every CLI call; only SGD (scipy.linalg),
+    # berry-esseen and verify (scipy.special) load it, so importing the CLI, sampling
+    # and Newton must not.
     src = str(Path(dppmle.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run(
-        [sys.executable, "-c", "import sys, dppmle.cli; print({'scipy.stats', 'scipy.sparse'} & set(sys.modules))"],
-        env=env, capture_output=True, text=True, check=True,
-    ).stdout
-    assert out.strip() == "set()"
+    batch = str(tmp_path / "batch.csv")
+    script = f"""
+import sys
+import dppmle.cli
+
+def scipy_modules():
+    return sorted(name for name in sys.modules if name == "scipy" or name.startswith("scipy."))
+
+after_import = scipy_modules()
+assert dppmle.cli.main(["sample", "--kernel", "1 1; 1 2", "--n", "200", "--sampler", "spectral", "--out", {batch!r}]) == 0
+assert dppmle.cli.main(["estimate", "--batch", {batch!r}, "--method", "newton"]) == 0
+print(after_import, scipy_modules(), file=sys.stderr)
+"""
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    assert out.stderr.splitlines()[-1] == "[] []"

@@ -2,8 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from dppmle.errors import (
+    DppError,
     EigenvalueOutOfRange,
     GroundSetTooLarge,
     NotSymmetric,
@@ -265,3 +269,35 @@ class TestSerialization:
         lines = text.strip().splitlines()
         assert lines[0] == "2"
         assert len(lines) == 3
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 6).flatmap(lambda n: arrays(
+        float, (n, n), elements=st.floats(-1e3, 1e3, allow_subnormal=True)
+    )))
+    def test_round_trip_is_bit_exact(self, factor):
+        # B B^T mirrored from its upper triangle: exactly symmetric and PSD up to rounding
+        gram = np.triu(factor @ factor.T)
+        kernel = validate_kernel(gram + np.triu(gram, 1).T, "ensemble")
+        recovered = kernel_from_text(kernel_to_text(kernel))
+        assert recovered.entries.shape == kernel.entries.shape
+        assert recovered.entries.tobytes() == kernel.entries.tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(
+        st.text(),
+        # a size header followed by about as many entries as it asks for
+        st.integers(-2, 3).flatmap(lambda n: st.lists(
+            st.one_of(st.floats().map(repr), st.sampled_from(["1e308", "-1e308", "x", "1_0", "0x1"])),
+            min_size=max(n * n, 0), max_size=max(n * n, 0) + 1,
+        ).map(lambda entries: " ".join([str(n), *entries]))),
+    ))
+    def test_arbitrary_text_raises_only_value_or_dpp_errors(self, text):
+        try:
+            kernel_from_text(text)
+        except (ValueError, DppError):
+            pass
+
+    @pytest.mark.parametrize("size", [-1, -2])
+    def test_negative_size_has_own_message(self, size):
+        with pytest.raises(ValueError, match="must not be negative"):
+            kernel_from_text(f"{size}\n" + " ".join(["1"] * (size * size)))

@@ -2,15 +2,20 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import chisquare
 
 from dppmle import sampling
+from dppmle.errors import DppError
 from dppmle.kernels import (
     DistributionTable,
     enumerate_distribution,
     validate_kernel,
 )
 from dppmle.sampling import (
+    SAMPLERS,
+    SEED_LIMIT,
     SampleBatch,
     batch_from_csv,
     batch_to_csv,
@@ -267,6 +272,42 @@ class TestCsv:
     def test_metadata_required(self):
         with pytest.raises(ValueError):
             batch_from_csv("index,mask,items\n0,1,0\n")
+
+    @pytest.mark.parametrize("metadata", [
+        "n_ground=2 seed=-5", f"n_ground=2 seed={2**128}", "n_ground=2 sampler=bogus",
+    ], ids=["seed-negative", "seed-2-pow-128", "sampler-unknown"])
+    def test_metadata_checked(self, metadata):
+        with pytest.raises(ValueError):
+            batch_from_csv(f"# {metadata}\nindex,mask,items\n0,1,0\n")
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 63).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.integers(0, (1 << n) - 1), max_size=20),
+        st.integers(0, SEED_LIMIT - 1),
+        st.sampled_from(SAMPLERS),
+    )))
+    def test_round_trip_property(self, fields):
+        n_ground, masks, seed, sampler = fields
+        batch = SampleBatch(n_ground, np.array(masks, dtype=np.int64), seed, sampler)
+        recovered = batch_from_csv(batch_to_csv(batch))
+        np.testing.assert_array_equal(recovered.masks, batch.masks)
+        assert (recovered.n_ground, recovered.seed, recovered.sampler) == (n_ground, seed, sampler)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(
+        st.text(),
+        st.lists(st.one_of(
+            st.text(alphabet="0123456789,;-#= \n", max_size=12),
+            st.sampled_from(["# n_ground=2", "# n_ground=64", "index,mask,items", "seed=-1",
+                             "sampler=bogus", "0,3,0;1", f"0,{2**63},63"]),
+        ), max_size=8).map("\n".join),
+    ))
+    def test_arbitrary_text_raises_only_value_or_dpp_errors(self, text):
+        try:
+            batch_from_csv(text)
+        except (ValueError, DppError):
+            pass
 
     def test_schema(self):
         batch = SampleBatch(2, np.array([0, 3, 1]), 9, "enumeration")
