@@ -191,7 +191,6 @@ class RateReport:
     kolmogorov_distances: tuple[float, ...]
     replications: int
     seed: int
-    outside_band_fractions: tuple[float, ...]
 
     def __post_init__(self):
         if len(self.sample_sizes) != len(self.kolmogorov_distances):
@@ -250,11 +249,6 @@ def berry_esseen_experiment(
     root of the closed-form covariance. The reported distance is the max
     of the three componentwise Kolmogorov statistics and the deviations
     over a fixed quartile grid of joint rectangles.
-
-    Also records how often the estimate's marginal-kernel eigenvalues
-    leave the band (0.05, 0.95); the asymptotic guarantees assume a
-    compact eigenvalue band, which the experiment deliberately does not
-    enforce.
     """
     sizes = tuple(int(n) for n in sizes)
     if any(later < earlier for earlier, later in zip(sizes, sizes[1:])):
@@ -267,7 +261,6 @@ def berry_esseen_experiment(
     whitener = inverse_sqrt(covariance_2x2_explicit(params_star))
     rng = make_rng(seed)
     distances = []
-    outside = []
     for n in sizes:
         estimates, _ = _replicate(kernel_star, table, n, reps, rng)
         if not estimates.size:
@@ -279,16 +272,4 @@ def berry_esseen_experiment(
         )
         distance = max(component_ks, _joint_rectangle_distance(standardized))
         distances.append(min(distance, 1.0))
-        outside.append(_band_exit_fraction(estimates))
-    return RateReport(sizes, tuple(distances), reps, seed, tuple(outside))
-
-
-def _band_exit_fraction(estimates: np.ndarray) -> float:
-    """Fraction of (a, b, c) estimates whose marginal eigenvalues leave [0.05, 0.95]."""
-    a, b, c = estimates[:, 0], estimates[:, 1], estimates[:, 2]
-    center = (a + c) / 2.0
-    radius = np.sqrt(((a - c) / 2.0) ** 2 + b**2)
-    eigs = np.stack([center - radius, center + radius], axis=1)
-    marginal = eigs / (1.0 + eigs)
-    bad = np.any((marginal < 0.05) | (marginal > 0.95), axis=1)
-    return float(np.mean(bad))
+    return RateReport(sizes, tuple(distances), reps, seed)

@@ -9,6 +9,7 @@ exceptions, so experiment harnesses never crash on a diverged run.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,18 +60,28 @@ def _symmetric_start(initial, n_ground: int) -> np.ndarray:
 
 
 def _blown_up(candidate: np.ndarray) -> bool:
-    """True past BLOWUP_LIMIT or on a non-finite entry (NaN fails the comparison)."""
-    return not np.abs(candidate).max() <= BLOWUP_LIMIT
+    """True past BLOWUP_LIMIT or on a non-finite entry.
+
+    Python floats beat numpy reductions at these sizes. A NaN or an
+    infinity makes the sum non-finite; a finite sum that overflows needs
+    an entry past the limit.
+    """
+    flat = candidate.ravel(order="K").tolist()
+    return not (math.isfinite(sum(flat)) and max(map(abs, flat)) <= BLOWUP_LIMIT)
 
 
 def _lu_sign(lu: np.ndarray, piv: np.ndarray) -> int:
     """Sign of det from a nonsingular ``getrf`` LU: (-1)^(row swaps + negative pivots).
 
     ``piv`` is 0-based. Python sums over ``tolist()``, which beat numpy
-    reductions at these sizes.
+    reductions at these sizes; the common case, no swap and every pivot
+    positive, returns before counting.
     """
-    swaps = sum(i != p for i, p in enumerate(piv.tolist()))
-    negatives = sum(u < 0 for u in lu.diagonal().tolist())
+    pivots, diagonal = piv.tolist(), lu.diagonal().tolist()
+    if pivots == list(range(len(pivots))) and min(diagonal) > 0:
+        return 1
+    swaps = sum(i != p for i, p in enumerate(pivots))
+    negatives = sum(u < 0 for u in diagonal)
     return -1 if (swaps + negatives) % 2 else 1
 
 
@@ -155,13 +166,15 @@ def sgd(
 
     The drawn minor is never sliced out. With z the draw's 0/1 indicator,
     M = L * z z^T + diag(1 - z) embeds L_Z in a full matrix: det M = det L_Z
-    (1 for the empty draw) and M^{-1} = pad(L_Z^{-1}) + diag(1 - z). A step
-    is one LAPACK ``dgesv`` per matrix, M and L + I, each solved against I;
-    the sign is read off that LU as ``slogdet`` reads it (LU semantics:
-    valid iff the sign is > 0, and an exactly zero pivot is singular). The
-    update is M^{-1} - diag(1 - z) - (L + I)^{-1}. ValueError when eta is
-    not a positive finite number or the initial kernel does not match the
-    batch's ground set.
+    (1 for the empty draw) and M^{-1} = pad(L_Z^{-1}) + diag(1 - z), so
+    M^{-1} diag(z) = pad(L_Z^{-1}). A step is one LAPACK ``dgesv`` of M
+    against diag(z) and one of L + I against I; the columns with z_j = 0
+    solve a zero right-hand side and come out exactly 0. M's sign is read
+    off its LU as ``slogdet`` reads it (LU semantics: valid iff the sign
+    is > 0, and an exactly zero pivot is singular). The update is
+    pad(L_Z^{-1}) - (L + I)^{-1}. ValueError when eta is not a positive
+    finite number or the initial kernel does not match the batch's ground
+    set.
     """
     # Imported here so that only SGD runs load scipy.linalg.
     from scipy.linalg.lapack import dgesv
@@ -173,12 +186,13 @@ def sgd(
     rng = make_rng(seed)
     picks = rng.integers(0, len(batch), size=iters)
     # Every drawn mask is supported, so its (keep, rest) is a slot of the
-    # context's embedding. Both are symmetric: the transposed stack gives
-    # the same values as Fortran-ordered views, the layout dgesv returns.
+    # context's embedding. Both are symmetric: their transposes are the
+    # same values as Fortran-ordered views, the layout dgesv returns.
+    # Each slot also carries diag(z) = I - rest, its right-hand side.
     _, keeps, rests = ctx.embedding
-    keeps, rests = keeps.transpose(0, 2, 1), rests.transpose(0, 2, 1)
+    eye = rests[0].T
+    constants = [(keep.T, rest.T, eye - rest.T) for keep, rest in zip(keeps, rests)]
     slots = np.searchsorted(ctx.support[0], batch.masks) + 1
-    eye = rests[0]
     trace = IterationTrace()
     trace.status = MAX_ITER
     for step, slot in enumerate(slots[picks].tolist()):
@@ -190,16 +204,16 @@ def sgd(
                 trace.status = DIVERGED
                 break
             trace.record(entries, point.value, grad_norm)
-        keep, rest = keeps[slot], rests[slot]
-        lu, piv, inv_m, info = dgesv(entries * keep + rest, eye)
+        keep, rest, diag_z = constants[slot]
+        lu, piv, pad, info = dgesv(entries * keep + rest, diag_z, overwrite_a=1)
         if info > 0 or _lu_sign(lu, piv) <= 0:
             trace.status = DIVERGED
             break
-        _, _, inv_s, info = dgesv(entries + eye, eye)
+        _, _, inv_s, info = dgesv(entries + eye, eye, overwrite_a=1)
         if info > 0:
             trace.status = DIVERGED
             break
-        candidate = entries + eta * (inv_m - rest - inv_s)
+        candidate = entries + eta * (pad - inv_s)
         if _blown_up(candidate):
             trace.status = DIVERGED
             break

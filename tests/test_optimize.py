@@ -19,6 +19,8 @@ from dppmle.optimize import (
     MAX_ITER,
     SINGULAR,
     IterationTrace,
+    _blown_up,
+    _lu_sign,
     newton_raphson,
     sgd,
 )
@@ -240,6 +242,60 @@ class TestSgd:
             sgd(batch, np.eye(3), eta=0.1, iters=10, seed=0)
 
 
+def _empty_then_singleton_batch() -> SampleBatch:
+    """Two items; seed 1 draws the empty set at step 0 and {0} from step 1 on."""
+    picks = make_rng(1).integers(0, 10, size=2)
+    assert picks[0] != picks[1]
+    masks = np.full(10, 0b01)
+    masks[picks[0]] = 0
+    return SampleBatch(2, masks, 0, "enumeration")
+
+
+class TestStepHelpers:
+    @pytest.mark.parametrize("position", [0, 4, 8])
+    def test_nan_anywhere_is_blown_up(self, position):
+        candidate = np.ones(9)
+        candidate[position] = np.nan
+        assert _blown_up(candidate.reshape(3, 3))
+        assert _blown_up(np.asfortranarray(candidate.reshape(3, 3)))
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf])
+    def test_infinity_is_blown_up(self, value):
+        candidate = np.eye(3)
+        candidate[1, 2] = value
+        assert _blown_up(candidate)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_limit_is_inclusive(self, sign):
+        candidate = np.eye(3)
+        candidate[2, 0] = sign * BLOWUP_LIMIT
+        assert not _blown_up(candidate)
+        candidate[2, 0] = sign * np.nextafter(BLOWUP_LIMIT, np.inf)
+        assert _blown_up(candidate)
+
+    def test_finite_sum_overflow_is_blown_up(self):
+        assert _blown_up(np.full((3, 3), 1e308))
+
+    def test_lu_sign_matches_slogdet(self):
+        from scipy.linalg.lapack import dgetrf
+
+        rng = np.random.default_rng(5)
+        seen = set()
+        for n in range(1, 7):
+            for _ in range(200):
+                matrix = rng.standard_normal((n, n))
+                if rng.random() < 0.5:
+                    # diagonally dominant, so no row swap, with random pivot signs
+                    matrix += np.diag(rng.choice([-1.0, 1.0], n) * (n + 2.0))
+                lu, piv, info = dgetrf(matrix)
+                assert info == 0
+                identity = piv.tolist() == list(range(n))
+                negatives = int(np.sum(lu.diagonal() < 0))
+                seen.add((identity, negatives % 2))
+                assert _lu_sign(lu, piv) == np.linalg.slogdet(matrix)[0]
+        assert seen == {(True, 0), (True, 1), (False, 0), (False, 1)}
+
+
 class TestEmbeddedStep:
     """The embedded-minor step reproduces the gather/scatter step bit for bit."""
 
@@ -252,6 +308,32 @@ class TestEmbeddedStep:
         status = _assert_same_run(batch, config.initial, config.eta, 3000, seed)
         if kernel_id == "dense2x2":
             assert status == DIVERGED
+
+    @pytest.mark.parametrize("eta", [0.01, 0.1])
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("n_ground", [4, 5])
+    def test_random_irreducible_kernels(self, n_ground, seed, eta):
+        truth = random_irreducible_ensemble(n_ground, np.random.default_rng(seed))
+        batch = sample_batch(truth, 2000, seed, "enumeration")
+        _assert_same_run(batch, np.eye(n_ground), eta, 2000, seed)
+
+    def test_blow_up_after_a_valid_step(self):
+        # step 0 takes I to 2^-30 I; step 1 inverts the {0} minor, so the
+        # candidate's first entry is about 2.1e9, finite and past the limit
+        batch = _empty_then_singleton_batch()
+        eta = 2.0 * (1.0 - 2.0**-30)
+        assert _assert_same_run(batch, np.eye(2), eta, 3, 1, trace_every=1) == DIVERGED
+        _, trace = sgd(batch, np.eye(2), eta=eta, iters=3, seed=1, trace_every=1)
+        assert len(trace.iterates) == 2
+
+    def test_non_finite_after_a_valid_step(self):
+        # the subnormal first entry survives step 0; step 1 inverts it to inf
+        batch = _empty_then_singleton_batch()
+        start = np.diag([1e-315, 1.0])
+        eta = 5e-324
+        assert _assert_same_run(batch, start, eta, 3, 1, trace_every=1) == DIVERGED
+        _, trace = sgd(batch, start, eta=eta, iters=3, seed=1, trace_every=1)
+        assert len(trace.iterates) == 2
 
     def test_empty_and_full_draws(self):
         batch = sample_batch(validate_kernel(TRIDIAGONAL_3, "ensemble"), 2000, 0, "enumeration")
