@@ -87,7 +87,8 @@ def _ensemble(key: str, value) -> KernelMatrix:
     """``value`` as a finite, symmetric, PSD ensemble kernel; a ConfigError otherwise."""
     try:
         return validate_kernel(value, ENSEMBLE)
-    except (TypeError, ValueError, DppError) as exc:
+    # A JSON integer beyond the float range overflows.
+    except (TypeError, ValueError, OverflowError, DppError) as exc:
         raise ConfigError(f"invalid {key}: {exc}") from exc
 
 
@@ -110,10 +111,13 @@ def _integer(key: str, value) -> int:
 
 
 def _real(key: str, value) -> float:
-    """``value`` as a float if it is a real number and not a bool; a ConfigError otherwise."""
+    """``value`` as a float if it is a real number, not a bool, within the float range; a ConfigError otherwise."""
     if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
         raise ConfigError(f"{key}: {value!r} is not a real number")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise ConfigError(f"{key}: {exc}") from exc
 
 
 def check_method(method: str, n_ground: int, iterations: int, eta: float, blocks) -> None:

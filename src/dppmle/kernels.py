@@ -9,7 +9,6 @@ and the marginal-kernel convention P(A subset of Y) = det(K_A).
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,18 +41,11 @@ _ENUMERATION_CHUNK = 1 << 12
 _SIGN_CHUNK = 1 << 12
 
 
-@functools.lru_cache(maxsize=1 << 16)
 def subset_indices(mask: int) -> tuple[int, ...]:
-    """Ascending element indices of a bit mask."""
-    out = []
-    i = 0
-    m = mask
-    while m:
-        if m & 1:
-            out.append(i)
-        m >>= 1
-        i += 1
-    return tuple(out)
+    """Ascending element indices of a bit mask; ValueError if it is negative."""
+    if mask < 0:
+        raise ValueError(f"mask must be nonnegative, not {mask}")
+    return tuple([i for i, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"])
 
 
 @dataclass(frozen=True)

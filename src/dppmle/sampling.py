@@ -21,6 +21,7 @@ replay bit-exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
@@ -188,28 +189,50 @@ def batch_to_csv(batch: SampleBatch) -> str:
     """One row per draw: index, mask, semicolon-separated item indices.
 
     A leading comment line carries the metadata needed to reload the batch.
+    The text after a row's index is built once per distinct mask.
     """
-    lines = [
-        f"# n_ground={batch.n_ground} seed={batch.seed} sampler={batch.sampler}",
-        BATCH_HEADER,
+    n = batch.n_ground
+    distinct, inverse = np.unique(batch.masks, return_inverse=True)
+    names = [str(i) for i in range(n)]
+    # Byte k * n + i is 1 when item i is in the k-th distinct mask.
+    bits = ((distinct[:, None] >> np.arange(n)) & 1).astype(np.uint8).tobytes()
+    tails = [
+        f"{mask},{';'.join(compress(names, bits[k * n:k * n + n]))}\n"
+        for k, mask in enumerate(distinct.tolist())
     ]
-    for i, mask in enumerate(batch.masks):
-        items = ";".join(str(j) for j in subset_indices(int(mask)))
-        lines.append(f"{i},{int(mask)},{items}")
-    return "\n".join(lines) + "\n"
+    rows = map("{},{}".format, range(len(batch)), map(tails.__getitem__, inverse.tolist()))
+    return f"# n_ground={n} seed={batch.seed} sampler={batch.sampler}\n{BATCH_HEADER}\n" + "".join(rows)
+
+
+def _row_mask(ln: str, tail: str) -> int:
+    """The mask of data row ``ln``, whose text after the index is ``tail``; ValueError if malformed."""
+    fields = tail.split(",")
+    if len(fields) != 2:
+        raise ValueError(f"row {ln!r}: expected {BATCH_HEADER}")
+    mask = int(fields[0])
+    # Masks are int64, and subset_indices refuses a negative one.
+    if not 0 <= mask < 1 << MAX_MASK_GROUND_SET:
+        raise ValueError(f"row {ln!r}: mask outside [0, 2**{MAX_MASK_GROUND_SET})")
+    items = fields[1].split(";") if fields[1] else ()
+    if tuple(map(int, items)) != subset_indices(mask):
+        raise ValueError(f"row {ln!r}: items do not match mask {mask}")
+    return mask
 
 
 def batch_from_csv(text: str) -> SampleBatch:
     """Inverse of :func:`batch_to_csv`.
 
     ValueError when the ``n_ground`` metadata is missing, the ``seed`` is
-    outside [0, 2**128), the ``sampler`` is unknown, a row's mask is
-    outside [0, 2**63) or its ``items`` disagree with its ``mask``.
+    outside [0, 2**128), the ``sampler`` is unknown, a row's index is not
+    its 0-based position among the data rows, its mask is outside
+    [0, 2**63) or its ``items`` disagree with its ``mask``. Rows are
+    checked in order, so the first bad row is the one reported; the text
+    after the index is checked once per distinct text.
     """
-    lines = [ln for ln in text.splitlines() if ln.strip()]
     meta = {"n_ground": None, "seed": 0, "sampler": ENUMERATION}
     masks = []
-    for ln in lines:
+    checked = {}
+    for ln in filter(str.strip, text.splitlines()):
         if ln.startswith("#"):
             for token in ln[1:].split():
                 if "=" in token:
@@ -219,16 +242,12 @@ def batch_from_csv(text: str) -> SampleBatch:
                     elif key == "sampler":
                         meta[key] = value
         elif ln != BATCH_HEADER:
-            fields = ln.split(",")
-            if len(fields) != 3:
-                raise ValueError(f"row {ln!r}: expected {BATCH_HEADER}")
-            mask = int(fields[1])
-            # subset_indices never returns on a negative mask, and masks are int64.
-            if not 0 <= mask < 1 << MAX_MASK_GROUND_SET:
-                raise ValueError(f"row {ln!r}: mask outside [0, 2**{MAX_MASK_GROUND_SET})")
-            items = fields[2].split(";") if fields[2] else ()
-            if tuple(map(int, items)) != subset_indices(mask):
-                raise ValueError(f"row {ln!r}: items do not match mask {mask}")
+            index, _, tail = ln.partition(",")
+            mask = checked.get(tail)
+            if mask is None:
+                mask = checked[tail] = _row_mask(ln, tail)
+            if index != str(len(masks)):
+                raise ValueError(f"row {ln!r}: index {index!r} is not the row's position {len(masks)}")
             masks.append(mask)
     if meta["n_ground"] is None:
         raise ValueError("missing '# n_ground=..' metadata line")

@@ -5,14 +5,17 @@ import json
 import os
 import subprocess
 import sys
+import dataclasses
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dppmle
 from dppmle.cli import main
-from dppmle.errors import ConfigError
+from dppmle.errors import ConfigError, EigenvalueOutOfRange, NotSymmetric
 from dppmle.experiments import (
     ExperimentConfig,
     config_from_dict,
@@ -272,6 +275,10 @@ class TestInputBoundary:
         ["sample", "--kernel", "", "--n", "3"],
         ["estimate", "--batch", "{negative_seed_batch}", "--method", "moments"],
         ["estimate", "--batch", "{unknown_sampler_batch}", "--method", "moments"],
+        ["estimate", "--batch", "{misnumbered_batch}", "--method", "moments"],
+        ["estimate", "--batch", "{pasted_batch}", "--method", "moments"],
+        ["experiment", "--config", "{huge_int_kernel}", "--out", "{out}"],
+        ["experiment", "--config", "{huge_int_eta}", "--out", "{out}"],
     ], ids=["inline-kernel", "blocks-json", "blocks-triple", "blocks-repeat",
             "config-json", "config-kernel-entry", "batch-mask",
             "config-not-object", "sgd-iters", "newton-iters", "eta-zero", "eta-negative",
@@ -285,7 +292,8 @@ class TestInputBoundary:
             "kernel-asymmetric", "kernel-not-psd", "config-output-dir-number",
             "config-kernel-id-number", "config-kernel-file-number", "config-initial-nan",
             "preset-config", "preset-kernel", "preset-method", "preset-n", "preset-iters",
-            "preset-eta", "kernel-empty", "batch-seed-negative", "batch-sampler-unknown"])
+            "preset-eta", "kernel-empty", "batch-seed-negative", "batch-sampler-unknown",
+            "batch-index", "batch-pasted", "config-kernel-huge-int", "config-eta-huge-int"])
     def test_exit_code_and_one_line(self, argv, tmp_path, kernel_file, capsys):
         paths = {
             "batch": tmp_path / "batch.csv",
@@ -309,6 +317,10 @@ class TestInputBoundary:
             "valid_config": tmp_path / "valid_config.json",
             "negative_seed_batch": tmp_path / "negative_seed_batch.csv",
             "unknown_sampler_batch": tmp_path / "unknown_sampler_batch.csv",
+            "misnumbered_batch": tmp_path / "misnumbered_batch.csv",
+            "pasted_batch": tmp_path / "pasted_batch.csv",
+            "huge_int_kernel": tmp_path / "huge_int_kernel.json",
+            "huge_int_eta": tmp_path / "huge_int_eta.json",
         }
         main(["sample", "--kernel", str(kernel_file), "--n", "100", "--out", str(paths["batch"])])
         paths["malformed"].write_text('{"kernel": [[1, 0], [0')
@@ -329,6 +341,13 @@ class TestInputBoundary:
         paths["negative_seed_batch"].write_text("# n_ground=2 seed=-5 sampler=spectral\nindex,mask,items\n0,1,0\n")
         paths["unknown_sampler_batch"].write_text("# n_ground=2 seed=0 sampler=bogus\nindex,mask,items\n0,1,0\n")
         paths["huge_mask"].write_text(f"# n_ground=2\nindex,mask,items\n0,{2**70},70\n")
+        paths["misnumbered_batch"].write_text("# n_ground=2\nindex,mask,items\n7,1,0\n")
+        paths["pasted_batch"].write_text(paths["batch"].read_text() * 2)
+        # JSON integers beyond the float range
+        paths["huge_int_kernel"].write_text(json.dumps(
+            {"kernel": [[10**400, 0], [0, 1]], "method": "moments", "sample_sizes": [10]}))
+        paths["huge_int_eta"].write_text(json.dumps(
+            {"kernel": [[1, 0], [0, 1]], "method": "sgd", "sample_sizes": [10], "eta": 10**400}))
         paths["negative_seed"].write_text(json.dumps(
             {"kernel": [[1, 0], [0, 1]], "method": "moments", "sample_sizes": [10], "seeds": [-1]}))
         for key, extra in (("output_dir_number", {"output_dir": 5}), ("kernel_id_number", {"kernel_id": 5})):
@@ -406,6 +425,26 @@ class TestMethodRules:
             assert err.startswith("config error: ") and err.count("\n") == 1
             errors.append(err)
         assert errors[0] == errors[1]
+
+
+#: Dict-shaped JSON: what ``json.loads`` can return, integers beyond the float range included.
+_HUGE_INTEGERS = st.integers(-(10**400), 10**400)
+_JSON = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), _HUGE_INTEGERS, st.floats(), st.text(max_size=8)),
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.dictionaries(st.text(max_size=6), inner, max_size=3)),
+    max_leaves=12,
+)
+_CONFIG_KEYS = [f.name for f in dataclasses.fields(ExperimentConfig)] + ["kernel_file"]
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    """Kernel files for the config fuzz test: one valid, one asymmetric, one garbled."""
+    path = tmp_path_factory.mktemp("fuzz")
+    save_kernel(validate_kernel(DENSE2, "ensemble"), path / "kernel.txt")
+    (path / "asymmetric.txt").write_text("2\n1 2\n0 1\n")
+    (path / "garbled.txt").write_text("2\n1 x\n")
+    return path
 
 
 class TestConfigValidation:
@@ -496,6 +535,31 @@ class TestConfigValidation:
         batch = sample_batch(validate_kernel(DENSE2, "ensemble"), 100, 0, "enumeration")
         with pytest.raises(ValueError, match="unknown method"):
             estimate("nwton", batch)
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.dictionaries(
+        st.sampled_from(_CONFIG_KEYS),
+        st.one_of(
+            _JSON,
+            st.sampled_from(["newton", "sgd", "closed2x2", "block", "moments", "enumeration", "spectral"]),
+            st.lists(st.lists(st.one_of(st.floats(-3, 3), st.integers(-3, 3), _HUGE_INTEGERS),
+                              min_size=1, max_size=3), min_size=1, max_size=3),
+            st.lists(st.integers(-2, 10**6), max_size=3),
+            st.sampled_from(["kernel.txt", "asymmetric.txt", "garbled.txt", "missing.txt", "."]),
+        ),
+        max_size=7,
+    ))
+    def test_json_values_raise_only_one_line_errors(self, fuzz_dir, raw):
+        # The CLI turns these into one "config error:" or "io error:" line.
+        # Names stay inside the fixture's directory, so no other file is read.
+        if isinstance(raw.get("kernel_file"), str):
+            raw["kernel_file"] = str(fuzz_dir / raw["kernel_file"].replace("/", "_"))
+        try:
+            config_from_dict(raw)
+        except (ConfigError, TypeError, ValueError, NotSymmetric, EigenvalueOutOfRange):
+            pass
+        except OSError:
+            assert "kernel_file" in raw
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError):

@@ -24,6 +24,7 @@ from dppmle.kernels import (
     kernel_to_text,
     marginal_of,
     sign_distance,
+    subset_indices,
     validate_kernel,
 )
 from conftest import conjugate, random_kernel
@@ -256,6 +257,23 @@ class TestSignDistance:
             dcb, _ = sign_distance(c, b)
             assert dab == pytest.approx(dba, rel=1e-12)
             assert dab <= dac + dcb + 1e-12
+
+
+class TestSubsetIndices:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, (1 << 63) - 1))
+    def test_ascending_set_bits(self, mask):
+        indices = subset_indices(mask)
+        assert list(indices) == sorted(set(indices))
+        assert sum(1 << i for i in indices) == mask
+
+    @pytest.mark.parametrize("mask,indices", [(0, ()), (1, (0,)), (6, (1, 2)), (1 << 62, (62,))])
+    def test_small_masks(self, mask, indices):
+        assert subset_indices(mask) == indices
+
+    def test_negative_mask_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            subset_indices(-1)
 
 
 class TestSerialization:

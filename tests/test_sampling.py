@@ -14,6 +14,9 @@ from dppmle.kernels import (
     validate_kernel,
 )
 from dppmle.sampling import (
+    BATCH_HEADER,
+    ENUMERATION,
+    MAX_MASK_GROUND_SET,
     SAMPLERS,
     SEED_LIMIT,
     SampleBatch,
@@ -255,6 +258,108 @@ class TestBatches:
             SampleBatch(2, np.array([4]), 0, "enumeration")
 
 
+def _reference_subset_indices(mask):
+    """The bit loop that ``subset_indices`` ran before it read ``bin(mask)``."""
+    out = []
+    i = 0
+    m = mask
+    while m:
+        if m & 1:
+            out.append(i)
+        m >>= 1
+        i += 1
+    return tuple(out)
+
+
+def _reference_batch_to_csv(batch):
+    """The per-draw writer that ``batch_to_csv`` replaced."""
+    lines = [
+        f"# n_ground={batch.n_ground} seed={batch.seed} sampler={batch.sampler}",
+        BATCH_HEADER,
+    ]
+    for i, mask in enumerate(batch.masks):
+        items = ";".join(str(j) for j in _reference_subset_indices(int(mask)))
+        lines.append(f"{i},{int(mask)},{items}")
+    return "\n".join(lines) + "\n"
+
+
+def _reference_batch_from_csv(text):
+    """The per-draw reader that ``batch_from_csv`` replaced; it never read the index column."""
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    meta = {"n_ground": None, "seed": 0, "sampler": ENUMERATION}
+    masks = []
+    for ln in lines:
+        if ln.startswith("#"):
+            for token in ln[1:].split():
+                if "=" in token:
+                    key, value = token.split("=", 1)
+                    if key in ("n_ground", "seed"):
+                        meta[key] = int(value)
+                    elif key == "sampler":
+                        meta[key] = value
+        elif ln != BATCH_HEADER:
+            fields = ln.split(",")
+            if len(fields) != 3:
+                raise ValueError(f"row {ln!r}: expected {BATCH_HEADER}")
+            mask = int(fields[1])
+            if not 0 <= mask < 1 << MAX_MASK_GROUND_SET:
+                raise ValueError(f"row {ln!r}: mask outside [0, 2**{MAX_MASK_GROUND_SET})")
+            items = fields[2].split(";") if fields[2] else ()
+            if tuple(map(int, items)) != _reference_subset_indices(mask):
+                raise ValueError(f"row {ln!r}: items do not match mask {mask}")
+            masks.append(mask)
+    if meta["n_ground"] is None:
+        raise ValueError("missing '# n_ground=..' metadata line")
+    return SampleBatch(meta["n_ground"], np.array(masks, dtype=np.int64), meta["seed"], meta["sampler"])
+
+
+def _data_rows(text):
+    """Positions in ``text.splitlines()`` of the lines that both readers take as data rows."""
+    return [i for i, ln in enumerate(text.splitlines())
+            if ln.strip() and not ln.startswith("#") and ln != BATCH_HEADER]
+
+
+def _renumbered(text):
+    """``text`` with every data row's index set to its position among the data rows."""
+    lines = text.splitlines()
+    for position, i in enumerate(_data_rows(text)):
+        index, comma, tail = lines[i].partition(",")
+        if comma:
+            lines[i] = f"{position},{tail}"
+    return "\n".join(lines)
+
+
+def _outcome(read, text):
+    """What ``read(text)`` returns, as plain values, or the type and message of what it raises."""
+    try:
+        batch = read(text)
+    except (ValueError, DppError) as exc:
+        return type(exc), str(exc)
+    return batch.n_ground, batch.seed, batch.sampler, batch.masks.tolist()
+
+
+#: Texts for the reader fuzz tests: arbitrary text, and lines from a batch-like alphabet.
+_CSV_TEXTS = st.one_of(
+    st.text(),
+    st.lists(st.one_of(
+        st.text(alphabet="0123456789,;-#= \n", max_size=12),
+        st.sampled_from(["# n_ground=2", "# n_ground=64", "index,mask,items", "seed=-1",
+                         "sampler=bogus", "0,3,0;1", f"0,{2**63},63"]),
+    ), max_size=8).map("\n".join),
+)
+
+#: Batch-shaped texts: metadata, header and rows of small numbers that often disagree.
+_CSV_ROWS = st.lists(st.one_of(
+    st.tuples(
+        st.integers(-1, 4),
+        st.one_of(st.integers(-2, 8), st.just(2**63)),
+        st.lists(st.integers(-1, 4), max_size=3).map(lambda items: ";".join(map(str, items))),
+    ).map(lambda fields: ",".join(map(str, fields))),
+    st.sampled_from(["# n_ground=3", "# n_ground=2 seed=5 sampler=spectral", "index,mask,items", " ",
+                     "0,1,0,0", "0,1"]),
+), max_size=10).map("\n".join)
+
+
 class TestCsv:
     def test_round_trip(self):
         kernel = validate_kernel(DENSE2, "ensemble")
@@ -295,14 +400,7 @@ class TestCsv:
         assert (recovered.n_ground, recovered.seed, recovered.sampler) == (n_ground, seed, sampler)
 
     @settings(max_examples=300, deadline=None)
-    @given(st.one_of(
-        st.text(),
-        st.lists(st.one_of(
-            st.text(alphabet="0123456789,;-#= \n", max_size=12),
-            st.sampled_from(["# n_ground=2", "# n_ground=64", "index,mask,items", "seed=-1",
-                             "sampler=bogus", "0,3,0;1", f"0,{2**63},63"]),
-        ), max_size=8).map("\n".join),
-    ))
+    @given(_CSV_TEXTS)
     def test_arbitrary_text_raises_only_value_or_dpp_errors(self, text):
         try:
             batch_from_csv(text)
@@ -317,3 +415,67 @@ class TestCsv:
         assert lines[2] == "0,0,"
         assert lines[3] == "1,3,0;1"
         assert lines[4] == "2,1,0"
+
+    @pytest.mark.parametrize("text,row,position", [
+        ("# n_ground=2\nindex,mask,items\n7,1,0\n", "7,1,0", 0),
+        ("# n_ground=2\nindex,mask,items\n0,1,0\n1,3,0;1\n" * 2, "0,1,0", 2),
+        ("# n_ground=2\nindex,mask,items\n0,1,0\n 1,3,0;1\n", " 1,3,0;1", 1),
+        ("# n_ground=2\nindex,mask,items\n0,1,0\n01,3,0;1\n", "01,3,0;1", 1),
+    ], ids=["first-row-seven", "two-files-pasted", "leading-space", "leading-zero"])
+    def test_index_must_be_row_position(self, text, row, position):
+        with pytest.raises(ValueError, match=f"is not the row's position {position}$") as info:
+            batch_from_csv(text)
+        assert str(info.value).startswith(f"row {row!r}: ") and "\n" not in str(info.value)
+
+    def test_bad_row_reported_before_a_later_misnumbered_row(self):
+        text = "# n_ground=2\nindex,mask,items\n0,3,0\n5,1,0\n"
+        with pytest.raises(ValueError, match="row '0,3,0': items do not match mask 3"):
+            batch_from_csv(text)
+
+    def test_misnumbered_row_reported_before_a_later_bad_row(self):
+        text = "# n_ground=2\nindex,mask,items\n0,1,0\n5,1,0\n2,3,0\n"
+        with pytest.raises(ValueError, match="row '5,1,0': index '5'"):
+            batch_from_csv(text)
+
+    def test_repeated_bad_row_reported_at_its_first_occurrence(self):
+        text = "# n_ground=2\nindex,mask,items\n0,1,0\n1,3,1\n2,3,1\n"
+        with pytest.raises(ValueError, match="row '1,3,1': items do not match mask 3"):
+            batch_from_csv(text)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 63).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=5),
+        st.lists(st.integers(0, 4), max_size=300),
+        st.integers(0, SEED_LIMIT - 1),
+        st.sampled_from(SAMPLERS),
+    )))
+    def test_writer_matches_per_draw_reference(self, fields):
+        n_ground, pool, picks, seed, sampler = fields
+        masks = np.array([pool[p % len(pool)] for p in picks], dtype=np.int64)
+        batch = SampleBatch(n_ground, masks, seed, sampler)
+        text = batch_to_csv(batch)
+        assert text == _reference_batch_to_csv(batch)
+        np.testing.assert_array_equal(batch_from_csv(text).masks, masks)
+
+    def test_writer_matches_per_draw_reference_on_spectral_batches(self):
+        for n, draws, seed in ((2, 3000, 0), (4, 3000, 1), (10, 5000, 71)):
+            batch = sample_batch(random_ensemble(n, np.random.default_rng(seed)), draws, seed, "spectral")
+            assert batch_to_csv(batch) == _reference_batch_to_csv(batch)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.one_of(_CSV_TEXTS, _CSV_ROWS))
+    def test_reader_matches_per_draw_reference(self, text):
+        # With every index right, the reader must accept, reject and report exactly as before.
+        fixed = _renumbered(text)
+        assert _outcome(batch_from_csv, fixed) == _outcome(_reference_batch_from_csv, fixed)
+        # As written, the index rule is the only difference. It names the first misnumbered
+        # row, and only after the rest of that row passed the old checks.
+        outcome = _outcome(batch_from_csv, text)
+        if outcome[0] is ValueError and "is not the row's position" in outcome[1]:
+            lines, fixed_lines = text.splitlines(), fixed.splitlines()
+            first = next(lines[i] for i in _data_rows(text) if lines[i] != fixed_lines[i])
+            assert outcome[1].startswith(f"row {first!r}: index ")
+            _reference_batch_from_csv(f"# n_ground=63\n0,{first.partition(',')[2]}")
+        else:
+            assert outcome == _outcome(_reference_batch_from_csv, text)
