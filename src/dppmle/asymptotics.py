@@ -222,18 +222,30 @@ GRID_POINTS = (-0.6744897501960817, 0.0, 0.6744897501960817)
 
 
 def _joint_rectangle_distance(standardized: np.ndarray) -> float:
-    """Max deviation of joint orthant frequencies from the normal product."""
+    """Max deviation of joint orthant frequencies from the normal product.
+
+    The orthants are {x < g} for every corner g of the 3^d grid
+    GRID_POINTS^d. Each coordinate falls in one of four cells, the number
+    of grid points at or below it, so x_k < g_j exactly when its cell is
+    at most j (ties at a grid point and +-inf included). One histogram
+    over the 4^d joint cells, summed cumulatively along each axis, counts
+    every orthant in one pass over the data: O(reps d + 4^d).
+    """
     from scipy.special import ndtr
 
-    dim = standardized.shape[1]
-    grid_cdf = {x: ndtr(x) for x in GRID_POINTS}
-    worst = 0.0
-    corners = np.array(np.meshgrid(*[GRID_POINTS] * dim)).reshape(dim, -1).T
-    for corner in corners:
-        empirical = float(np.mean(np.all(standardized < corner[None, :], axis=1)))
-        theoretical = float(np.prod([grid_cdf[x] for x in corner]))
-        worst = max(worst, abs(empirical - theoretical))
-    return worst
+    reps, dim = standardized.shape
+    cells = np.searchsorted(GRID_POINTS, standardized, side="right")
+    joint = np.ravel_multi_index(cells.T, (4,) * dim)
+    counts = np.bincount(joint, minlength=4**dim).reshape((4,) * dim)
+    for axis in range(dim):
+        counts = np.cumsum(counts, axis=axis)
+    empirical = counts[(slice(3),) * dim] / reps
+    grid_cdf = ndtr(np.array(GRID_POINTS))
+    # coordinate by coordinate, the product order of np.prod over a corner
+    theoretical = grid_cdf
+    for _ in range(1, dim):
+        theoretical = np.multiply.outer(theoretical, grid_cdf)
+    return float(np.max(np.abs(empirical - theoretical)))
 
 
 def berry_esseen_experiment(

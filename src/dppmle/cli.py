@@ -248,7 +248,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         sys.stderr.write(f"io error: {exc}\n")
         return EXIT_IO
-    except DppError as exc:
+    except (DppError, MemoryError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_CHECK_FAILED
 

@@ -7,7 +7,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.sparse.csgraph import connected_components
 
+from dppmle import asymptotics
 from dppmle.asymptotics import (
+    GRID_POINTS,
+    _joint_rectangle_distance,
     asymptotic_covariance,
     berry_esseen_experiment,
     clt_experiment,
@@ -170,6 +173,60 @@ class TestCltExperiment:
         # loose band: 60 replications only smoke-test the general route
         scale = max(np.abs(theory).max(), 1.0)
         assert np.max(np.abs(result.covariance - theory)) <= 0.75 * scale
+
+
+def _per_corner_distance(standardized):
+    """The orthant deviations corner by corner, one pass over the data per corner."""
+    from scipy.special import ndtr
+
+    dim = standardized.shape[1]
+    grid_cdf = {x: ndtr(x) for x in GRID_POINTS}
+    worst = 0.0
+    corners = np.array(np.meshgrid(*[GRID_POINTS] * dim)).reshape(dim, -1).T
+    for corner in corners:
+        empirical = float(np.mean(np.all(standardized < corner[None, :], axis=1)))
+        theoretical = float(np.prod([grid_cdf[x] for x in corner]))
+        worst = max(worst, abs(empirical - theoretical))
+    return worst
+
+
+class TestJointRectangleDistance:
+    """The one-histogram orthant count equals the per-corner loop bit for bit."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 6])
+    def test_gaussian_rows(self, dim):
+        rows = np.random.default_rng(dim).standard_normal((700, dim))
+        assert _joint_rectangle_distance(rows) == _per_corner_distance(rows)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 6])
+    def test_rows_on_grid_points_and_infinities(self, dim):
+        # ties at a grid point are not below it; -inf is below every corner, +inf none
+        values = np.array([*GRID_POINTS, -np.inf, np.inf, -2.0, 2.0])
+        rows = np.random.default_rng(10 + dim).choice(values, size=(400, dim))
+        assert _joint_rectangle_distance(rows) == _per_corner_distance(rows)
+
+    @pytest.mark.parametrize("point", GRID_POINTS)
+    def test_every_row_on_one_grid_point(self, point):
+        rows = np.full((50, 3), point)
+        assert _joint_rectangle_distance(rows) == _per_corner_distance(rows)
+
+    @pytest.mark.parametrize("dim", [1, 3, 6])
+    def test_one_row(self, dim):
+        row = np.random.default_rng(20 + dim).standard_normal((1, dim))
+        assert _joint_rectangle_distance(row) == _per_corner_distance(row)
+
+    @pytest.mark.parametrize("value", [-np.inf, -5.0, 5.0, np.inf],
+                             ids=["all-below-inf", "all-below", "none-below", "none-below-inf"])
+    def test_all_or_no_rows_below_every_corner(self, value):
+        rows = np.full((30, 3), value)
+        assert _joint_rectangle_distance(rows) == _per_corner_distance(rows)
+
+    @pytest.mark.parametrize("seed", [5, 6])
+    def test_rate_report_unchanged(self, seed, monkeypatch):
+        params = TwoByTwoParams(1.0, 1.0, 2.0)
+        report = berry_esseen_experiment(params, (100, 400, 1600), 3000, seed)
+        monkeypatch.setattr(asymptotics, "_joint_rectangle_distance", _per_corner_distance)
+        assert berry_esseen_experiment(params, (100, 400, 1600), 3000, seed) == report
 
 
 class TestBerryEsseen:

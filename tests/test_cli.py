@@ -372,6 +372,22 @@ class TestInputBoundary:
             assert code == expected
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_out_of_memory_is_one_error_line(self, tmp_path, monkeypatch, capsys):
+        # a sample size too large to allocate ends in numpy's MemoryError;
+        # the stub raises it without allocating anything
+        message = "Unable to allocate 7.28 TiB for an array with shape (1000000000000,)"
+
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr("dppmle.experiments.sample_batch", out_of_memory)
+        code = main(["experiment", "--kernel", "1 1; 1 2", "--method", "closed2x2",
+                     "--n", "1000000000000", "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == f"error: {message}\n"
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("method", ["moments", "newton"])
     def test_dense_table_beyond_limit(self, method, tmp_path, capsys):
         # moments and newton read a dense 2^n table, which stops at 20 items
