@@ -50,7 +50,6 @@ from .kernels import (
     load_kernel,
     marginal_of,
     save_kernel,
-    sign_align,
     sign_distance,
     validate_kernel,
 )

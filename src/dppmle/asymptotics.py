@@ -22,7 +22,7 @@ from .kernels import (
     KernelMatrix,
     as_array,
     enumerate_distribution,
-    sign_align,
+    sign_distance,
 )
 from .likelihood import LikelihoodContext, hessian, vech_embedding
 from .optimize import CONVERGED, newton_raphson
@@ -135,51 +135,51 @@ class CltResult:
 
 def _replicate(kernel_star: KernelMatrix, table: DistributionTable, n: int, reps: int,
                rng) -> tuple[np.ndarray, int]:
-    """vech of the estimates from ``reps`` tables of n draws, and how many failed.
+    """sqrt(n) * vech(aligned estimate - truth) over ``reps`` tables of n draws, and how many failed.
 
     A batch of independent draws enters every estimator only through its
     empirical table, so each replication's table is one multinomial draw
     from ``table``: equivalent in law, and much faster than materializing
     the draws. 2x2 kernels use the closed form on every table at once
-    (b >= 0, so b is negated when the truth's is negative: that is
-    ``sign_align`` at n = 2); larger kernels run Newton from the truth and
-    align each converged estimate to the truth's sign orbit. Degenerate
-    tables and unconverged runs are dropped and counted.
+    (b >= 0, so b is negated when the truth's is negative); larger kernels
+    run Newton from the truth and conjugate each converged estimate by the
+    signs of :func:`~dppmle.kernels.sign_distance` to the truth. Degenerate
+    tables and unconverged runs are dropped and counted. ValueError when n
+    is below 1.
     """
+    if n < 1:
+        raise ValueError(f"sample size must be at least 1, not {n}")
+    upper = np.triu_indices(kernel_star.n)
     tables = rng.multinomial(n, table.probs, size=reps) / n
     if kernel_star.n == 2:
         estimates, _, ok = _mle_2x2_arrays(tables)
         if kernel_star.entries[0, 1] < 0:
             estimates[:, 1] = -estimates[:, 1]
-        return estimates[ok], int(reps - ok.sum())
-    upper = np.triu_indices(kernel_star.n)
-    rows = []
-    for empirical in tables:
-        ctx = LikelihoodContext(DistributionTable(empirical))
-        estimate, trace = newton_raphson(ctx, kernel_star, max_iter=50)
-        if trace.status == CONVERGED:
-            rows.append(sign_align(estimate, kernel_star)[upper])
-    return np.array(rows).reshape(-1, upper[0].size), reps - len(rows)
+        estimates = estimates[ok]
+    else:
+        rows = []
+        for empirical in tables:
+            ctx = LikelihoodContext(DistributionTable(empirical))
+            estimate, trace = newton_raphson(ctx, kernel_star, max_iter=50)
+            if trace.status == CONVERGED:
+                _, signs = sign_distance(kernel_star, estimate)
+                rows.append((estimate.entries * np.outer(signs, signs))[upper])
+        estimates = np.array(rows).reshape(-1, upper[0].size)
+    return np.sqrt(n) * (estimates - kernel_star.entries[upper]), reps - len(estimates)
 
 
 def clt_experiment(kernel_star: KernelMatrix, n: int, reps: int, seed: int) -> CltResult:
     """Empirical covariance of sqrt(n) * vech(aligned estimate - truth).
 
-    2x2 kernels use the closed form, larger ones Newton from the truth
-    (see :func:`_replicate`). Estimates are aligned to the truth's sign
-    orbit before differencing; failed replications are dropped and counted.
+    The scaled errors come from :func:`_replicate`; failed replications
+    are dropped and counted.
     """
-    star = kernel_star.entries[np.triu_indices(kernel_star.n)]
-    estimates, failures = _replicate(
+    deviations, failures = _replicate(
         kernel_star, enumerate_distribution(kernel_star), n, reps, make_rng(seed)
     )
-    deviations = np.sqrt(n) * (estimates - star)
-    if deviations.shape[0] >= 2:
-        covariance = np.cov(deviations, rowvar=False)
-        mean = deviations.mean(axis=0)
-    else:
-        covariance = np.zeros((star.size, star.size))
-        mean = deviations.mean(axis=0) if deviations.shape[0] else np.zeros(star.size)
+    kept, dim = deviations.shape
+    covariance = np.cov(deviations, rowvar=False) if kept >= 2 else np.zeros((dim, dim))
+    mean = deviations.mean(axis=0) if kept else np.zeros(dim)
     return CltResult(covariance, mean, n, reps, failures, seed)
 
 
@@ -269,15 +269,13 @@ def berry_esseen_experiment(
         raise ZeroB("the standardization needs the explicit covariance, which needs b > 0")
     table = forward_probs_2x2(params_star)
     kernel_star = KernelMatrix(params_star.matrix(), ENSEMBLE)
-    truth = np.array([params_star.a, params_star.b, params_star.c])
     whitener = inverse_sqrt(covariance_2x2_explicit(params_star))
     rng = make_rng(seed)
     distances = []
     for n in sizes:
-        estimates, _ = _replicate(kernel_star, table, n, reps, rng)
-        if not estimates.size:
+        deviations, _ = _replicate(kernel_star, table, n, reps, rng)
+        if not deviations.size:
             raise DegenerateTable(f"no replication at sample size {n} has an interior estimate")
-        deviations = np.sqrt(n) * (estimates - truth[None, :])
         standardized = deviations @ whitener.T
         component_ks = max(
             _ks_distance_to_normal(standardized[:, k]) for k in range(3)

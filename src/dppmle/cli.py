@@ -114,15 +114,24 @@ def _cmd_estimate(args) -> int:
     return EXIT_OK
 
 
+#: (flag, args attribute, config key) of each experiment flag that overrides a
+#: config field. A preset fixes its own grid, so it refuses --config and these.
+_OVERRIDES = (
+    ("--kernel", "kernel", "kernel"),
+    ("--method", "method", "method"),
+    ("--n", "n", "sample_sizes"),
+    ("--iters", "iters", "iterations"),
+    ("--eta", "eta", "eta"),
+)
+
+
 def _cmd_experiment(args) -> int:
     seeds = tuple(args.seed) if args.seed else (0,)
     if args.preset:
-        overrides = [flag for flag, value in (
-            ("--config", args.config), ("--kernel", args.kernel), ("--method", args.method),
-            ("--n", args.n), ("--iters", args.iters), ("--eta", args.eta),
-        ) if value is not None]
-        if overrides:
-            raise ConfigError(f"--preset fixes its own grid; drop {' '.join(overrides)}")
+        refused = [flag for flag, attr, _ in (("--config", "config", None), *_OVERRIDES)
+                   if getattr(args, attr) is not None]
+        if refused:
+            raise ConfigError(f"--preset fixes its own grid; drop {' '.join(refused)}")
         configs = experiments.preset_configs(args.preset, seeds=seeds)
     else:
         raw = {}
@@ -130,18 +139,12 @@ def _cmd_experiment(args) -> int:
             raw = _parsed(f"config {args.config}", json.loads, Path(args.config).read_text(encoding="utf-8"))
             if not isinstance(raw, dict):
                 raise ConfigError(f"config {args.config} must be a JSON object, not {type(raw).__name__}")
-        if args.kernel is not None:
-            raw["kernel"] = _resolve_kernel(args.kernel).entries.tolist()
-        if args.method:
-            raw["method"] = args.method
-        if args.n:
-            raw["sample_sizes"] = args.n
+        for _, attr, key in _OVERRIDES:
+            value = getattr(args, attr)
+            if value is not None:
+                raw[key] = _resolve_kernel(value).entries.tolist() if key == "kernel" else value
         if args.seed:
             raw["seeds"] = args.seed
-        if args.iters is not None:
-            raw["iterations"] = args.iters
-        if args.eta is not None:
-            raw["eta"] = args.eta
         configs = [_parsed("config", experiments.config_from_dict, raw)]
     results = [experiments.run_experiment(config) for config in configs]
     out_dir = args.out or next(

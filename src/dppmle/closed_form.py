@@ -182,12 +182,6 @@ def moments_estimator(table: DistributionTable) -> tuple[np.ndarray, np.ndarray]
     return singles / p0, magnitudes
 
 
-def moments_kernel(table: DistributionTable) -> KernelMatrix:
-    """Moments estimate assembled as a matrix with nonnegative off-diagonals."""
-    diag, magnitudes = moments_estimator(table)
-    return KernelMatrix(np.diag(diag) + magnitudes, ENSEMBLE)
-
-
 # ---------------------------------------------------------------------------
 # The (a, b, c) chart of the 2x2 objective
 # ---------------------------------------------------------------------------

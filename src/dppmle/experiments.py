@@ -16,7 +16,7 @@ from statistics import median
 
 import numpy as np
 
-from .closed_form import BlockStructure, mle_2x2, mle_block, moments_kernel
+from .closed_form import BlockStructure, mle_2x2, mle_block, moments_estimator
 from .errors import ConfigError, DegenerateTable, DppError
 from .kernels import ENSEMBLE, KernelMatrix, load_kernel, sign_distance, validate_kernel
 from .likelihood import LikelihoodContext, empirical_distribution
@@ -123,12 +123,15 @@ def _real(key: str, value) -> float:
 def check_method(method: str, n_ground: int, iterations: int, eta: float, blocks) -> None:
     """ConfigError unless ``method`` can estimate a kernel on ``n_ground`` items.
 
-    Every method needs at least one iteration and a positive finite eta;
-    closed2x2 needs 2 items, and block a pair partition ``blocks`` of the
-    items. Configs and ``dppmle estimate`` share these rules.
+    Every method needs at least one item, at least one iteration and a
+    positive finite eta; closed2x2 needs 2 items, and block a pair
+    partition ``blocks`` of the items. Configs and ``dppmle estimate``
+    share these rules.
     """
     if method not in METHODS:
         raise ConfigError(f"unknown method {method!r} (choose from {METHODS})")
+    if n_ground < 1:
+        raise ConfigError(f"estimation needs at least one item, not {n_ground}")
     if iterations < 1:
         raise ConfigError("iterations must be positive")
     if not (np.isfinite(eta) and eta > 0):
@@ -208,23 +211,25 @@ def estimate(method: str, batch, initial=None, iterations: int = 100, eta: float
     steps taken, SGD's budget, or 0. DegenerateTable propagates; an
     unknown method is a ValueError.
     """
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r} (choose from {METHODS})")
     if initial is None:
         initial = np.eye(batch.n_ground)
-    if method == NEWTON:
-        ctx = LikelihoodContext.from_batch(batch)
-        kernel, trace = newton_raphson(ctx, initial, max_iter=iterations)
-        return kernel.entries, trace.status, max(len(trace.iterates) - 1, 0)
+    # SGD and block read the masks; the others read the empirical table.
     if method == SGD:
         kernel, trace = sgd(batch, initial, eta=eta, iters=iterations, seed=seed)
         return kernel.entries, trace.status, iterations
-    if method == CLOSED_2X2:
-        params, tag = mle_2x2(empirical_distribution(batch))
-        return params.matrix(), tag, 0
     if method == BLOCK:
         return mle_block(batch, BlockStructure(blocks)).entries, "ok", 0
-    if method == MOMENTS:
-        return moments_kernel(empirical_distribution(batch)).entries, "ok", 0
-    raise ValueError(f"unknown method {method!r} (choose from {METHODS})")
+    table = empirical_distribution(batch)
+    if method == NEWTON:
+        kernel, trace = newton_raphson(LikelihoodContext(table), initial, max_iter=iterations)
+        return kernel.entries, trace.status, max(len(trace.iterates) - 1, 0)
+    if method == CLOSED_2X2:
+        params, tag = mle_2x2(table)
+        return params.matrix(), tag, 0
+    diag, magnitudes = moments_estimator(table)
+    return np.diag(diag) + magnitudes, "ok", 0
 
 
 def _estimate_cell(config: ExperimentConfig, truth: KernelMatrix, n: int, seed: int) -> RunRow:

@@ -331,12 +331,6 @@ def sign_distance(kernel_a, kernel_b) -> tuple[float, np.ndarray]:
     return best, best_signs
 
 
-def sign_align(kernel_hat, kernel_star) -> np.ndarray:
-    """Conjugate the estimate onto the orbit representative nearest the truth."""
-    _, signs = sign_distance(kernel_star, kernel_hat)
-    return as_array(kernel_hat) * np.outer(signs, signs)
-
-
 # ---------------------------------------------------------------------------
 # Plain-text serialization
 # ---------------------------------------------------------------------------

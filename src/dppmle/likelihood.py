@@ -81,10 +81,6 @@ class LikelihoodContext:
         rest = np.concatenate([np.ones((1, n)), 1.0 - z])[:, :, None] * np.eye(n)
         return np.concatenate([[-1.0], weights]), keep, rest
 
-    @classmethod
-    def from_batch(cls, batch: SampleBatch) -> "LikelihoodContext":
-        return cls(empirical_distribution(batch))
-
 
 class LikelihoodPoint:
     """The objective at one kernel, from one factorization of the embedded stack.

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import SingularPrincipalMinor
 from .kernels import ENSEMBLE, KernelMatrix, as_array
-from .likelihood import LikelihoodContext, LikelihoodPoint, vech_embedding
+from .likelihood import LikelihoodContext, LikelihoodPoint, empirical_distribution, vech_embedding
 from .sampling import SampleBatch, make_rng
 
 CONVERGED = "converged"
@@ -182,7 +182,7 @@ def sgd(
     if not (np.isfinite(eta) and eta > 0):
         raise ValueError(f"step size must be a positive finite number, not {eta!r}")
     entries = np.asfortranarray(_symmetric_start(initial, batch.n_ground))
-    ctx = LikelihoodContext.from_batch(batch)
+    ctx = LikelihoodContext(empirical_distribution(batch))
     rng = make_rng(seed)
     picks = rng.integers(0, len(batch), size=iters)
     # Every drawn mask is supported, so its (keep, rest) is a slot of the

@@ -25,7 +25,7 @@ from dppmle.closed_form import (
     mle_2x2,
 )
 from dppmle.kernels import DistributionTable, enumerate_distribution, sign_distance, validate_kernel
-from dppmle.likelihood import LikelihoodContext, gradient, hessian, log_likelihood
+from dppmle.likelihood import LikelihoodContext, empirical_distribution, gradient, hessian, log_likelihood
 from dppmle.numdiff import fd_gradient, fd_hessian
 from dppmle.optimize import CONVERGED, newton_raphson, sgd
 from dppmle.sampling import make_rng, sample_batch
@@ -166,7 +166,7 @@ def test_criterion_6a_diagonal_benchmark():
     start = time.monotonic()
     kernel = validate_kernel(DIAG3, "ensemble")
     batch = sample_batch(kernel, 30_000, 3, "enumeration")
-    ctx = LikelihoodContext.from_batch(batch)
+    ctx = LikelihoodContext(empirical_distribution(batch))
     newton_est, newton_trace = newton_raphson(ctx, np.eye(3), max_iter=100)
     newton_err = float(np.max(np.abs(newton_est.entries - DIAG3)))
     sgd_est, sgd_trace = sgd(batch, np.eye(3), eta=0.1, iters=60_000, seed=3,
@@ -207,7 +207,7 @@ def test_criterion_6b_newton_wrong_critical_point():
     to_truth = 0
     for seed in range(20):
         batch = sample_batch(kernel, 30_000, seed, "enumeration")
-        ctx = LikelihoodContext.from_batch(batch)
+        ctx = LikelihoodContext(empirical_distribution(batch))
         estimate, trace = newton_raphson(ctx, SADDLE_START, max_iter=100)
         e = estimate.entries
         params, _ = mle_2x2(ctx.dist)

@@ -165,6 +165,13 @@ class TestCltExperiment:
         np.testing.assert_array_equal(neg.mean, flip @ pos.mean)
         assert neg.failures == pos.failures
 
+    @pytest.mark.parametrize("entries", [DENSE2, [[1.0, 0.2, 0.0], [0.2, 2.0, 0.3], [0.0, 0.3, 3.0]]],
+                             ids=["closed-form", "newton"])
+    def test_sample_size_must_be_positive(self, entries):
+        # no table of 0 draws exists; dividing its counts by 0 would give NaN frequencies
+        with pytest.raises(ValueError, match="sample size must be at least 1"):
+            clt_experiment(validate_kernel(entries, "ensemble"), 0, 5, 0)
+
     def test_newton_path_for_three_elements(self, rng):
         kernel = random_irreducible_ensemble(3, rng)
         result = clt_experiment(kernel, 4000, 60, 17)
@@ -265,6 +272,10 @@ class TestBerryEsseen:
     def test_sizes_must_ascend(self):
         with pytest.raises(ValueError):
             berry_esseen_experiment(TwoByTwoParams(1.0, 1.0, 2.0), (400, 100), 10, 0)
+
+    def test_sample_size_must_be_positive(self):
+        with pytest.raises(ValueError, match="sample size must be at least 1"):
+            berry_esseen_experiment(TwoByTwoParams(1.0, 1.0, 2.0), (0,), 10, 0)
 
     def test_all_degenerate_size_raises(self):
         # One draw never fills the cells the closed form needs.

@@ -193,6 +193,18 @@ class TestBerryEsseenCommand:
         assert len(lines) == 3
 
 
+@pytest.mark.parametrize("argv", [
+    ["sample", "--kernel", "1 1; 1 2", "--n", "50", "--seed", "3"],
+    ["berry-esseen", "--sizes", "100", "400", "--reps", "400", "--seed", "1"],
+], ids=["sample", "berry-esseen"])
+def test_stdout_holds_the_out_bytes(argv, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    assert main(argv + ["--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert capsys.readouterr().out == out.read_text(encoding="utf-8")
+
+
 class TestVerifyCommand:
     def test_quick_level_passes(self, capsys):
         code = main(["verify", "--level", "quick", "--seed", "0"])
@@ -279,6 +291,11 @@ class TestInputBoundary:
         ["estimate", "--batch", "{pasted_batch}", "--method", "moments"],
         ["experiment", "--config", "{huge_int_kernel}", "--out", "{out}"],
         ["experiment", "--config", "{huge_int_eta}", "--out", "{out}"],
+        ["estimate", "--batch", "{zero_items}", "--method", "newton"],
+        ["estimate", "--batch", "{zero_items}", "--method", "sgd"],
+        ["estimate", "--batch", "{zero_items}", "--method", "closed2x2"],
+        ["estimate", "--batch", "{zero_items}", "--method", "block", "--blocks", "[]"],
+        ["estimate", "--batch", "{zero_items}", "--method", "moments"],
     ], ids=["inline-kernel", "blocks-json", "blocks-triple", "blocks-repeat",
             "config-json", "config-kernel-entry", "batch-mask",
             "config-not-object", "sgd-iters", "newton-iters", "eta-zero", "eta-negative",
@@ -293,7 +310,9 @@ class TestInputBoundary:
             "config-kernel-id-number", "config-kernel-file-number", "config-initial-nan",
             "preset-config", "preset-kernel", "preset-method", "preset-n", "preset-iters",
             "preset-eta", "kernel-empty", "batch-seed-negative", "batch-sampler-unknown",
-            "batch-index", "batch-pasted", "config-kernel-huge-int", "config-eta-huge-int"])
+            "batch-index", "batch-pasted", "config-kernel-huge-int", "config-eta-huge-int",
+            "zero-items-newton", "zero-items-sgd", "zero-items-closed2x2", "zero-items-block",
+            "zero-items-moments"])
     def test_exit_code_and_one_line(self, argv, tmp_path, kernel_file, capsys):
         paths = {
             "batch": tmp_path / "batch.csv",
@@ -321,6 +340,7 @@ class TestInputBoundary:
             "pasted_batch": tmp_path / "pasted_batch.csv",
             "huge_int_kernel": tmp_path / "huge_int_kernel.json",
             "huge_int_eta": tmp_path / "huge_int_eta.json",
+            "zero_items": tmp_path / "zero_items.csv",
         }
         main(["sample", "--kernel", str(kernel_file), "--n", "100", "--out", str(paths["batch"])])
         paths["malformed"].write_text('{"kernel": [[1, 0], [0')
@@ -343,6 +363,7 @@ class TestInputBoundary:
         paths["huge_mask"].write_text(f"# n_ground=2\nindex,mask,items\n0,{2**70},70\n")
         paths["misnumbered_batch"].write_text("# n_ground=2\nindex,mask,items\n7,1,0\n")
         paths["pasted_batch"].write_text(paths["batch"].read_text() * 2)
+        paths["zero_items"].write_text("# n_ground=0\nindex,mask,items\n0,0,\n")
         # JSON integers beyond the float range
         paths["huge_int_kernel"].write_text(json.dumps(
             {"kernel": [[10**400, 0], [0, 1]], "method": "moments", "sample_sizes": [10]}))
@@ -361,6 +382,16 @@ class TestInputBoundary:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("config error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["estimate", "--batch", "{missing}/batch.csv"],
+        ["sample", "--kernel", "1 1; 1 2", "--n", "5", "--out", "{missing}/batch.csv"],
+    ], ids=["estimate-missing-batch", "sample-out-missing-dir"])
+    def test_io_error_exit_code_and_one_line(self, argv, tmp_path, capsys):
+        code = main([arg.format(missing=tmp_path / "missing") for arg in argv])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("io error: ") and err.count("\n") == 1
 
     def test_ground_set_beyond_int64_masks(self, tmp_path, capsys):
         # draws are int64 bit masks: 63 items fit, 64 give one error line and exit 1

@@ -7,11 +7,12 @@ from dppmle.closed_form import mle_2x2
 from dppmle.errors import SingularPrincipalMinor
 from dppmle.experiments import SGD, TRIDIAGONAL_3, TRIDIAGONAL_3_START, preset_configs
 from dppmle.kernels import (
+    DistributionTable,
     enumerate_distribution,
     subset_indices,
     validate_kernel,
 )
-from dppmle.likelihood import LikelihoodContext, LikelihoodPoint, gradient
+from dppmle.likelihood import LikelihoodContext, LikelihoodPoint, empirical_distribution, gradient
 from dppmle.optimize import (
     BLOWUP_LIMIT,
     CONVERGED,
@@ -39,7 +40,7 @@ def _gather_scatter_sgd(batch, initial, eta, iters, seed, trace_every=100):
     """Reference SGD: slice L_Z by index, factorize it alone, scatter its inverse into -(L + I)^{-1}."""
     entries = np.array(initial, dtype=float)
     entries = (entries + entries.T) / 2.0
-    ctx = LikelihoodContext.from_batch(batch)
+    ctx = LikelihoodContext(empirical_distribution(batch))
     picks = make_rng(seed).integers(0, len(batch), size=iters)
     eye = np.eye(entries.shape[0])
     trace = IterationTrace()
@@ -127,10 +128,43 @@ class TestNewton:
         with pytest.raises(ValueError):
             newton_raphson(ctx, np.eye(3), max_iter=5)
 
+    def test_flat_curvature_ends_singular(self):
+        # at I the curvatures in a and c are 1/4 - p1 and 1/4 - p2, both 0 here, so the
+        # vech curvature is diag(0, 1/2, 0): the first solve fails and I comes back
+        ctx = LikelihoodContext(DistributionTable(np.array([0.5, 0.25, 0.25, 0.0])))
+        estimate, trace = newton_raphson(ctx, np.eye(2))
+        assert trace.status == SINGULAR
+        assert len(trace.iterates) == 1
+        assert np.array_equal(estimate.entries, np.eye(2))
+
+    def test_blow_up_ends_diverged_at_last_valid_iterate(self):
+        # from I the objective is convex along the diagonal and its gradient decays
+        # like 1/a, so Newton heads for infinity: the diagonal about doubles per step
+        # until the 26th iterate's candidate passes BLOWUP_LIMIT
+        ctx = LikelihoodContext(DistributionTable(np.array([0.9, 0.05, 0.05, 0.0])))
+        estimate, trace = newton_raphson(ctx, np.eye(2))
+        assert trace.status == DIVERGED
+        assert len(trace.iterates) == 26
+        assert np.array_equal(estimate.entries, trace.iterates[-1])
+        assert BLOWUP_LIMIT / 2 < estimate.entries[0, 0] == estimate.entries[1, 1] <= BLOWUP_LIMIT
+        assert estimate.entries[0, 1] == 0.0
+        # one more step from there is the rejected candidate
+        _, again = newton_raphson(ctx, estimate, max_iter=1)
+        assert again.status == DIVERGED and len(again.iterates) == 1
+
+    def test_singular_supported_minor_at_start_ends_diverged(self):
+        # every subset is drawn and the start's {0, 1} minor is singular, so the
+        # first gradient fails before anything is recorded
+        ctx = LikelihoodContext(DistributionTable(np.full(4, 0.25)))
+        estimate, trace = newton_raphson(ctx, np.ones((2, 2)))
+        assert trace.status == DIVERGED
+        assert trace.iterates == [] and trace.objective == [] and trace.grad_norms == []
+        assert np.array_equal(estimate.entries, np.ones((2, 2)))
+
     def test_empirical_dense2_converges_to_mle(self):
         kernel = validate_kernel(DENSE2, "ensemble")
         batch = sample_batch(kernel, 30_000, 0, "enumeration")
-        ctx = LikelihoodContext.from_batch(batch)
+        ctx = LikelihoodContext(empirical_distribution(batch))
         estimate, trace = newton_raphson(ctx, np.array([[0.5, 0.1], [0.1, 0.5]]))
         assert trace.status == CONVERGED
         assert np.linalg.norm(gradient(ctx, estimate.entries)) <= 1e-8
@@ -150,7 +184,8 @@ class TestNewton:
         kernel = validate_kernel(DENSE2, "ensemble")
         moved = []
         for seed in range(30):
-            ctx = LikelihoodContext.from_batch(sample_batch(kernel, 30_000, seed, "enumeration"))
+            batch = sample_batch(kernel, 30_000, seed, "enumeration")
+            ctx = LikelihoodContext(empirical_distribution(batch))
             params, _ = mle_2x2(ctx.dist)
             moved += self._moves_from_maximizer(ctx, params.matrix())
         assert moved == []
@@ -199,7 +234,7 @@ class TestSgd:
         # grouped by draw value, the average update reproduces the batch gradient
         kernel = validate_kernel(DENSE2, "ensemble")
         batch = sample_batch(kernel, 5000, 5, "enumeration")
-        ctx = LikelihoodContext.from_batch(batch)
+        ctx = LikelihoodContext(empirical_distribution(batch))
         point = np.array([[0.5, 0.05], [0.05, 0.6]])
         expected = gradient(ctx, point)
         rng = make_rng(77)
