@@ -35,7 +35,6 @@ from .errors import (
     ReducibleKernel,
     SingularHessian,
     SingularPrincipalMinor,
-    SupportMismatch,
     ZeroB,
 )
 from .kernels import (

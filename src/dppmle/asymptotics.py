@@ -20,6 +20,7 @@ from .kernels import (
     ENSEMBLE,
     DistributionTable,
     KernelMatrix,
+    _reached,
     as_array,
     enumerate_distribution,
     sign_distance,
@@ -44,14 +45,7 @@ def is_irreducible(kernel) -> bool:
         raise ValueError(f"expected a square matrix, got shape {entries.shape}")
     tol = 1e-12 * max(1.0, float(np.max(np.abs(entries))))
     linked = np.abs(entries) > tol
-    linked = linked | linked.T
-    # Grow the set of items reachable from item 0 until a sweep adds none.
-    reached = np.arange(len(linked)) == 0
-    while True:
-        grown = reached | linked[reached].any(axis=0)
-        if grown.sum() == reached.sum():
-            return bool(reached.all())
-        reached = grown
+    return bool(_reached(linked | linked.T, 0).all())
 
 
 def asymptotic_covariance(kernel_star: KernelMatrix) -> np.ndarray:

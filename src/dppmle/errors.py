@@ -25,10 +25,6 @@ class GroundSetTooLarge(DppError):
     """The requested operation needs a dense 2^n table or an int64 bit mask, and n is too big."""
 
 
-class SupportMismatch(DppError):
-    """KL divergence undefined: q vanishes on the support of p."""
-
-
 class EmptyBatch(DppError):
     """An empirical distribution was requested from zero draws."""
 

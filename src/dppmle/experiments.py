@@ -21,7 +21,7 @@ from .errors import ConfigError, DegenerateTable, DppError
 from .kernels import ENSEMBLE, KernelMatrix, load_kernel, sign_distance, validate_kernel
 from .likelihood import LikelihoodContext, empirical_distribution
 from .optimize import newton_raphson, sgd
-from .sampling import ENUMERATION, SEED_LIMIT, SPECTRAL, sample_batch
+from .sampling import ENUMERATION, SAMPLERS, SEED_LIMIT, sample_batch
 
 NEWTON = "newton"
 SGD = "sgd"
@@ -47,14 +47,11 @@ class ExperimentConfig:
     sampler: str = ENUMERATION
     initial: np.ndarray | None = None
     blocks: tuple[tuple[int, int], ...] | None = None
-    output_dir: str | None = None
 
     def __post_init__(self):
         # A kernel_id with a control character would end a runs.csv row early.
         if not isinstance(self.kernel_id, str) or not self.kernel_id.isprintable():
             raise ConfigError(f"kernel_id must be a printable string, not {self.kernel_id!r}")
-        if self.output_dir is not None and not isinstance(self.output_dir, str):
-            raise ConfigError(f"output_dir must be a string, not {self.output_dir!r}")
         if self.kernel is None:
             raise ConfigError("config needs 'kernel' (inline rows) or 'kernel_file'")
         kernel = _ensemble("kernel", self.kernel)
@@ -71,7 +68,7 @@ class ExperimentConfig:
         initial = None if self.initial is None else _ensemble("initial", self.initial).entries
         if initial is not None and initial.shape != (kernel.n, kernel.n):
             raise ConfigError(f"initial must be {kernel.n}x{kernel.n} like the kernel")
-        if self.sampler not in (ENUMERATION, SPECTRAL):
+        if self.sampler not in SAMPLERS:
             raise ConfigError(f"unknown sampler {self.sampler!r}")
         iterations = _integer("iterations", self.iterations)
         eta = _real("eta", self.eta)
@@ -125,7 +122,7 @@ def check_method(method: str, n_ground: int, iterations: int, eta: float, blocks
 
     Every method needs at least one item, at least one iteration and a
     positive finite eta; closed2x2 needs 2 items, and block a pair
-    partition ``blocks`` of the items. Configs and ``dppmle estimate``
+    partition ``blocks`` of the items. Configs and :func:`estimate`
     share these rules.
     """
     if method not in METHODS:
@@ -208,11 +205,10 @@ def estimate(method: str, batch, initial=None, iterations: int = 100, eta: float
     iterative solvers, ``seed`` picks SGD's draws, and ``blocks`` is the
     pair partition of ``block``. The status is the solver's trace status,
     the closed form's tag, or ``ok``; the iteration count is the Newton
-    steps taken, SGD's budget, or 0. DegenerateTable propagates; an
-    unknown method is a ValueError.
+    steps taken, SGD's budget, or 0. A request that breaks a rule of
+    :func:`check_method` is a ConfigError; DegenerateTable propagates.
     """
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r} (choose from {METHODS})")
+    check_method(method, batch.n_ground, iterations, eta, blocks)
     if initial is None:
         initial = np.eye(batch.n_ground)
     # SGD and block read the masks; the others read the empirical table.

@@ -303,25 +303,25 @@ def inclusion_probabilities(table: DistributionTable) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def sign_distance(kernel_a, kernel_b) -> tuple[float, np.ndarray]:
-    """Minimal Frobenius distance between two kernels modulo sign conjugation.
+def _reached(linked: np.ndarray, start: int) -> np.ndarray:
+    """Boolean mask of the items reachable from ``start`` along the symmetric boolean pattern ``linked``."""
+    reached = np.arange(len(linked)) == start
+    # Grow the reached set until a sweep adds none.
+    while True:
+        grown = reached | linked[reached].any(axis=0)
+        if grown.sum() == reached.sum():
+            return reached
+        reached = grown
 
-    Conjugation L -> D L D by a diagonal D of +/-1 entries leaves the point
-    process unchanged, so estimators recover a kernel only up to it. Scans
-    the 2^(n-1) sign classes (D and -D conjugate identically) and returns
-    the distance together with the +/-1 diagonal of the first minimizing
-    class, in mask order, as a float vector.
-    """
-    a = as_array(kernel_a)
-    b = as_array(kernel_b)
-    if a.shape != b.shape:
-        raise ValueError(f"kernel shapes differ: {a.shape} vs {b.shape}")
+
+def _sign_scan(a: np.ndarray, b: np.ndarray) -> tuple[float, np.ndarray]:
+    """sign_distance by a scan of all 2^(n-1) sign classes, element 0 at +1; the first minimum wins."""
     n = a.shape[0]
     classes = 1 << max(n - 1, 0)
     best = np.inf
     best_signs = np.ones(n)
     for start in range(0, classes, _SIGN_CHUNK):
-        # Element 0 is pinned to +1; bit i of a class sets the sign of element i + 1.
+        # Bit i of a class sets the sign of element i + 1.
         rows = np.arange(start, min(start + _SIGN_CHUNK, classes))[:, None] << 1 >> np.arange(n) & 1
         for signs in np.where(rows == 1, -1.0, 1.0):
             dist = float(np.linalg.norm(a - b * (signs[:, None] * signs)))
@@ -329,6 +329,37 @@ def sign_distance(kernel_a, kernel_b) -> tuple[float, np.ndarray]:
                 best = dist
                 best_signs = signs
     return best, best_signs
+
+
+def sign_distance(kernel_a, kernel_b) -> tuple[float, np.ndarray]:
+    """Minimal Frobenius distance between two kernels modulo sign conjugation.
+
+    Conjugation L -> D L D by a diagonal D of +/-1 entries leaves the point
+    process unchanged, so estimators recover a kernel only up to it. The
+    distance depends on D only through the pairs (i, j) with
+    a_ij * b_ij != 0, so it splits over the connected components of that
+    pattern. Each component's 2^(k-1) sign classes are scanned (D and -D
+    conjugate identically) with its first element at +1, and the first
+    minimizing class in mask order wins. Returns the distance together
+    with the +/-1 diagonal, as a float vector.
+    """
+    a = as_array(kernel_a)
+    b = as_array(kernel_b)
+    if a.shape != b.shape:
+        raise ValueError(f"kernel shapes differ: {a.shape} vs {b.shape}")
+    linked = a * b != 0
+    # A pattern without zeros, as for any two dense kernels, is one component.
+    if linked.all():
+        return _sign_scan(a, b)
+    linked |= linked.T
+    signs = np.ones(a.shape[0])
+    left = np.ones(a.shape[0], dtype=bool)
+    while left.any():
+        part = _reached(linked, int(np.argmax(left)))
+        block = np.ix_(part, part)
+        signs[part] = _sign_scan(a[block], b[block])[1]
+        left &= ~part
+    return float(np.linalg.norm(a - b * (signs[:, None] * signs))), signs
 
 
 # ---------------------------------------------------------------------------

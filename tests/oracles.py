@@ -6,9 +6,13 @@ routes to quantities the library computes another way.
 
 import numpy as np
 
-from dppmle.errors import SupportMismatch
+from dppmle.errors import DppError
 from dppmle.kernels import DistributionTable
 from dppmle.likelihood import LikelihoodContext, log_likelihood
+
+
+class SupportMismatch(DppError):
+    """KL divergence undefined: q vanishes on the support of p."""
 
 
 def kl_divergence(p: DistributionTable, q: DistributionTable) -> float:

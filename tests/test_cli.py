@@ -17,7 +17,9 @@ import dppmle
 from dppmle.cli import main
 from dppmle.errors import ConfigError, EigenvalueOutOfRange, NotSymmetric
 from dppmle.experiments import (
+    METHODS,
     ExperimentConfig,
+    check_method,
     config_from_dict,
     estimate,
     preset_configs,
@@ -116,19 +118,6 @@ class TestExperimentCommand:
         config.write_text(json.dumps({"kernel": [[1, 0], [0, 1]], "sample_sizes": []}))
         code = main(["experiment", "--config", str(config), "--out", str(tmp_path / "x")])
         assert code == 2
-
-    def test_config_file_carries_output_dir(self, tmp_path):
-        out = tmp_path / "from-config"
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({
-            "kernel": [[1.0, 1.0], [1.0, 2.0]],
-            "method": "closed2x2",
-            "sample_sizes": [500],
-            "seeds": [0],
-            "output_dir": str(out),
-        }))
-        assert main(["experiment", "--config", str(config)]) == 0
-        assert (out / "runs.csv").exists()
 
     def test_degenerate_rows_keep_eight_fields(self, tmp_path):
         # two draws leave cells empty; the status message holds commas
@@ -473,6 +462,19 @@ class TestMethodRules:
             errors.append(err)
         assert errors[0] == errors[1]
 
+    @pytest.mark.parametrize("method, n_ground", [
+        ("nwton", 2), ("block", 4),
+        *((method, 0) for method in METHODS),
+    ], ids=["unknown-method", "block-without-blocks", *(f"zero-items-{m}" for m in METHODS)])
+    def test_library_estimate_applies_them(self, method, n_ground):
+        # a library call gets check_method's ConfigError, not a TypeError or a LAPACK error
+        batch = SampleBatch(n_ground, np.zeros(3, dtype=np.int64), 0, "enumeration")
+        with pytest.raises(ConfigError) as expected:
+            check_method(method, n_ground, 100, 0.1, None)
+        with pytest.raises(ConfigError) as raised:
+            estimate(method, batch)
+        assert str(raised.value) == str(expected.value)
+
 
 #: Dict-shaped JSON: what ``json.loads`` can return, integers beyond the float range included.
 _HUGE_INTEGERS = st.integers(-(10**400), 10**400)
@@ -580,7 +582,7 @@ class TestConfigValidation:
 
     def test_estimate_rejects_unknown_method(self):
         batch = sample_batch(validate_kernel(DENSE2, "ensemble"), 100, 0, "enumeration")
-        with pytest.raises(ValueError, match="unknown method"):
+        with pytest.raises(ConfigError, match="unknown method"):
             estimate("nwton", batch)
 
     @settings(max_examples=500, deadline=None)

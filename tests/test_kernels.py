@@ -11,7 +11,6 @@ from dppmle.errors import (
     EigenvalueOutOfRange,
     GroundSetTooLarge,
     NotSymmetric,
-    SupportMismatch,
 )
 from dppmle.kernels import (
     DistributionTable,
@@ -28,7 +27,7 @@ from dppmle.kernels import (
     validate_kernel,
 )
 from conftest import conjugate, random_kernel
-from oracles import kl_divergence
+from oracles import SupportMismatch, kl_divergence
 
 DENSE2 = np.array([[1.0, 1.0], [1.0, 2.0]])
 
@@ -229,6 +228,23 @@ class TestKlDivergence:
             kl_divergence(p, q)
 
 
+def _whole_pair_scan(a, b):
+    """The whole-pair rule: every sign class of the pair, element 0 at +1, first minimum wins."""
+    n = a.shape[0]
+    best, best_signs = np.inf, np.ones(n)
+    for signs_class in range(1 << max(n - 1, 0)):
+        signs = np.where(signs_class << 1 >> np.arange(n) & 1, -1.0, 1.0)
+        dist = float(np.linalg.norm(a - b * np.outer(signs, signs)))
+        if dist < best - 1e-15:
+            best, best_signs = dist, signs
+    return best, best_signs
+
+
+def _block_patterned(n, labels, rng):
+    """A random kernel that is zero between items of different labels."""
+    return random_kernel(n, rng).entries * (labels[:, None] == labels)
+
+
 class TestSignDistance:
     def test_identical_kernels(self):
         k = validate_kernel(DENSE2, "ensemble")
@@ -257,6 +273,45 @@ class TestSignDistance:
             dcb, _ = sign_distance(c, b)
             assert dab == pytest.approx(dba, rel=1e-12)
             assert dab <= dac + dcb + 1e-12
+
+    def test_dense_pair_is_the_whole_pair_scan(self, rng):
+        for n in range(1, 7):
+            a, b = random_kernel(n, rng).entries, random_kernel(n, rng).entries
+            dist, signs = sign_distance(a, b)
+            expected_dist, expected_signs = _whole_pair_scan(a, b)
+            assert dist == expected_dist
+            assert np.array_equal(signs, expected_signs)
+
+    def test_components_match_the_whole_pair_scan(self, rng):
+        for _ in range(300):
+            n = int(rng.integers(2, 10))
+            labels = rng.integers(0, int(rng.integers(1, n + 1)), size=n)
+            a, b = _block_patterned(n, labels, rng), _block_patterned(n, labels, rng)
+            dist, signs = sign_distance(a, b)
+            assert dist == pytest.approx(_whole_pair_scan(a, b)[0], rel=1e-12, abs=1e-12)
+            assert dist == float(np.linalg.norm(a - b * np.outer(signs, signs)))
+            # each component's first element is at +1
+            first = [int(np.argmax(labels == label)) for label in np.unique(labels)]
+            assert (signs[first] == 1.0).all()
+
+    def test_tie_rule_is_per_component(self):
+        # The second block is flipped: the first element of each component keeps +1,
+        # where the whole-pair scan's first class in mask order flips element 2 instead.
+        a = np.kron(np.eye(2), DENSE2)
+        b = a * np.outer([1, 1, 1, -1], [1, 1, 1, -1])
+        dist, signs = sign_distance(a, b)
+        assert dist == 0.0
+        assert signs.tolist() == [1.0, 1.0, 1.0, -1.0]
+        assert _whole_pair_scan(a, b)[1].tolist() == [1.0, 1.0, -1.0, 1.0]
+
+    def test_forty_items_in_pairs(self, rng):
+        # 2^39 sign classes for a whole-pair scan; twenty components of 2 classes each
+        flips = rng.choice([-1.0, 1.0], size=40)
+        noise = np.kron(np.eye(20), np.full((2, 2), 1e-3))
+        a = np.kron(np.eye(20), np.array([[1.0, 0.5], [0.5, 2.0]]))
+        dist, signs = sign_distance(a, (a + noise) * np.outer(flips, flips))
+        assert dist == pytest.approx(float(np.linalg.norm(noise)), rel=1e-12)
+        assert np.array_equal(signs, flips * np.repeat(flips[::2], 2))
 
 
 class TestSubsetIndices:
