@@ -17,7 +17,6 @@ from .asymptotics import (
 )
 from .closed_form import (
     BlockStructure,
-    TwoByTwoParams,
     forward_probs_2x2,
     mle_2x2,
     mle_block,

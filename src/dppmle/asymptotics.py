@@ -14,10 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closed_form import TwoByTwoParams, _mle_2x2_arrays, forward_probs_2x2
-from .errors import DegenerateTable, ReducibleKernel, SingularHessian, ZeroB
+from .closed_form import _entries_2x2, _mle_2x2_arrays, forward_probs_2x2
+from .errors import ConfigError, DegenerateTable, ReducibleKernel, SingularHessian, ZeroB
 from .kernels import (
-    ENSEMBLE,
     DistributionTable,
     KernelMatrix,
     _reached,
@@ -71,28 +70,32 @@ def asymptotic_covariance(kernel_star: KernelMatrix) -> np.ndarray:
     return (cov + cov.T) / 2.0
 
 
-def covariance_2x2_explicit(params: TwoByTwoParams) -> np.ndarray:
-    """Closed-form asymptotic covariance of (a, b, c) estimates, b > 0.
+def covariance_2x2_explicit(kernel) -> np.ndarray:
+    """Closed-form asymptotic covariance of (a, b, c) estimates of [[a, b], [b, c]], b > 0.
 
     Delta-method image of the multinomial covariance of the four cell
     frequencies under the map to (a, b, c); equals the inverse negated
-    curvature of the expected objective in the same chart.
+    curvature of the expected objective in the same chart. Entries beyond
+    float64's range come out non-finite. ValueError unless the kernel is 2x2.
     """
-    a, b, c = params.a, params.b, params.c
+    a, b, c = _entries_2x2(kernel)
     if b <= 0.0:
         raise ZeroB("explicit covariance requires b > 0")
     d = (a + 1.0) * (c + 1.0) - b * b
     det = a * c - b * b
+    # b * b underflows to 0 for b below about 1e-162; the ratio is then out of range.
+    ac_over_b2 = a * c / (b * b) if b * b > 0.0 else float("inf")
     s12 = a * c / (2.0 * b) + a * b + a / (2.0 * b) * det
     s23 = a * c / (2.0 * b) + b * c + c / (2.0 * b) * det
     inner = np.array(
         [
             [a + a * a, s12, a * c],
-            [s12, (a * c / (b * b) - 1.0) / 4.0 * d + (a + c + 4.0 * a * c) / 4.0, s23],
+            [s12, (ac_over_b2 - 1.0) / 4.0 * d + (a + c + 4.0 * a * c) / 4.0, s23],
             [a * c, s23, c + c * c],
         ]
     )
-    return d * inner
+    with np.errstate(over="ignore", invalid="ignore"):
+        return d * inner
 
 
 def inverse_sqrt(matrix: np.ndarray) -> np.ndarray:
@@ -242,28 +245,25 @@ def _joint_rectangle_distance(standardized: np.ndarray) -> float:
     return float(np.max(np.abs(empirical - theoretical)))
 
 
-def berry_esseen_experiment(
-    params_star: TwoByTwoParams,
-    sizes,
-    reps: int,
-    seed: int,
-) -> RateReport:
+def berry_esseen_experiment(kernel_star: KernelMatrix, sizes, reps: int, seed: int) -> RateReport:
     """Kolmogorov distance of the standardized estimator per sample size.
 
     For each size, replications draw an empirical table, estimate in the
     (a, b, c) chart, scale by sqrt(n), and whiten with the inverse square
     root of the closed-form covariance. The reported distance is the max
     of the three componentwise Kolmogorov statistics and the deviations
-    over a fixed quartile grid of joint rectangles.
+    over a fixed quartile grid of joint rectangles. The kernel must be
+    2x2 with b > 0 (ValueError, ZeroB), and its covariance finite
+    (ConfigError); all three are checked before any draw.
     """
     sizes = tuple(int(n) for n in sizes)
     if any(later < earlier for earlier, later in zip(sizes, sizes[1:])):
         raise ValueError("sample sizes must be ascending")
-    if params_star.b <= 0.0:
-        raise ZeroB("the standardization needs the explicit covariance, which needs b > 0")
-    table = forward_probs_2x2(params_star)
-    kernel_star = KernelMatrix(params_star.matrix(), ENSEMBLE)
-    whitener = inverse_sqrt(covariance_2x2_explicit(params_star))
+    covariance = covariance_2x2_explicit(kernel_star)
+    if not np.isfinite(covariance).all():
+        raise ConfigError("the explicit covariance of this kernel is outside float64's range")
+    table = forward_probs_2x2(kernel_star)
+    whitener = inverse_sqrt(covariance)
     rng = make_rng(seed)
     distances = []
     for n in sizes:

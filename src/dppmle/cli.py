@@ -16,7 +16,6 @@ import numpy as np
 
 from . import experiments
 from .asymptotics import berry_esseen_experiment
-from .closed_form import TwoByTwoParams
 from .errors import ConfigError, DppError, EigenvalueOutOfRange, NotSymmetric
 from .kernels import (
     ENSEMBLE,
@@ -158,8 +157,11 @@ def _cmd_berry_esseen(args) -> int:
         raise ConfigError("--sizes must be at least 1")
     if args.sizes != sorted(args.sizes):
         raise ConfigError("--sizes must be ascending")
-    params = _parsed("--a/--b/--c", lambda abc: TwoByTwoParams(*abc), (args.a, args.b, args.c))
-    report = berry_esseen_experiment(params, args.sizes, args.reps, args.seed)
+    if args.b < 0:
+        raise ConfigError("--b must be nonnegative: b is reported nonnegative by convention")
+    kernel = _parsed("--a/--b/--c", lambda e: validate_kernel(e, ENSEMBLE),
+                     [[args.a, args.b], [args.b, args.c]])
+    report = berry_esseen_experiment(kernel, args.sizes, args.reps, args.seed)
     text = report.to_csv()
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")

@@ -17,13 +17,12 @@ b is reported nonnegative always; the sign orbit is handled by
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateTable
-from .kernels import ENSEMBLE, DistributionTable, KernelMatrix
+from .kernels import ENSEMBLE, DistributionTable, KernelMatrix, as_array
 from .sampling import SampleBatch
 
 INTERIOR = "interior"
@@ -34,39 +33,24 @@ BOUNDARY_B0 = "boundary_b0"
 DISC_CLAMP = 1e-12
 
 
-@dataclass(frozen=True)
-class TwoByTwoParams:
-    """Parameters (a, b, c) of the kernel [[a, b], [b, c]] with b >= 0."""
-
-    a: float
-    b: float
-    c: float
-
-    def __post_init__(self):
-        # NaN fails every comparison below and inf passes them all.
-        if not all(map(math.isfinite, (self.a, self.b, self.c))):
-            raise ValueError(f"a, b and c must be finite, got ({self.a}, {self.b}, {self.c})")
-        if self.a <= 0 or self.c <= 0:
-            raise ValueError(f"diagonal entries must be positive, got ({self.a}, {self.c})")
-        if self.b < 0:
-            raise ValueError("b is reported nonnegative by convention")
-        # The rounding error of a c - b^2 grows with a c.
-        if self.a * self.c - self.b**2 < -DISC_CLAMP * max(1.0, self.a * self.c):
-            raise ValueError("kernel [[a, b], [b, c]] must be positive semi-definite")
-
-    def matrix(self) -> np.ndarray:
-        return np.array([[self.a, self.b], [self.b, self.c]])
+def _entries_2x2(kernel) -> tuple[float, float, float]:
+    """(a, b, c) of the kernel [[a, b], [b, c]] as Python floats; ValueError for any other size."""
+    entries = as_array(kernel)
+    if entries.shape != (2, 2):
+        raise ValueError(f"expected a 2x2 kernel, got shape {entries.shape}")
+    (a, b), (_, c) = entries.tolist()
+    return a, b, c
 
 
-def forward_probs_2x2(params: TwoByTwoParams) -> DistributionTable:
+def forward_probs_2x2(kernel) -> DistributionTable:
     """Exact 4-entry table of the 2x2 kernel, ordered (empty, {0}, {1}, {0,1})."""
-    a, b, c = params.a, params.b, params.c
+    a, b, c = _entries_2x2(kernel)
     d = (a + 1.0) * (c + 1.0) - b * b
     det = max(a * c - b * b, 0.0)
     return DistributionTable(np.array([1.0, a, c, det]) / d)
 
 
-def mle_2x2(table: DistributionTable) -> tuple[TwoByTwoParams, str]:
+def mle_2x2(table: DistributionTable) -> tuple[KernelMatrix, str]:
     """Exact likelihood maximizer for a ground set of two elements.
 
     Returns the estimate and a tag: ``interior`` for the closed-form
@@ -78,7 +62,8 @@ def mle_2x2(table: DistributionTable) -> tuple[TwoByTwoParams, str]:
     estimate, interior, ok = _mle_2x2_arrays(table.probs)
     if not ok:
         raise DegenerateTable(_no_diagonal(table.probs))
-    return TwoByTwoParams(*map(float, estimate)), INTERIOR if interior else BOUNDARY_B0
+    a, b, c = estimate.tolist()
+    return KernelMatrix(np.array([[a, b], [b, c]]), ENSEMBLE), INTERIOR if interior else BOUNDARY_B0
 
 
 def _mle_2x2_arrays(tables):

@@ -222,8 +222,8 @@ def estimate(method: str, batch, initial=None, iterations: int = 100, eta: float
         kernel, trace = newton_raphson(LikelihoodContext(table), initial, max_iter=iterations)
         return kernel.entries, trace.status, max(len(trace.iterates) - 1, 0)
     if method == CLOSED_2X2:
-        params, tag = mle_2x2(table)
-        return params.matrix(), tag, 0
+        kernel, tag = mle_2x2(table)
+        return kernel.entries, tag, 0
     diag, magnitudes = moments_estimator(table)
     return np.diag(diag) + magnitudes, "ok", 0
 

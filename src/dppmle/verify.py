@@ -16,17 +16,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .asymptotics import clt_experiment, covariance_2x2_explicit
-from .closed_form import TwoByTwoParams, chart_log_likelihood, forward_probs_2x2, mle_2x2
+from .closed_form import chart_log_likelihood, forward_probs_2x2, mle_2x2
 from .kernels import (
     ENSEMBLE,
     DistributionTable,
+    KernelMatrix,
     atomic_probability_from_marginal,
     ensemble_probability,
     enumerate_distribution,
     inclusion_probabilities,
     marginal_of,
     subset_indices,
-    validate_kernel,
 )
 from .likelihood import LikelihoodContext, gradient, hessian
 from .numdiff import fd_gradient, fd_hessian, fd_hessian_of
@@ -36,8 +36,8 @@ from .verify_support import random_ensemble
 QUICK = "quick"
 FULL = "full"
 
-#: The dense 2x2 benchmark kernel [[1, 1], [1, 2]] in the (a, b, c) chart.
-BENCHMARK = TwoByTwoParams(1.0, 1.0, 2.0)
+#: The dense 2x2 benchmark kernel, (a, b, c) = (1, 1, 2) in the vech chart.
+BENCHMARK = KernelMatrix(np.array([[1.0, 1.0], [1.0, 2.0]]), ENSEMBLE)
 #: Asymptotic covariance of the (a, b, c) estimate at BENCHMARK.
 BENCHMARK_COV = np.array([[10.0, 12.5, 10.0], [12.5, 20.0, 20.0], [10.0, 20.0, 30.0]])
 
@@ -80,9 +80,8 @@ def sampler_fit(draws: int, seed: int) -> tuple[float, float]:
     """TV distance and chi-square p-value of spectral draws of BENCHMARK against its table."""
     from scipy.special import chdtrc
 
-    kernel = validate_kernel(BENCHMARK.matrix(), ENSEMBLE)
-    table = enumerate_distribution(kernel)
-    batch = sample_batch(kernel, draws, seed, "spectral")
+    table = enumerate_distribution(BENCHMARK)
+    batch = sample_batch(BENCHMARK, draws, seed, "spectral")
     counts = np.bincount(batch.masks, minlength=4)
     expected = table.probs * draws
     p_value = chdtrc(counts.size - 1, ((counts - expected) ** 2 / expected).sum())
@@ -119,16 +118,16 @@ def covariance_formula_errors(seed: int, instances: int) -> tuple[bool, float, f
     noise from being amplified by the curvature's condition number.
     """
     rng = np.random.default_rng(seed)
-    cases = [BENCHMARK]
+    cases = [BENCHMARK.entries]
     while len(cases) < instances:
         a, c = rng.uniform(0.5, 3.0, size=2)
         b = rng.uniform(0.2, 0.9) * np.sqrt(a * c)
-        cases.append(TwoByTwoParams(float(a), float(b), float(c)))
+        cases.append(np.array([[a, b], [b, c]]))
     residual = rel = 0.0
-    for params in cases:
-        explicit = covariance_2x2_explicit(params)
-        table = forward_probs_2x2(params)
-        theta = np.array([params.a, params.b, params.c])
+    for entries in cases:
+        explicit = covariance_2x2_explicit(entries)
+        table = forward_probs_2x2(entries)
+        theta = entries[np.triu_indices(2)]
         curvature = fd_hessian_of(lambda t: chart_log_likelihood(t, table), theta)
         residual = max(residual, float(np.max(np.abs(-curvature @ explicit - np.eye(3)))))
         oracle = np.linalg.inv(-curvature)
@@ -139,7 +138,7 @@ def covariance_formula_errors(seed: int, instances: int) -> tuple[bool, float, f
 
 def clt_covariance_error(seed: int, reps: int, n: int) -> tuple[float, int]:
     """Worst relative entry error of the Monte Carlo CLT covariance at BENCHMARK, and failures."""
-    result = clt_experiment(validate_kernel(BENCHMARK.matrix(), ENSEMBLE), n, reps, seed)
+    result = clt_experiment(BENCHMARK, n, reps, seed)
     rel = float(np.max(np.abs(result.covariance - BENCHMARK_COV) / BENCHMARK_COV))
     return rel, result.failures
 
@@ -154,9 +153,8 @@ def _check_closed_form_round_trip(seed: int, instances: int = 50) -> CheckResult
     for _ in range(instances):
         a, c = rng.uniform(0.3, 4.0, size=2)
         b = rng.uniform(0.0, 0.95) * np.sqrt(a * c)
-        params = TwoByTwoParams(float(a), float(b), float(c))
-        recovered, tag = mle_2x2(forward_probs_2x2(params))
-        dev = np.abs([recovered.a - a, recovered.b - b, recovered.c - c])
+        recovered, tag = mle_2x2(forward_probs_2x2(np.array([[a, b], [b, c]])))
+        dev = np.abs(recovered.entries[[0, 0, 1], [0, 1, 1]] - [a, b, c])
         b_tol = eps * (1 + a) * (1 + c) * (1 + a * c) / max(b, np.sqrt(eps * a * c))
         passed = passed and max(dev[0], dev[2]) <= 1e-12 and dev[1] <= b_tol
         worst = max(worst, float(dev.max()))

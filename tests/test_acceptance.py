@@ -18,7 +18,6 @@ from scipy.stats import chi2
 from dppmle.asymptotics import berry_esseen_experiment
 from dppmle.closed_form import (
     INTERIOR,
-    TwoByTwoParams,
     _mle_2x2_arrays,
     chart_log_likelihood,
     forward_probs_2x2,
@@ -95,12 +94,12 @@ def test_criterion_4_closed_form_optimality():
     while checked < 50:
         a0, c0 = rng.uniform(0.4, 3.0, size=2)
         b0 = rng.uniform(0.1, 0.9) * np.sqrt(a0 * c0)
-        exact = forward_probs_2x2(TwoByTwoParams(float(a0), float(b0), float(c0)))
+        exact = forward_probs_2x2(np.array([[a0, b0], [b0, c0]]))
         counts = rng.multinomial(1000, exact.probs)
         if np.any(counts == 0):
             continue
         table = DistributionTable(counts / 1000)
-        params, tag = mle_2x2(table)
+        estimate, tag = mle_2x2(table)
         if tag != INTERIOR:
             continue
         checked += 1
@@ -110,10 +109,10 @@ def test_criterion_4_closed_form_optimality():
                       + p3 * np.log(a_g * c_g - b_g**2)
                       - np.log((a_g + 1) * (c_g + 1) - b_g**2))
         values = np.where(feasible, values, -np.inf)
-        if chart_log_likelihood((params.a, params.b, params.c), table) < values.max() - 1e-12:
+        if chart_log_likelihood(estimate.entries[np.triu_indices(2)], table) < values.max() - 1e-12:
             beaten += 1
         worst_resid = max(worst_resid, float(np.max(np.abs(
-            chart_gradient((params.a, params.b, params.c), table)))))
+            chart_gradient(estimate.entries[np.triu_indices(2)], table)))))
     record("criterion 4 (closed-form optimality)", beaten == 0 and worst_resid <= 1e-9,
            f"grid wins {beaten}/50, stationarity residual {worst_resid:.2e} <= 1e-9",
            time.monotonic() - start, 60.0)
@@ -210,8 +209,8 @@ def test_criterion_6b_newton_wrong_critical_point():
         ctx = LikelihoodContext(empirical_distribution(batch))
         estimate, trace = newton_raphson(ctx, SADDLE_START, max_iter=100)
         e = estimate.entries
-        params, _ = mle_2x2(ctx.dist)
-        best = chart_log_likelihood((params.a, params.b, params.c), ctx.dist)
+        closed, _ = mle_2x2(ctx.dist)
+        best = chart_log_likelihood(closed.entries[np.triu_indices(2)], ctx.dist)
         in_bands = (abs(e[0, 1]) < 0.05 and abs(e[0, 0] - 0.657) <= 0.2
                     and abs(e[1, 1] - 1.499) <= 0.2)
         if (trace.status == CONVERGED and in_bands and log_likelihood(ctx, e) < best
@@ -269,7 +268,7 @@ def test_criterion_9_normal_approximation_rate():
     """Kolmogorov distances decay with n and the largest size is nearly normal."""
     start = time.monotonic()
     report = berry_esseen_experiment(
-        TwoByTwoParams(1.0, 1.0, 2.0), (100, 400, 1600, 6400), 5000, 42
+        validate_kernel(DENSE2, "ensemble"), (100, 400, 1600, 6400), 5000, 42
     )
     noise = 2.0 / np.sqrt(5000)
     dists = report.kolmogorov_distances

@@ -181,6 +181,12 @@ class TestBerryEsseenCommand:
         assert lines[0] == "n,ks_distance,reps,seed"
         assert len(lines) == 3
 
+    def test_zero_b_is_one_error_line(self, capsys):
+        # a valid kernel, but the standardization needs the explicit covariance, which needs b > 0
+        code = main(["berry-esseen", "--a", "0", "--b", "0", "--c", "1"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: explicit covariance requires b > 0\n"
+
 
 @pytest.mark.parametrize("argv", [
     ["sample", "--kernel", "1 1; 1 2", "--n", "50", "--seed", "3"],
@@ -247,6 +253,10 @@ class TestInputBoundary:
         ["berry-esseen", "--a", "0"],
         ["berry-esseen", "--b", "-1"],
         ["berry-esseen", "--c", "nan"],
+        ["berry-esseen", "--a", "1e200", "--b", "1e200", "--c", "1e200", "--sizes", "100", "--reps", "50"],
+        ["berry-esseen", "--a", "1e-200", "--b", "1e-200", "--c", "1e-200", "--sizes", "100", "--reps", "50"],
+        ["berry-esseen", "--a", "1e155", "--b", "1", "--c", "1e155", "--sizes", "100", "--reps", "50"],
+        ["berry-esseen", "--a", "1e300", "--b", "1", "--c", "1e-300", "--sizes", "100", "--reps", "50"],
         ["sample", "--kernel", "1 1; 1 2", "--n", "5", "--seed", "-1"],
         ["estimate", "--batch", "{batch}", "--method", "sgd", "--seed", "-1"],
         ["experiment", "--preset", "twobytwo", "--seed", "0", "-1", "--out", "{out}"],
@@ -291,6 +301,7 @@ class TestInputBoundary:
             "l0-size", "kernel-size", "batch-no-metadata", "batch-items",
             "sample-n-zero", "closed2x2-three-items", "reps-zero", "sizes-zero",
             "sizes-descending", "a-zero", "b-negative", "c-nan",
+            "abc-overflow", "abc-underflow", "abc-normalizer-overflow", "abc-product-overflow",
             "sample-seed-negative", "estimate-seed-negative", "experiment-seed-negative",
             "berry-esseen-seed-negative", "verify-seed-negative", "seed-2-pow-128",
             "config-seed-negative", "blocks-cover", "batch-n-ground-64", "eta-inf",

@@ -9,7 +9,6 @@ from dppmle.closed_form import (
     BOUNDARY_B0,
     INTERIOR,
     BlockStructure,
-    TwoByTwoParams,
     _mle_2x2_arrays,
     chart_log_likelihood,
     forward_probs_2x2,
@@ -30,40 +29,24 @@ from oracles import chart_gradient
 DENSE2 = np.array([[1.0, 1.0], [1.0, 2.0]])
 
 
-class TestTwoByTwoParams:
-    @pytest.mark.parametrize("abc", [(np.nan, 1.0, 2.0), (np.inf, 1.0, 2.0), (1.0, np.nan, 2.0),
-                                     (1.0, 1.0, np.inf)], ids=["a-nan", "a-inf", "b-nan", "c-inf"])
-    def test_refuses_non_finite(self, abc):
-        with pytest.raises(ValueError, match="finite"):
-            TwoByTwoParams(*abc)
-
-    def test_psd_tolerance_is_relative(self):
-        # b one ulp above 1e4 gives a c - b^2 = -3.6e-8: noise relative to a c = 1e8
-        b = float(np.nextafter(1e4, np.inf))
-        assert 1e4 * 1e4 - b * b < -1e-12
-        TwoByTwoParams(1e4, b, 1e4)
-        with pytest.raises(ValueError, match="positive semi-definite"):
-            TwoByTwoParams(1e4, 1e4 * (1.0 + 1e-10), 1e4)
-
-
 class TestForwardProbs:
     def test_identity_parameters(self):
-        table = forward_probs_2x2(TwoByTwoParams(1.0, 0.0, 1.0))
+        table = forward_probs_2x2(np.array([[1.0, 0.0], [0.0, 1.0]]))
         np.testing.assert_allclose(table.probs, 0.25 * np.ones(4))
 
     def test_dense2_parameters(self):
-        table = forward_probs_2x2(TwoByTwoParams(1.0, 1.0, 2.0))
+        table = forward_probs_2x2(DENSE2)
         np.testing.assert_allclose(table.probs, [0.2, 0.2, 0.4, 0.2])
 
     def test_diagonal_parameters(self):
-        table = forward_probs_2x2(TwoByTwoParams(7.0, 0.0, 5.0))
+        table = forward_probs_2x2(np.array([[7.0, 0.0], [0.0, 5.0]]))
         np.testing.assert_allclose(table.probs * 48, [1.0, 7.0, 5.0, 35.0])
 
     def test_matches_enumeration(self):
-        params = TwoByTwoParams(1.3, 0.8, 2.4)
-        kernel = validate_kernel(params.matrix(), "ensemble")
+        entries = np.array([[1.3, 0.8], [0.8, 2.4]])
+        kernel = validate_kernel(entries, "ensemble")
         np.testing.assert_allclose(
-            forward_probs_2x2(params).probs,
+            forward_probs_2x2(entries).probs,
             enumerate_distribution(kernel).probs,
             atol=1e-14,
         )
@@ -71,43 +54,42 @@ class TestForwardProbs:
 
 class TestMle2x2:
     def test_exact_table_inverts(self):
-        params, tag = mle_2x2(forward_probs_2x2(TwoByTwoParams(1.0, 1.0, 2.0)))
+        estimate, tag = mle_2x2(forward_probs_2x2(DENSE2))
         assert tag == INTERIOR
-        assert (params.a, params.b, params.c) == pytest.approx((1.0, 1.0, 2.0))
+        assert estimate.entries[np.triu_indices(2)] == pytest.approx((1.0, 1.0, 2.0))
 
     def test_uniform_table(self):
-        params, tag = mle_2x2(DistributionTable(0.25 * np.ones(4)))
+        estimate, tag = mle_2x2(DistributionTable(0.25 * np.ones(4)))
         assert tag == INTERIOR
-        assert (params.a, params.b, params.c) == pytest.approx((1.0, 0.0, 1.0))
+        assert estimate.entries[np.triu_indices(2)] == pytest.approx((1.0, 0.0, 1.0))
 
     def test_round_trip_random(self, rng):
         for _ in range(50):
             a, c = rng.uniform(0.3, 4.0, size=2)
             b = rng.uniform(0.0, 0.95) * np.sqrt(a * c)
-            params = TwoByTwoParams(float(a), float(b), float(c))
-            recovered, tag = mle_2x2(forward_probs_2x2(params))
+            recovered, tag = mle_2x2(forward_probs_2x2(np.array([[a, b], [b, c]])))
             assert tag == INTERIOR
-            assert recovered.a == pytest.approx(params.a, abs=1e-12)
-            assert recovered.b == pytest.approx(params.b, abs=1e-12)
-            assert recovered.c == pytest.approx(params.c, abs=1e-12)
+            assert recovered.entries[0, 0] == pytest.approx(a, abs=1e-12)
+            assert recovered.entries[0, 1] == pytest.approx(b, abs=1e-12)
+            assert recovered.entries[1, 1] == pytest.approx(c, abs=1e-12)
 
     def test_boundary_branch(self):
         # discriminant p1 p2 - p0 p3 < 0 forces b = 0
         table = DistributionTable(np.array([0.4, 0.05, 0.05, 0.5]))
-        params, tag = mle_2x2(table)
+        estimate, tag = mle_2x2(table)
         assert tag == BOUNDARY_B0
-        assert params.b == 0.0
-        assert params.a == pytest.approx(0.55 / 0.45)
-        assert params.c == pytest.approx(0.55 / 0.45)
+        assert estimate.entries[0, 1] == 0.0
+        assert estimate.entries[0, 0] == pytest.approx(0.55 / 0.45)
+        assert estimate.entries[1, 1] == pytest.approx(0.55 / 0.45)
 
     def test_empirical_estimate_near_truth(self):
         kernel = validate_kernel(DENSE2, "ensemble")
         batch = sample_batch(kernel, 30_000, 12, "enumeration")
-        params, tag = mle_2x2(empirical_distribution(batch))
+        estimate, tag = mle_2x2(empirical_distribution(batch))
         assert tag == INTERIOR
-        assert abs(params.a - 1.0) < 0.05
-        assert abs(params.b - 1.0) < 0.05
-        assert abs(params.c - 2.0) < 0.05
+        assert abs(estimate.entries[0, 0] - 1.0) < 0.05
+        assert abs(estimate.entries[0, 1] - 1.0) < 0.05
+        assert abs(estimate.entries[1, 1] - 2.0) < 0.05
 
     def test_degenerate_table(self):
         with pytest.raises(DegenerateTable):
@@ -119,9 +101,15 @@ class TestMle2x2:
     ], ids=["p3-zero", "p3-tiny"])
     def test_large_interior_estimate_is_accepted(self, probs):
         # a c is about 3.5e8 and 7e16: the rounding error of a c - b^2 exceeds 1e-12
-        params, tag = mle_2x2(DistributionTable(np.array(probs)))
+        estimate, tag = mle_2x2(DistributionTable(np.array(probs)))
         assert tag == INTERIOR
-        assert params.a == probs[1] / probs[0]
+        assert estimate.entries[0, 0] == probs[1] / probs[0]
+
+    def test_huge_interior_estimate(self):
+        # a = b = c = 5e299: b^2 overflows, the estimate itself does not
+        estimate, tag = mle_2x2(DistributionTable(np.array([1e-300, 0.5, 0.5, 0.0])))
+        assert tag == INTERIOR
+        np.testing.assert_array_equal(estimate.entries, np.full((2, 2), 0.5 / 1e-300))
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(
@@ -135,14 +123,14 @@ class TestMle2x2:
         assert estimates.shape == (len(counts), 3)
         for row, table in enumerate(tables):
             try:
-                params, tag = mle_2x2(DistributionTable(table))
+                estimate, tag = mle_2x2(DistributionTable(table))
             except DegenerateTable:
                 assert not ok[row]
                 assert np.isnan(estimates[row]).all()
                 continue
             assert ok[row]
             assert tag == (INTERIOR if interior[row] else BOUNDARY_B0)
-            np.testing.assert_array_equal(estimates[row], [params.a, params.b, params.c])
+            np.testing.assert_array_equal(estimates[row], estimate.entries[np.triu_indices(2)])
 
     def test_requires_two_elements(self):
         with pytest.raises(ValueError):
@@ -152,15 +140,15 @@ class TestMle2x2:
         for _ in range(25):
             a0, c0 = rng.uniform(0.4, 3.0, size=2)
             b0 = rng.uniform(0.1, 0.9) * np.sqrt(a0 * c0)
-            exact = forward_probs_2x2(TwoByTwoParams(float(a0), float(b0), float(c0)))
+            exact = forward_probs_2x2(np.array([[a0, b0], [b0, c0]]))
             counts = rng.multinomial(2000, exact.probs)
             if np.any(counts == 0):
                 continue
             table = DistributionTable(counts / 2000)
-            params, tag = mle_2x2(table)
+            estimate, tag = mle_2x2(table)
             if tag != INTERIOR:
                 continue
-            residual = chart_gradient((params.a, params.b, params.c), table)
+            residual = chart_gradient(estimate.entries[np.triu_indices(2)], table)
             assert np.max(np.abs(residual)) <= 1e-9
 
     @settings(max_examples=30, deadline=None)
@@ -170,11 +158,11 @@ class TestMle2x2:
         frac=st.floats(0.05, 0.95),
     )
     def test_round_trip_property(self, a, c, frac):
-        params = TwoByTwoParams(a, frac * np.sqrt(a * c), c)
-        recovered, _ = mle_2x2(forward_probs_2x2(params))
-        assert recovered.a == pytest.approx(params.a, rel=1e-9)
-        assert recovered.b == pytest.approx(params.b, rel=1e-9, abs=1e-9)
-        assert recovered.c == pytest.approx(params.c, rel=1e-9)
+        b = frac * np.sqrt(a * c)
+        recovered, _ = mle_2x2(forward_probs_2x2(np.array([[a, b], [b, c]])))
+        assert recovered.entries[0, 0] == pytest.approx(a, rel=1e-9)
+        assert recovered.entries[0, 1] == pytest.approx(b, rel=1e-9, abs=1e-9)
+        assert recovered.entries[1, 1] == pytest.approx(c, rel=1e-9)
 
 
 class TestGridOptimality:
@@ -186,12 +174,12 @@ class TestGridOptimality:
         while checked < 15:
             a0, c0 = rng.uniform(0.4, 3.0, size=2)
             b0 = rng.uniform(0.1, 0.9) * np.sqrt(a0 * c0)
-            exact = forward_probs_2x2(TwoByTwoParams(float(a0), float(b0), float(c0)))
+            exact = forward_probs_2x2(np.array([[a0, b0], [b0, c0]]))
             counts = rng.multinomial(1000, exact.probs)
             if np.any(counts == 0):
                 continue
             table = DistributionTable(counts / 1000)
-            params, tag = mle_2x2(table)
+            estimate, tag = mle_2x2(table)
             if tag != INTERIOR:
                 continue
             checked += 1
@@ -204,7 +192,7 @@ class TestGridOptimality:
                     - np.log((a_grid + 1) * (c_grid + 1) - b_grid**2)
                 )
             values = np.where(feasible, values, -np.inf)
-            own = chart_log_likelihood((params.a, params.b, params.c), table)
+            own = chart_log_likelihood(estimate.entries[np.triu_indices(2)], table)
             assert own >= values.max() - 1e-12
 
 
@@ -213,8 +201,8 @@ class TestMleBlock:
         kernel = validate_kernel(DENSE2, "ensemble")
         batch = sample_batch(kernel, 20_000, 8, "enumeration")
         block_est = mle_block(batch, BlockStructure(((0, 1),)))
-        params, _ = mle_2x2(empirical_distribution(batch))
-        np.testing.assert_allclose(block_est.entries, params.matrix())
+        estimate, _ = mle_2x2(empirical_distribution(batch))
+        np.testing.assert_allclose(block_est.entries, estimate.entries)
 
     def test_two_blocks_near_truth(self):
         truth = np.zeros((4, 4))
@@ -247,8 +235,8 @@ class TestMleBlock:
         estimate = mle_block(SampleBatch(6, masks, 0, "enumeration"), BlockStructure(self.BLOCKS))
         expected = np.zeros((6, 6))
         for u, v in self.BLOCKS:
-            params, _ = mle_2x2(self._marginal(masks, u, v))
-            expected[np.ix_([u, v], [u, v])] = params.matrix()
+            pair, _ = mle_2x2(self._marginal(masks, u, v))
+            expected[np.ix_([u, v], [u, v])] = pair.entries
         np.testing.assert_array_equal(estimate.entries, expected)
 
     def test_error_names_first_degenerate_block(self, rng):
@@ -291,12 +279,12 @@ class TestMoments:
         for _ in range(10):
             a, c = rng.uniform(0.4, 3.0, size=2)
             b = rng.uniform(0.1, 0.9) * np.sqrt(a * c)
-            table = forward_probs_2x2(TwoByTwoParams(float(a), float(b), float(c)))
+            table = forward_probs_2x2(np.array([[a, b], [b, c]]))
             diag, magnitudes = moments_estimator(table)
-            params, _ = mle_2x2(table)
-            assert diag[0] == pytest.approx(params.a)
-            assert diag[1] == pytest.approx(params.c)
-            assert magnitudes[0, 1] == pytest.approx(params.b)
+            estimate, _ = mle_2x2(table)
+            assert diag[0] == pytest.approx(estimate.entries[0, 0])
+            assert diag[1] == pytest.approx(estimate.entries[1, 1])
+            assert magnitudes[0, 1] == pytest.approx(estimate.entries[0, 1])
 
     def test_degenerate(self):
         with pytest.raises(DegenerateTable):
@@ -338,7 +326,7 @@ class TestConsistencyTrend:
             for seed in range(100):
                 rng = make_rng(seed * 1009 + n)
                 counts = rng.multinomial(n, table.probs)
-                params, _ = mle_2x2(DistributionTable(counts / n))
-                errors.append(np.linalg.norm(params.matrix() - DENSE2))
+                estimate, _ = mle_2x2(DistributionTable(counts / n))
+                errors.append(np.linalg.norm(estimate.entries - DENSE2))
             medians.append(float(np.median(errors)))
         assert all(b <= a for a, b in zip(medians, medians[1:]))

@@ -186,8 +186,8 @@ class TestNewton:
         for seed in range(30):
             batch = sample_batch(kernel, 30_000, seed, "enumeration")
             ctx = LikelihoodContext(empirical_distribution(batch))
-            params, _ = mle_2x2(ctx.dist)
-            moved += self._moves_from_maximizer(ctx, params.matrix())
+            estimate, _ = mle_2x2(ctx.dist)
+            moved += self._moves_from_maximizer(ctx, estimate.entries)
         assert moved == []
 
     def test_holds_at_truth_of_theoretical_table(self):
