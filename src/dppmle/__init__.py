@@ -16,7 +16,6 @@ from .asymptotics import (
     is_irreducible,
 )
 from .closed_form import (
-    BlockStructure,
     forward_probs_2x2,
     mle_2x2,
     mle_block,

@@ -141,11 +141,13 @@ def _replicate(kernel_star: KernelMatrix, table: DistributionTable, n: int, reps
     (b >= 0, so b is negated when the truth's is negative); larger kernels
     run Newton from the truth and conjugate each converged estimate by the
     signs of :func:`~dppmle.kernels.sign_distance` to the truth. Degenerate
-    tables and unconverged runs are dropped and counted. ValueError when n
-    is below 1.
+    tables and unconverged runs are dropped and counted. ConfigError when
+    n or reps is below 1.
     """
     if n < 1:
-        raise ValueError(f"sample size must be at least 1, not {n}")
+        raise ConfigError(f"sample size must be at least 1, not {n}")
+    if reps < 1:
+        raise ConfigError(f"replications must be at least 1, not {reps}")
     upper = np.triu_indices(kernel_star.n)
     tables = rng.multinomial(n, table.probs, size=reps) / n
     if kernel_star.n == 2:
@@ -253,16 +255,23 @@ def berry_esseen_experiment(kernel_star: KernelMatrix, sizes, reps: int, seed: i
     root of the closed-form covariance. The reported distance is the max
     of the three componentwise Kolmogorov statistics and the deviations
     over a fixed quartile grid of joint rectangles. The kernel must be
-    2x2 with b > 0 (ValueError, ZeroB), and its covariance finite
-    (ConfigError); all three are checked before any draw.
+    2x2 with b > 0 (ValueError, ZeroB), its covariance finite and its
+    four subset probabilities a distribution (ConfigError), and the sizes
+    ascending (ConfigError); all are checked before any draw.
     """
     sizes = tuple(int(n) for n in sizes)
     if any(later < earlier for earlier, later in zip(sizes, sizes[1:])):
-        raise ValueError("sample sizes must be ascending")
+        raise ConfigError("sample sizes must be ascending")
     covariance = covariance_2x2_explicit(kernel_star)
     if not np.isfinite(covariance).all():
         raise ConfigError("the explicit covariance of this kernel is outside float64's range")
-    table = forward_probs_2x2(kernel_star)
+    # Near the PSD boundary d = (a + 1)(c + 1) - b^2 cancels, and the four
+    # probabilities need not sum to 1 or be finite; the shape was checked above.
+    try:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            table = forward_probs_2x2(kernel_star)
+    except ValueError as exc:
+        raise ConfigError(f"the subset probabilities of this kernel are not a distribution: {exc}") from exc
     whitener = inverse_sqrt(covariance)
     rng = make_rng(seed)
     distances = []

@@ -72,17 +72,7 @@ def _resolve_kernel(spec: str):
     return _parsed(f"kernel {spec!r}", lambda t: validate_kernel(_parse_inline_kernel(t), ENSEMBLE), spec)
 
 
-def _kernel_on(spec: str, flag: str, n_ground: int):
-    """The kernel of ``spec``; a ConfigError unless it is n_ground x n_ground."""
-    kernel = _resolve_kernel(spec)
-    if kernel.n != n_ground:
-        raise ConfigError(f"{flag} is {kernel.n}x{kernel.n} but the batch has {n_ground} items")
-    return kernel
-
-
 def _cmd_sample(args) -> int:
-    if args.n < 1:
-        raise ConfigError("--n must be at least 1")
     kernel = _resolve_kernel(args.kernel)
     batch = sample_batch(kernel, args.n, args.seed, args.sampler)
     if args.out:
@@ -95,8 +85,10 @@ def _cmd_sample(args) -> int:
 def _cmd_estimate(args) -> int:
     batch = _parsed(f"batch {args.batch}", load_batch, args.batch)
     blocks = _parsed("--blocks", json.loads, args.blocks) if args.blocks else None
-    truth = _kernel_on(args.kernel, "--kernel", batch.n_ground) if args.kernel is not None else None
-    initial = _kernel_on(args.l0, "--l0", batch.n_ground).entries if args.l0 is not None else None
+    truth = _resolve_kernel(args.kernel) if args.kernel is not None else None
+    if truth is not None and truth.n != batch.n_ground:
+        raise ConfigError(f"--kernel is {truth.n}x{truth.n} but the batch has {batch.n_ground} items")
+    initial = _resolve_kernel(args.l0) if args.l0 is not None else None
     entries, status, _ = experiments.estimate(
         args.method, batch, initial, args.iters, args.eta, args.seed, blocks
     )
@@ -151,12 +143,6 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_berry_esseen(args) -> int:
-    if args.reps < 1:
-        raise ConfigError("--reps must be at least 1")
-    if min(args.sizes) < 1:
-        raise ConfigError("--sizes must be at least 1")
-    if args.sizes != sorted(args.sizes):
-        raise ConfigError("--sizes must be ascending")
     if args.b < 0:
         raise ConfigError("--b must be nonnegative: b is reported nonnegative by convention")
     kernel = _parsed("--a/--b/--c", lambda e: validate_kernel(e, ENSEMBLE),

@@ -17,11 +17,9 @@ b is reported nonnegative always; the sign orbit is handled by
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import DegenerateTable
+from .errors import DegenerateTable, EmptyBatch
 from .kernels import ENSEMBLE, DistributionTable, KernelMatrix, as_array
 from .sampling import SampleBatch
 
@@ -95,41 +93,38 @@ def _no_diagonal(cells: np.ndarray) -> str:
     return f"cell frequencies {cells.tolist()} give no positive diagonal"
 
 
-@dataclass(frozen=True)
-class BlockStructure:
-    """Partition of the ground set into ordered pairs, one per 2x2 block."""
-
-    blocks: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        flat = [i for pair in self.blocks for i in pair]
-        if len(set(flat)) != len(flat):
-            raise ValueError("block indices must be disjoint")
-        if sorted(flat) != list(range(len(flat))):
-            raise ValueError("blocks must partition 0..N-1")
-        object.__setattr__(self, "blocks", tuple((int(u), int(v)) for u, v in self.blocks))
-
-    @property
-    def n(self) -> int:
-        return 2 * len(self.blocks)
+def _block_pairs(blocks, n: int) -> tuple[tuple[int, int], ...]:
+    """``blocks`` as pairs of integers (not bools) that partition 0..n-1; ValueError otherwise."""
+    try:
+        pairs = [tuple(pair) for pair in blocks]
+    except TypeError:
+        pairs = None
+    if pairs is None or any(len(pair) != 2 for pair in pairs):
+        raise ValueError(f"{blocks!r} is not a list of index pairs")
+    flat = [i for pair in pairs for i in pair]
+    for i in flat:
+        if isinstance(i, bool) or not isinstance(i, (int, np.integer)):
+            raise ValueError(f"index {i!r} is not an integer")
+    if sorted(flat) != list(range(n)):
+        raise ValueError(f"{blocks!r} does not partition the {n} items 0..{n - 1}")
+    return tuple((int(u), int(v)) for u, v in pairs)
 
 
-def mle_block(batch: SampleBatch, structure: BlockStructure) -> KernelMatrix:
+def mle_block(batch: SampleBatch, blocks) -> KernelMatrix:
     """Closed-form estimate of a block-diagonal kernel of 2x2 blocks.
 
-    The restriction of the process to each block is an independent 2x2
-    process, so each block is estimated by the 2x2 closed form on its own
-    marginal empirical table: the four frequencies of (neither, first
-    only, second only, both) block members appearing in a draw. All
-    blocks' tables are counted, and estimated, at once.
+    ``blocks`` lists one pair of items per block and must partition the
+    batch's items (ValueError otherwise). The restriction of the process
+    to each block is an independent 2x2 process, so each block is
+    estimated by the 2x2 closed form on its own marginal empirical table:
+    the four frequencies of (neither, first only, second only, both)
+    block members appearing in a draw. All blocks' tables are counted,
+    and estimated, at once.
     """
-    if structure.n != batch.n_ground:
-        raise ValueError(
-            f"structure covers {structure.n} elements but batch ground set has {batch.n_ground}"
-        )
+    pairs = _block_pairs(blocks, batch.n_ground)
     if len(batch) == 0:
-        raise DegenerateTable("empty batch")
-    u, v = np.array(structure.blocks).reshape(-1, 2).T
+        raise EmptyBatch("cannot build an empirical distribution from zero draws")
+    u, v = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
     # Cell of each (draw, block): bit u + 2 bit v, offset by 4 per block.
     cells = (batch.masks[:, None] >> u & 1) + 2 * (batch.masks[:, None] >> v & 1)
     tables = np.bincount((cells + 4 * np.arange(u.size)).ravel(), minlength=4 * u.size)

@@ -16,9 +16,9 @@ from statistics import median
 
 import numpy as np
 
-from .closed_form import BlockStructure, mle_2x2, mle_block, moments_estimator
+from .closed_form import _block_pairs, mle_2x2, mle_block, moments_estimator
 from .errors import ConfigError, DegenerateTable, DppError
-from .kernels import ENSEMBLE, KernelMatrix, load_kernel, sign_distance, validate_kernel
+from .kernels import ENSEMBLE, KernelMatrix, as_array, load_kernel, sign_distance, validate_kernel
 from .likelihood import LikelihoodContext, empirical_distribution
 from .optimize import newton_raphson, sgd
 from .sampling import ENUMERATION, SAMPLERS, SEED_LIMIT, sample_batch
@@ -65,15 +65,11 @@ class ExperimentConfig:
             raise ConfigError("seeds must be nonempty")
         if not all(0 <= seed < SEED_LIMIT for seed in seeds):
             raise ConfigError("seeds must be in [0, 2**128)")
-        initial = None if self.initial is None else _ensemble("initial", self.initial).entries
-        if initial is not None and initial.shape != (kernel.n, kernel.n):
-            raise ConfigError(f"initial must be {kernel.n}x{kernel.n} like the kernel")
         if self.sampler not in SAMPLERS:
             raise ConfigError(f"unknown sampler {self.sampler!r}")
-        iterations = _integer("iterations", self.iterations)
-        eta = _real("eta", self.eta)
-        blocks = None if self.blocks is None else _pairs("blocks", self.blocks)
-        check_method(self.method, kernel.n, iterations, eta, blocks)
+        initial, iterations, eta, blocks = check_method(
+            self.method, kernel.n, self.initial, self.iterations, self.eta, self.blocks
+        )
         normalized = dict(kernel=kernel.entries, sample_sizes=sample_sizes, seeds=seeds,
                           iterations=iterations, eta=eta, initial=initial, blocks=blocks)
         for name, value in normalized.items():
@@ -81,23 +77,12 @@ class ExperimentConfig:
 
 
 def _ensemble(key: str, value) -> KernelMatrix:
-    """``value`` as a finite, symmetric, PSD ensemble kernel; a ConfigError otherwise."""
+    """``value``, a KernelMatrix or raw entries, as a finite, symmetric, PSD ensemble kernel; else a ConfigError."""
     try:
-        return validate_kernel(value, ENSEMBLE)
+        return validate_kernel(as_array(value), ENSEMBLE)
     # A JSON integer beyond the float range overflows.
     except (TypeError, ValueError, OverflowError, DppError) as exc:
         raise ConfigError(f"invalid {key}: {exc}") from exc
-
-
-def _pairs(key: str, value) -> tuple[tuple[int, int], ...]:
-    """``value`` as a tuple of integer pairs; a ConfigError otherwise."""
-    try:
-        pairs = [tuple(pair) for pair in value]
-    except TypeError:
-        pairs = None
-    if pairs is None or any(len(pair) != 2 for pair in pairs):
-        raise ConfigError(f"{key}: {value!r} is not a list of index pairs")
-    return tuple((_integer(key, u), _integer(key, v)) for u, v in pairs)
 
 
 def _integer(key: str, value) -> int:
@@ -117,33 +102,39 @@ def _real(key: str, value) -> float:
         raise ConfigError(f"{key}: {exc}") from exc
 
 
-def check_method(method: str, n_ground: int, iterations: int, eta: float, blocks) -> None:
-    """ConfigError unless ``method`` can estimate a kernel on ``n_ground`` items.
+def check_method(method: str, n_ground: int, initial, iterations, eta, blocks):
+    """The request (initial, iterations, eta, blocks) for ``method`` on ``n_ground`` items, normalized.
 
-    Every method needs at least one item, at least one iteration and a
-    positive finite eta; closed2x2 needs 2 items, and block a pair
-    partition ``blocks`` of the items. Configs and :func:`estimate`
-    share these rules.
+    Every method needs at least one item, an integer iterations >= 1 and
+    a positive finite eta; closed2x2 needs 2 items, and block ``blocks``.
+    Given blocks must be integer pairs that partition the items, and a
+    given initial an n_ground x n_ground ensemble kernel, whatever the
+    method. A violation is a ConfigError. Configs and :func:`estimate`
+    use what this returns: initial as entries, blocks as int pairs.
     """
     if method not in METHODS:
         raise ConfigError(f"unknown method {method!r} (choose from {METHODS})")
     if n_ground < 1:
         raise ConfigError(f"estimation needs at least one item, not {n_ground}")
+    iterations, eta = _integer("iterations", iterations), _real("eta", eta)
     if iterations < 1:
         raise ConfigError("iterations must be positive")
     if not (np.isfinite(eta) and eta > 0):
         raise ConfigError(f"eta must be a positive finite number, not {eta!r}")
     if method == CLOSED_2X2 and n_ground != 2:
         raise ConfigError(f"closed2x2 requires 2 items, not {n_ground}")
-    if method == BLOCK:
-        if blocks is None:
-            raise ConfigError("block method requires a declared block structure")
+    if method == BLOCK and blocks is None:
+        raise ConfigError("block method requires a declared block structure")
+    if blocks is not None:
         try:
-            structure = BlockStructure(blocks)
-        except (TypeError, ValueError) as exc:
+            blocks = _block_pairs(blocks, n_ground)
+        except ValueError as exc:
             raise ConfigError(f"invalid blocks: {exc}") from exc
-        if structure.n != n_ground:
-            raise ConfigError(f"block structure covers {structure.n} items, not {n_ground}")
+    if initial is not None:
+        initial = _ensemble("initial", initial).entries
+        if initial.shape != (n_ground, n_ground):
+            raise ConfigError(f"initial is {len(initial)}x{len(initial)}, not {n_ground}x{n_ground}")
+    return initial, iterations, eta, blocks
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
@@ -201,14 +192,15 @@ def estimate(method: str, batch, initial=None, iterations: int = 100, eta: float
              seed: int = 0, blocks=None) -> tuple[np.ndarray, str, int]:
     """Estimate a kernel from a batch with one of METHODS: (entries, status, iterations).
 
-    ``initial`` (identity when None), ``iterations`` and ``eta`` drive the
-    iterative solvers, ``seed`` picks SGD's draws, and ``blocks`` is the
-    pair partition of ``block``. The status is the solver's trace status,
-    the closed form's tag, or ``ok``; the iteration count is the Newton
-    steps taken, SGD's budget, or 0. A request that breaks a rule of
-    :func:`check_method` is a ConfigError; DegenerateTable propagates.
+    ``initial`` (a KernelMatrix or entries; identity when None),
+    ``iterations`` and ``eta`` drive the iterative solvers, ``seed`` picks
+    SGD's draws, and ``blocks`` is the pair partition of ``block``. The
+    status is the solver's trace status, the closed form's tag, or ``ok``;
+    the iteration count is the Newton steps taken, SGD's budget, or 0. A
+    request that breaks a rule of :func:`check_method` is a ConfigError;
+    DegenerateTable and EmptyBatch propagate.
     """
-    check_method(method, batch.n_ground, iterations, eta, blocks)
+    initial, iterations, eta, blocks = check_method(method, batch.n_ground, initial, iterations, eta, blocks)
     if initial is None:
         initial = np.eye(batch.n_ground)
     # SGD and block read the masks; the others read the empirical table.
@@ -216,7 +208,7 @@ def estimate(method: str, batch, initial=None, iterations: int = 100, eta: float
         kernel, trace = sgd(batch, initial, eta=eta, iters=iterations, seed=seed)
         return kernel.entries, trace.status, iterations
     if method == BLOCK:
-        return mle_block(batch, BlockStructure(blocks)).entries, "ok", 0
+        return mle_block(batch, blocks).entries, "ok", 0
     table = empirical_distribution(batch)
     if method == NEWTON:
         kernel, trace = newton_raphson(LikelihoodContext(table), initial, max_iter=iterations)

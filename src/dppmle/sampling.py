@@ -25,7 +25,7 @@ from itertools import compress
 
 import numpy as np
 
-from .errors import EigendecompositionFailure, GroundSetTooLarge
+from .errors import ConfigError, EigendecompositionFailure, GroundSetTooLarge
 from .kernels import (
     DistributionTable,
     KernelMatrix,
@@ -159,11 +159,14 @@ def _enumeration_draw_many(table: DistributionTable, count: int, rng: np.random.
 
 
 def sample_batch(kernel: KernelMatrix, n: int, seed: int, sampler: str = SPECTRAL) -> SampleBatch:
-    """Draw n independent subsets; deterministic under a fixed seed."""
+    """Draw n independent subsets; deterministic under a fixed seed.
+
+    ConfigError unless n >= 1 and the sampler is one of SAMPLERS.
+    """
     if n < 1:
-        raise ValueError("batch size must be at least 1")
+        raise ConfigError(f"batch size must be at least 1, not {n}")
     if sampler not in SAMPLERS:
-        raise ValueError(f"unknown sampler {sampler!r}")
+        raise ConfigError(f"unknown sampler {sampler!r}")
     entries = as_array(kernel)
     rng = make_rng(seed)
     if sampler == ENUMERATION:

@@ -1,4 +1,4 @@
-"""Test-only oracles: divergences and the analytic (a, b, c) chart derivatives.
+"""Test-only oracles: divergences, the analytic (a, b, c) chart derivatives and the score information.
 
 Nothing in the library calls these; they give the suite independent
 routes to quantities the library computes another way.
@@ -8,7 +8,7 @@ import numpy as np
 
 from dppmle.errors import DppError
 from dppmle.kernels import DistributionTable
-from dppmle.likelihood import LikelihoodContext, log_likelihood
+from dppmle.likelihood import LikelihoodContext, log_likelihood, vech_embedding
 
 
 class SupportMismatch(DppError):
@@ -69,3 +69,27 @@ def chart_hessian(theta, table: DistributionTable) -> np.ndarray:
     h[1, 2] = h[2, 1] = 2.0 * a * b * p3 / det**2 - 2.0 * b * (a + 1.0) / d**2
     h[0, 2] = h[2, 0] = -p3 * b * b / det**2 + b * b / d**2
     return h
+
+
+def score_information(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean score and information of one draw, in the vech chart, from each subset's minor.
+
+    The score of subset J is s_J = E^T vec(pad(L_J^{-1}) - (L + I)^{-1}),
+    with E from ``vech_embedding``, and p(J) = det(L_J) / det(L + I). The
+    mean score sum_J p(J) s_J is 0 at the truth, and by the information
+    identity the information sum_J p(J) s_J s_J^T is the negated vech
+    curvature, so its inverse is the asymptotic covariance.
+    """
+    n = entries.shape[0]
+    det_shifted, inv_shifted = np.linalg.det(entries + np.eye(n)), np.linalg.inv(entries + np.eye(n))
+    probs, scores = [], []
+    for mask in range(1 << n):
+        idx = np.array([i for i in range(n) if mask >> i & 1], dtype=int)
+        minor = entries[np.ix_(idx, idx)]
+        padded = np.zeros((n, n))
+        # the empty minor has determinant 1 and an empty inverse
+        padded[np.ix_(idx, idx)] = np.linalg.inv(minor)
+        probs.append(np.linalg.det(minor) / det_shifted)
+        scores.append((padded - inv_shifted).reshape(-1))
+    probs, scores = np.array(probs), np.array(scores) @ vech_embedding(n)
+    return probs @ scores, scores.T @ (probs[:, None] * scores)

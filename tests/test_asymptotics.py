@@ -26,7 +26,7 @@ from dppmle.likelihood import LikelihoodContext, hessian, vech_embedding
 from dppmle.numdiff import fd_hessian_of
 from dppmle.sampling import make_rng
 from dppmle.verify_support import random_irreducible_ensemble
-from oracles import chart_hessian
+from oracles import chart_hessian, score_information
 
 DENSE2 = np.array([[1.0, 1.0], [1.0, 2.0]])
 EXPECTED_COV = np.array([[10.0, 12.5, 10.0], [12.5, 20.0, 20.0], [10.0, 20.0, 30.0]])
@@ -132,6 +132,16 @@ class TestAsymptoticCovariance:
             chart = chart_hessian(np.array([a, b, c]), table)
             np.testing.assert_allclose(jac.T @ pair @ jac, chart, atol=1e-8)
 
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_information_identity(self, n):
+        # exact, with no Monte Carlo and no finite differences: at the truth the
+        # inverse information of one draw is the covariance, and the mean score is 0
+        kernel = random_irreducible_ensemble(n, np.random.default_rng(n))
+        mean_score, information = score_information(kernel.entries)
+        expected = np.linalg.inv(information)
+        assert np.max(np.abs(asymptotic_covariance(kernel) - expected)) <= 1e-9 * np.max(np.abs(expected))
+        assert np.max(np.abs(mean_score)) <= 1e-12
+
 
 class TestInverseSqrt:
     def test_squares_back(self):
@@ -175,8 +185,12 @@ class TestCltExperiment:
                              ids=["closed-form", "newton"])
     def test_sample_size_must_be_positive(self, entries):
         # no table of 0 draws exists; dividing its counts by 0 would give NaN frequencies
-        with pytest.raises(ValueError, match="sample size must be at least 1"):
+        with pytest.raises(ConfigError, match="sample size must be at least 1"):
             clt_experiment(validate_kernel(entries, "ensemble"), 0, 5, 0)
+
+    def test_replications_must_be_positive(self):
+        with pytest.raises(ConfigError, match="replications must be at least 1, not 0"):
+            clt_experiment(validate_kernel(DENSE2, "ensemble"), 100, 0, 0)
 
     def test_newton_path_for_three_elements(self, rng):
         kernel = random_irreducible_ensemble(3, rng)
@@ -310,12 +324,25 @@ class TestBerryEsseen:
         with pytest.raises(ConfigError, match="outside float64's range"):
             berry_esseen_experiment(validate_kernel([[a, b], [b, c]], "ensemble"), (100,), 10, 0)
 
+    @pytest.mark.parametrize("a, b, c", [(1e8, 1e8, 1e8), (1e12, 1.414213562373095e12, 2e12),
+                                         (1e20, 1.4142135623730951e20, 2e20), (1e150, 1e150, 1e150)],
+                             ids=["sum-above-one", "sum-below-one", "zero-normalizer", "zero-normalizer-1e150"])
+    def test_probabilities_off_the_simplex_are_refused_before_drawing(self, a, b, c, monkeypatch):
+        # near the PSD boundary d = (a + 1)(c + 1) - b^2 cancels, so the four
+        # subset probabilities miss a sum of 1 or are not finite
+        def no_draws(*args):
+            raise AssertionError("drew replications")
+
+        monkeypatch.setattr(asymptotics, "_replicate", no_draws)
+        with pytest.raises(ConfigError, match="not a distribution"):
+            berry_esseen_experiment(validate_kernel([[a, b], [b, c]], "ensemble"), (100,), 50, 0)
+
     def test_sizes_must_ascend(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             berry_esseen_experiment(validate_kernel(DENSE2, "ensemble"), (400, 100), 10, 0)
 
     def test_sample_size_must_be_positive(self):
-        with pytest.raises(ValueError, match="sample size must be at least 1"):
+        with pytest.raises(ConfigError, match="sample size must be at least 1"):
             berry_esseen_experiment(validate_kernel(DENSE2, "ensemble"), (0,), 10, 0)
 
     def test_all_degenerate_size_raises(self):

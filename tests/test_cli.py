@@ -257,6 +257,12 @@ class TestInputBoundary:
         ["berry-esseen", "--a", "1e-200", "--b", "1e-200", "--c", "1e-200", "--sizes", "100", "--reps", "50"],
         ["berry-esseen", "--a", "1e155", "--b", "1", "--c", "1e155", "--sizes", "100", "--reps", "50"],
         ["berry-esseen", "--a", "1e300", "--b", "1", "--c", "1e-300", "--sizes", "100", "--reps", "50"],
+        ["berry-esseen", "--a", "1e8", "--b", "1e8", "--c", "1e8", "--sizes", "100", "--reps", "50"],
+        ["berry-esseen", "--a", "1e12", "--b", "1.414213562373095e12", "--c", "2e12", "--sizes", "100",
+         "--reps", "50"],
+        ["berry-esseen", "--a", "1e20", "--b", "1.4142135623730951e20", "--c", "2e20", "--sizes", "100",
+         "--reps", "50"],
+        ["berry-esseen", "--a", "1e150", "--b", "1e150", "--c", "1e150", "--sizes", "100", "--reps", "50"],
         ["sample", "--kernel", "1 1; 1 2", "--n", "5", "--seed", "-1"],
         ["estimate", "--batch", "{batch}", "--method", "sgd", "--seed", "-1"],
         ["experiment", "--preset", "twobytwo", "--seed", "0", "-1", "--out", "{out}"],
@@ -302,6 +308,7 @@ class TestInputBoundary:
             "sample-n-zero", "closed2x2-three-items", "reps-zero", "sizes-zero",
             "sizes-descending", "a-zero", "b-negative", "c-nan",
             "abc-overflow", "abc-underflow", "abc-normalizer-overflow", "abc-product-overflow",
+            "abc-sum-above-one", "abc-sum-below-one", "abc-zero-normalizer", "abc-zero-normalizer-1e150",
             "sample-seed-negative", "estimate-seed-negative", "experiment-seed-negative",
             "berry-esseen-seed-negative", "verify-seed-negative", "seed-2-pow-128",
             "config-seed-negative", "blocks-cover", "batch-n-ground-64", "eta-inf",
@@ -441,6 +448,17 @@ class TestInputBoundary:
         assert code == 0
         assert out[0] == "22" and json.loads(out[-1])["status"] == "ok"
 
+    def test_zero_draws_are_one_error_line_for_every_method(self, tmp_path, capsys):
+        # a header-only batch has no draws to estimate from, whatever the method
+        path = tmp_path / "header_only.csv"
+        path.write_text("# n_ground=2\nindex,mask,items\n")
+        errors = []
+        for method in METHODS:
+            code = main(["estimate", "--batch", str(path), "--method", method, "--blocks", "[[0,1]]"])
+            assert code == 1
+            errors.append(capsys.readouterr().err)
+        assert errors == ["error: cannot build an empirical distribution from zero draws\n"] * len(METHODS)
+
     def test_verify_largest_seed(self, capsys):
         # the checks run at seed + k, which must wrap into [0, 2**128)
         code = main(["verify", "--seed", str(2**128 - 1)])
@@ -457,7 +475,10 @@ class TestMethodRules:
         (2, "sgd", ["--eta", "-1"], {"eta": -1.0}),
         (3, "closed2x2", [], {}),
         (2, "block", ["--blocks", "[[0,1],[2,3]]"], {"blocks": [[0, 1], [2, 3]]}),
-    ], ids=["iterations", "eta", "closed2x2-items", "block-cover"])
+        (2, "block", ["--blocks", "[[false,true]]"], {"blocks": [[False, True]]}),
+        (2, "block", ["--blocks", "[[0,1.0]]"], {"blocks": [[0, 1.0]]}),
+        (2, "newton", ["--l0", "1 0 0; 0 1 0; 0 0 1"], {"initial": np.eye(3).tolist()}),
+    ], ids=["iterations", "eta", "closed2x2-items", "block-cover", "blocks-bool", "blocks-float", "initial-size"])
     def test_same_error_line(self, n, method, flags, fields, tmp_path, capsys):
         batch, config = tmp_path / "batch.csv", tmp_path / "config.json"
         save_batch(sample_batch(validate_kernel(np.eye(n), "ensemble"), 50, 0, "enumeration"), batch)
@@ -481,10 +502,16 @@ class TestMethodRules:
         # a library call gets check_method's ConfigError, not a TypeError or a LAPACK error
         batch = SampleBatch(n_ground, np.zeros(3, dtype=np.int64), 0, "enumeration")
         with pytest.raises(ConfigError) as expected:
-            check_method(method, n_ground, 100, 0.1, None)
+            check_method(method, n_ground, None, 100, 0.1, None)
         with pytest.raises(ConfigError) as raised:
             estimate(method, batch)
         assert str(raised.value) == str(expected.value)
+
+    @pytest.mark.parametrize("initial", [np.eye(3), [[1.0, 2.0], [2.0, 1.0]]], ids=["size", "not-psd"])
+    def test_library_estimate_checks_initial(self, initial):
+        batch = sample_batch(validate_kernel(DENSE2, "ensemble"), 100, 0, "enumeration")
+        with pytest.raises(ConfigError, match="initial"):
+            estimate("newton", batch, initial=initial)
 
 
 #: Dict-shaped JSON: what ``json.loads`` can return, integers beyond the float range included.

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from dppmle.closed_form import (
     BOUNDARY_B0,
     INTERIOR,
-    BlockStructure,
+    _block_pairs,
     _mle_2x2_arrays,
     chart_log_likelihood,
     forward_probs_2x2,
@@ -200,7 +200,7 @@ class TestMleBlock:
     def test_single_block_reduces_to_mle_2x2(self):
         kernel = validate_kernel(DENSE2, "ensemble")
         batch = sample_batch(kernel, 20_000, 8, "enumeration")
-        block_est = mle_block(batch, BlockStructure(((0, 1),)))
+        block_est = mle_block(batch, ((0, 1),))
         estimate, _ = mle_2x2(empirical_distribution(batch))
         np.testing.assert_allclose(block_est.entries, estimate.entries)
 
@@ -210,7 +210,7 @@ class TestMleBlock:
         truth[2:, 2:] = DENSE2
         kernel = validate_kernel(truth, "ensemble")
         batch = sample_batch(kernel, 100_000, 21, "enumeration")
-        estimate = mle_block(batch, BlockStructure(((0, 1), (2, 3))))
+        estimate = mle_block(batch, ((0, 1), (2, 3)))
         assert np.max(np.abs(estimate.entries - truth)) < 0.05
         # cross-block entries are structurally zero
         assert np.all(estimate.entries[:2, 2:] == 0.0)
@@ -220,7 +220,7 @@ class TestMleBlock:
         masks = np.array([0b0000, 0b0001, 0b0010, 0b0011] * 5)
         batch = SampleBatch(4, masks, 0, "enumeration")
         with pytest.raises(DegenerateTable) as err:
-            mle_block(batch, BlockStructure(((0, 1), (2, 3))))
+            mle_block(batch, ((0, 1), (2, 3)))
         assert "block 1" in str(err.value)
 
     BLOCKS = ((0, 3), (4, 1), (2, 5))
@@ -232,7 +232,7 @@ class TestMleBlock:
 
     def test_three_blocks_match_mle_2x2(self, rng):
         masks = rng.integers(0, 1 << 6, size=500)
-        estimate = mle_block(SampleBatch(6, masks, 0, "enumeration"), BlockStructure(self.BLOCKS))
+        estimate = mle_block(SampleBatch(6, masks, 0, "enumeration"), self.BLOCKS)
         expected = np.zeros((6, 6))
         for u, v in self.BLOCKS:
             pair, _ = mle_2x2(self._marginal(masks, u, v))
@@ -243,16 +243,28 @@ class TestMleBlock:
         # items 4 and 1 (block 1) and 2 and 5 (block 2) never appear
         masks = rng.integers(0, 1 << 6, size=200) & 0b001001
         with pytest.raises(DegenerateTable) as err:
-            mle_block(SampleBatch(6, masks, 0, "enumeration"), BlockStructure(self.BLOCKS))
+            mle_block(SampleBatch(6, masks, 0, "enumeration"), self.BLOCKS)
         with pytest.raises(DegenerateTable) as single:
             mle_2x2(self._marginal(masks, 4, 1))
         assert str(err.value) == f"block 1 (elements 4,1): {single.value}"
 
     def test_structure_validation(self):
         with pytest.raises(ValueError):
-            BlockStructure(((0, 1), (1, 2)))
+            _block_pairs(((0, 1), (1, 2)), 4)
         with pytest.raises(ValueError):
-            BlockStructure(((0, 3),))
+            _block_pairs(((0, 3),), 4)
+
+    def test_zero_items(self):
+        # no pairs partition an empty ground set; the estimate is the empty kernel
+        estimate = mle_block(SampleBatch(0, np.zeros(3, dtype=np.int64), 0, "enumeration"), ())
+        assert estimate.entries.shape == (0, 0)
+
+    @pytest.mark.parametrize("blocks, n", [(((False, True),), 2), (((0, 1.0),), 2), (((0, 1), (1, 0)), 4),
+                                           (((0, 1),), 4)], ids=["bools", "float", "repeat", "short-cover"])
+    def test_block_pairs_refused(self, blocks, n):
+        # False and True sort like 0 and 1, and 1.0 equals 1, so each needs the integer rule
+        with pytest.raises(ValueError):
+            _block_pairs(blocks, n)
 
 
 class TestMoments:

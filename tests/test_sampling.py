@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.stats import chisquare
 
 from dppmle import sampling
-from dppmle.errors import DppError
+from dppmle.errors import ConfigError, DppError
 from dppmle.kernels import (
     DistributionTable,
     enumerate_distribution,
@@ -248,9 +248,9 @@ class TestBatches:
 
     def test_batch_size_validation(self):
         kernel = validate_kernel(np.eye(2), "ensemble")
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             sample_batch(kernel, 0, 1, "enumeration")
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             sample_batch(kernel, 10, 1, "bogus")
 
     def test_mask_bounds_checked(self):
