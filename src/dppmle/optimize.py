@@ -107,9 +107,12 @@ def newton_raphson(
     iteration budget runs out, J^T H J is singular (status
     ``singular``), or the iterate leaves the validity region: a supported
     minor loses positivity or entries blow past 1e8 (status ``diverged``).
-    The last valid iterate is always returned. ValueError when the initial
-    kernel does not match the table's ground set.
+    The last valid iterate is always returned. ValueError when
+    ``trace_every`` < 1 or the initial kernel does not match the table's
+    ground set.
     """
+    if trace_every < 1:
+        raise ValueError(f"trace_every must be at least 1, not {trace_every!r}")
     entries = _symmetric_start(initial, ctx.dist.n)
     embed = vech_embedding(ctx.dist.n)
     point = LikelihoodPoint(ctx, entries)
@@ -173,14 +176,16 @@ def sgd(
     off its LU as ``slogdet`` reads it (LU semantics: valid iff the sign
     is > 0, and an exactly zero pivot is singular). The update is
     pad(L_Z^{-1}) - (L + I)^{-1}. ValueError when eta is not a positive
-    finite number or the initial kernel does not match the batch's ground
-    set.
+    finite number, ``trace_every`` < 1 or the initial kernel does not match
+    the batch's ground set.
     """
     # Imported here so that only SGD runs load scipy.linalg.
     from scipy.linalg.lapack import dgesv
 
     if not (np.isfinite(eta) and eta > 0):
         raise ValueError(f"step size must be a positive finite number, not {eta!r}")
+    if trace_every < 1:
+        raise ValueError(f"trace_every must be at least 1, not {trace_every!r}")
     entries = np.asfortranarray(_symmetric_start(initial, batch.n_ground))
     ctx = LikelihoodContext(empirical_distribution(batch))
     rng = make_rng(seed)

@@ -8,10 +8,11 @@ the first.
 Each spectral draw reads 2n uniforms from the stream: n select the
 eigenvectors, then one per selected vector drives a pick, and the rest
 are unused. The sampler reads the rows of a chunk of draws as one block
-and runs the chain rule once per pick over all draws of the chunk with
-the same number of items. A batch is therefore a prefix of any larger
-batch at the same seed. (Earlier versions read n + k uniforms per draw,
-so their spectral batches differ from these at the same seed.)
+and runs the chain rule once per pick over every draw of the chunk that
+is still picking, as dense products over all n eigenvectors. A batch is
+therefore a prefix of any larger batch at the same seed. (Earlier
+versions read n + k uniforms per draw, so their spectral batches differ
+from these at the same seed.)
 
 All randomness flows through numpy Generators backed by the counter-based
 Philox bit generator, keyed by a single seed in [0, 2**128), so batches
@@ -45,7 +46,7 @@ SEED_LIMIT = 2**128
 #: Largest ground set whose subsets fit an int64 bit mask.
 MAX_MASK_GROUND_SET = 63
 
-#: Draws per uniform block of the spectral sampler; bounds the block and its (m, n, k) arrays.
+#: Draws per uniform block of the spectral sampler; bounds the block, its (m, n) arrays and Cholesky columns.
 _SPECTRAL_CHUNK = 1 << 11
 
 
@@ -98,11 +99,13 @@ def _spectral_draws(lam: np.ndarray, vecs: np.ndarray, rng: np.random.Generator,
     Each chunk of draws reads one ``(m, 2n)`` block of uniforms, row i for
     draw i: the first n select the eigenvectors, and the next k, one per
     selected vector, drive the k picks. Rows are read in draw order, so the
-    chunking never shows in the draws. Within a chunk the chain rule runs
-    once per pick over every draw of the same size k. Pick s has
-    probability proportional to the diagonal of K's Schur complement on
-    the earlier picks; each pick adds one column of the Cholesky factor of
-    K over the picks and downdates that diagonal by its square.
+    chunking never shows in the draws. Within a chunk the draws are ordered
+    by size, largest first, so pick s runs once over a prefix of the rows.
+    Its weights, ``S @ (V*V).T`` at first for the 0/1 selection rows S, are
+    the diagonal of K's Schur complement on the earlier picks. Each pick but
+    a draw's last adds a column of the Cholesky factor of K over the picks,
+    ``(S * V[item]) @ V.T`` less the earlier columns' rank-one terms, and
+    downdates the weights by its square.
     """
     n = lam.size
     if n > MAX_MASK_GROUND_SET:
@@ -111,33 +114,30 @@ def _spectral_draws(lam: np.ndarray, vecs: np.ndarray, rng: np.random.Generator,
     masks = np.zeros(count, dtype=np.int64)
     for start in range(0, count, _SPECTRAL_CHUNK):
         u = rng.random((min(_SPECTRAL_CHUNK, count - start), 2 * n))
-        selections = u[:, :n] < keep
-        sizes = np.count_nonzero(selections, axis=1)
-        for k in np.unique(sizes[sizes > 0]):
-            rows = np.flatnonzero(sizes == k)
-            m = rows.size
-            draw = np.arange(m)
-            picks = u[rows, n:n + k]
-            columns = np.nonzero(selections[rows])[1].reshape(m, k)
-            vectors = vecs[np.arange(n)[:, None], columns[:, None, :]]
-            weights = np.sum(vectors * vectors, axis=2)
-            basis = np.empty((m, n, k))
-            mask = np.zeros(m, dtype=np.int64)
-            for s in range(k):
-                # Rounding in the downdate can leave picked items slightly negative.
-                w = np.clip(weights, 0.0, None)
-                cdf = np.cumsum(w / w.sum(axis=1, keepdims=True), axis=1)
-                # cdf is nondecreasing, so this count is searchsorted(cdf, u, "right").
-                item = np.minimum(np.count_nonzero(cdf <= picks[:, s, None], axis=1), n - 1)
-                mask |= np.left_shift(1, item)
-                if s == k - 1:
-                    break
-                column = vectors @ vectors[draw, item, :, None]
-                if s:
-                    column -= basis[:, :, :s] @ basis[draw, item, :s, None]
-                basis[:, :, s] = column[:, :, 0] / np.sqrt(w[draw, item])[:, None]
-                weights -= basis[:, :, s] ** 2
-            masks[start + rows] = mask
+        sizes = np.count_nonzero(u[:, :n] < keep, axis=1)
+        order = np.argsort(-sizes, kind="stable")
+        u = u[order]
+        # Ordered by size, the first picking[s] rows make pick s; picking[s + 1] of them pick again.
+        picking = np.count_nonzero(sizes[:, None] > np.arange(n + 1), axis=0)
+        selection = (u[:, :n] < keep).astype(float)
+        weights = selection @ (vecs * vecs).T
+        columns, mask = [], np.zeros(u.shape[0], dtype=np.int64)
+        for s in range(sizes.max()):
+            a, b = picking[s], picking[s + 1]
+            # Rounding in the downdate can leave picked items slightly negative.
+            w = np.clip(weights[:a], 0.0, None)
+            cdf = np.cumsum(w / w.sum(axis=1, keepdims=True), axis=1)
+            # cdf is nondecreasing, so this count is searchsorted(cdf, u, "right").
+            item = np.minimum(np.count_nonzero(cdf <= u[:a, n + s, None], axis=1), n - 1)
+            mask[:a] |= np.left_shift(1, item)
+            draw, item = np.arange(b), item[:b]
+            column = (selection[:b] * vecs[item]) @ vecs.T
+            for earlier in columns:
+                column -= earlier[:b] * earlier[draw, item][:, None]
+            column /= np.sqrt(w[draw, item])[:, None]
+            weights[:b] -= column**2
+            columns.append(column)
+        masks[start + order] = mask
     return masks
 
 

@@ -128,6 +128,12 @@ class TestNewton:
         with pytest.raises(ValueError):
             newton_raphson(ctx, np.eye(3), max_iter=5)
 
+    @pytest.mark.parametrize("trace_every", [0, -3])
+    def test_trace_every_below_one_rejected(self, trace_every):
+        ctx = LikelihoodContext(enumerate_distribution(validate_kernel(DENSE2, "ensemble")))
+        with pytest.raises(ValueError, match="trace_every"):
+            newton_raphson(ctx, np.eye(2), max_iter=5, trace_every=trace_every)
+
     def test_flat_curvature_ends_singular(self):
         # at I the curvatures in a and c are 1/4 - p1 and 1/4 - p2, both 0 here, so the
         # vech curvature is diag(0, 1/2, 0): the first solve fails and I comes back
@@ -275,6 +281,12 @@ class TestSgd:
         batch = SampleBatch(2, np.array([0, 3, 1]), 0, "enumeration")
         with pytest.raises(ValueError):
             sgd(batch, np.eye(3), eta=0.1, iters=10, seed=0)
+
+    @pytest.mark.parametrize("trace_every", [0, -3])
+    def test_trace_every_below_one_rejected(self, trace_every):
+        batch = SampleBatch(2, np.array([0, 3, 1]), 0, "enumeration")
+        with pytest.raises(ValueError, match="trace_every"):
+            sgd(batch, np.eye(2), eta=0.1, iters=10, seed=0, trace_every=trace_every)
 
 
 def _empty_then_singleton_batch() -> SampleBatch:

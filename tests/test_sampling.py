@@ -25,7 +25,7 @@ from dppmle.sampling import (
     make_rng,
     sample_batch,
 )
-from dppmle.verify_support import random_ensemble
+from dppmle.verify_support import random_ensemble, random_irreducible_ensemble
 
 DENSE2 = np.array([[1.0, 1.0], [1.0, 2.0]])
 
@@ -180,7 +180,7 @@ class TestChainRuleStep:
 
 
 class TestLockstepDraws:
-    """Draws advanced together, in chunks of equal size, match draws made one at a time."""
+    """Draws advanced together, a chunk at a time, match draws made one at a time."""
 
     def test_batch_is_a_prefix_of_larger_batches(self):
         entries = random_ensemble(5, np.random.default_rng(1)).entries
@@ -195,19 +195,22 @@ class TestLockstepDraws:
         manual.random((count, 2 * lam.size))
         assert rng.random() == manual.random()
 
-    @pytest.mark.parametrize("lam", [
-        [1.0, 1.5],
-        [1e9] * 6 + [1.0, 1.5, 0.0, 0.0],
-    ], ids=["n2", "n10"])
-    def test_chunked_groups_match_per_draw_loop(self, lam):
-        entries = _fixed_spectrum_kernel(lam, 6)
-        count = 5 * sampling._SPECTRAL_CHUNK
+    # Each case gives the least number of distinct draw sizes, 0 included, in every chunk.
+    @pytest.mark.parametrize("entries,count,least_sizes", [
+        (_fixed_spectrum_kernel([1.0, 1.5], 6), 5 * sampling._SPECTRAL_CHUNK, 3),
+        (_fixed_spectrum_kernel([1e9] * 6 + [1.0, 1.5, 0.0, 0.0], 6), 5 * sampling._SPECTRAL_CHUNK, 3),
+        (_fixed_spectrum_kernel([0.7, 0.8, 0.9, 1.1, 1.25, 1.4], 6), 2 * sampling._SPECTRAL_CHUNK + 1000, 7),
+        (random_irreducible_ensemble(20, np.random.default_rng(6)).entries / 10, 2 * sampling._SPECTRAL_CHUNK + 300, 8),
+        (np.kron(np.eye(15), [[1, 0.5], [0.5, 2]]), 2 * sampling._SPECTRAL_CHUNK + 300, 16),
+        ([[1.5]], 2 * sampling._SPECTRAL_CHUNK + 300, 2),
+    ], ids=["n2", "n10", "every-size-n6", "irreducible-n20", "block-n30", "n1"])
+    def test_chunked_groups_match_per_draw_loop(self, entries, count, least_sizes):
         expected = _per_draw_batch(entries, count, 6, _chain_rule_eliminate)
         chunks = [expected[i:i + sampling._SPECTRAL_CHUNK] for i in range(0, count, sampling._SPECTRAL_CHUNK)]
         assert len(chunks) >= 2
         for chunk in chunks:
             sizes = np.unique([int(m).bit_count() for m in chunk])
-            assert np.count_nonzero(sizes) >= 2
+            assert sizes.size >= least_sizes
         assert np.array_equal(sample_batch(entries, count, 6, "spectral").masks, expected)
 
 
