@@ -26,7 +26,7 @@ from .kernels import (
 )
 from .likelihood import LikelihoodContext, hessian, vech_embedding
 from .optimize import CONVERGED, newton_raphson
-from .sampling import make_rng
+from .sampling import _count, make_rng
 
 #: Eigenvalue floor used when forming inverse square roots of covariances.
 EIG_FLOOR = 1e-12
@@ -141,13 +141,11 @@ def _replicate(kernel_star: KernelMatrix, table: DistributionTable, n: int, reps
     (b >= 0, so b is negated when the truth's is negative); larger kernels
     run Newton from the truth and conjugate each converged estimate by the
     signs of :func:`~dppmle.kernels.sign_distance` to the truth. Degenerate
-    tables and unconverged runs are dropped and counted. ConfigError when
-    n or reps is below 1.
+    tables and unconverged runs are dropped and counted. ConfigError
+    unless n and reps pass :func:`~dppmle.sampling._count`, checked before
+    any draw.
     """
-    if n < 1:
-        raise ConfigError(f"sample size must be at least 1, not {n}")
-    if reps < 1:
-        raise ConfigError(f"replications must be at least 1, not {reps}")
+    n, reps = _count("sample size", n), _count("replications", reps)
     upper = np.triu_indices(kernel_star.n)
     tables = rng.multinomial(n, table.probs, size=reps) / n
     if kernel_star.n == 2:
@@ -257,9 +255,10 @@ def berry_esseen_experiment(kernel_star: KernelMatrix, sizes, reps: int, seed: i
     over a fixed quartile grid of joint rectangles. The kernel must be
     2x2 with b > 0 (ValueError, ZeroB), its covariance finite and its
     four subset probabilities a distribution (ConfigError), and the sizes
-    ascending (ConfigError); all are checked before any draw.
+    ascending counts (ConfigError, :func:`~dppmle.sampling._count`); all
+    are checked before any draw.
     """
-    sizes = tuple(int(n) for n in sizes)
+    sizes = tuple(_count("sample size", n) for n in sizes)
     if any(later < earlier for earlier, later in zip(sizes, sizes[1:])):
         raise ConfigError("sample sizes must be ascending")
     covariance = covariance_2x2_explicit(kernel_star)

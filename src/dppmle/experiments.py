@@ -21,7 +21,7 @@ from .errors import ConfigError, DegenerateTable, DppError
 from .kernels import ENSEMBLE, KernelMatrix, as_array, load_kernel, sign_distance, validate_kernel
 from .likelihood import LikelihoodContext, empirical_distribution
 from .optimize import newton_raphson, sgd
-from .sampling import ENUMERATION, SAMPLERS, SEED_LIMIT, sample_batch
+from .sampling import ENUMERATION, SAMPLERS, _count, _seed, sample_batch
 
 NEWTON = "newton"
 SGD = "sgd"
@@ -55,16 +55,12 @@ class ExperimentConfig:
         if self.kernel is None:
             raise ConfigError("config needs 'kernel' (inline rows) or 'kernel_file'")
         kernel = _ensemble("kernel", self.kernel)
-        sample_sizes = tuple(_integer("sample_sizes", n) for n in self.sample_sizes)
+        sample_sizes = tuple(_count("sample_sizes", n) for n in self.sample_sizes)
         if not sample_sizes:
             raise ConfigError("sample_sizes must be nonempty")
-        if any(n < 1 for n in sample_sizes):
-            raise ConfigError("sample sizes must be positive")
-        seeds = tuple(_integer("seeds", s) for s in self.seeds)
+        seeds = tuple(_seed(s) for s in self.seeds)
         if not seeds:
             raise ConfigError("seeds must be nonempty")
-        if not all(0 <= seed < SEED_LIMIT for seed in seeds):
-            raise ConfigError("seeds must be in [0, 2**128)")
         if self.sampler not in SAMPLERS:
             raise ConfigError(f"unknown sampler {self.sampler!r}")
         initial, iterations, eta, blocks = check_method(
@@ -85,13 +81,6 @@ def _ensemble(key: str, value) -> KernelMatrix:
         raise ConfigError(f"invalid {key}: {exc}") from exc
 
 
-def _integer(key: str, value) -> int:
-    """``value`` if it is an integer and not a bool; a ConfigError otherwise."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ConfigError(f"{key}: {value!r} is not an integer")
-    return int(value)
-
-
 def _real(key: str, value) -> float:
     """``value`` as a float if it is a real number, not a bool, within the float range; a ConfigError otherwise."""
     if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
@@ -105,20 +94,19 @@ def _real(key: str, value) -> float:
 def check_method(method: str, n_ground: int, initial, iterations, eta, blocks):
     """The request (initial, iterations, eta, blocks) for ``method`` on ``n_ground`` items, normalized.
 
-    Every method needs at least one item, an integer iterations >= 1 and
-    a positive finite eta; closed2x2 needs 2 items, and block ``blocks``.
-    Given blocks must be integer pairs that partition the items, and a
-    given initial an n_ground x n_ground ensemble kernel, whatever the
-    method. A violation is a ConfigError. Configs and :func:`estimate`
-    use what this returns: initial as entries, blocks as int pairs.
+    Every method needs at least one item, iterations that pass
+    :func:`~dppmle.sampling._count` and a positive finite eta; closed2x2
+    needs 2 items, and block ``blocks``. Given blocks must be integer
+    pairs that partition the items, and a given initial an n_ground x
+    n_ground ensemble kernel, whatever the method. A violation is a
+    ConfigError. Configs and :func:`estimate` use what this returns:
+    initial as entries, blocks as int pairs.
     """
     if method not in METHODS:
         raise ConfigError(f"unknown method {method!r} (choose from {METHODS})")
     if n_ground < 1:
         raise ConfigError(f"estimation needs at least one item, not {n_ground}")
-    iterations, eta = _integer("iterations", iterations), _real("eta", eta)
-    if iterations < 1:
-        raise ConfigError("iterations must be positive")
+    iterations, eta = _count("iterations", iterations), _real("eta", eta)
     if not (np.isfinite(eta) and eta > 0):
         raise ConfigError(f"eta must be a positive finite number, not {eta!r}")
     if method == CLOSED_2X2 and n_ground != 2:
@@ -197,10 +185,12 @@ def estimate(method: str, batch, initial=None, iterations: int = 100, eta: float
     SGD's draws, and ``blocks`` is the pair partition of ``block``. The
     status is the solver's trace status, the closed form's tag, or ``ok``;
     the iteration count is the Newton steps taken, SGD's budget, or 0. A
-    request that breaks a rule of :func:`check_method` is a ConfigError;
-    DegenerateTable and EmptyBatch propagate.
+    request that breaks a rule of :func:`check_method`, or a seed that
+    :func:`~dppmle.sampling._seed` refuses, is a ConfigError whatever the
+    method; DegenerateTable and EmptyBatch propagate.
     """
     initial, iterations, eta, blocks = check_method(method, batch.n_ground, initial, iterations, eta, blocks)
+    seed = _seed(seed)
     if initial is None:
         initial = np.eye(batch.n_ground)
     # SGD and block read the masks; the others read the empirical table.
@@ -282,7 +272,6 @@ def preset_configs(name: str, seeds=(0,)) -> list[ExperimentConfig]:
     ``twobytwo``: closed-form estimation of the dense 2x2 kernel at sample
     sizes 300, 3000, 10000, 30000.
     """
-    seeds = tuple(int(s) for s in seeds)
     if name == "table1":
         cells = [
             ("tridiagonal3x3", TRIDIAGONAL_3, TRIDIAGONAL_3_START),

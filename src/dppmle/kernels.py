@@ -112,8 +112,9 @@ def validate_kernel(entries, kind: str) -> KernelMatrix:
         ``SYMMETRY_TOL`` are repaired by averaging; larger ones raise
         :class:`NotSymmetric`.
     kind:
-        ``"ensemble"`` requires eigenvalues >= -tol, ``"marginal"``
-        requires eigenvalues in [-tol, 1 + tol], with
+        Every eigenvalue must be finite. ``"ensemble"`` requires
+        eigenvalues >= -tol, ``"marginal"`` requires eigenvalues in
+        [-tol, 1 + tol], with
         tol = PSD_TOL_DEFAULT * max(1, largest absolute eigenvalue).
 
     Returns
@@ -130,6 +131,9 @@ def validate_kernel(entries, kind: str) -> KernelMatrix:
         raise ValueError("kernel entries must be finite")
     kernel = KernelMatrix(arr, kind)
     eigs = kernel.eigenvalues()
+    # Finite entries can still have an eigenvalue past float64's range; inf would become the tolerance.
+    if not np.isfinite(eigs).all():
+        raise EigenvalueOutOfRange(f"{kind} kernel has an eigenvalue beyond float64's range", float(eigs.max()))
     tol = PSD_TOL_DEFAULT * max(1.0, float(np.max(np.abs(eigs))) if eigs.size else 0.0)
     low = float(eigs.min()) if eigs.size else 0.0
     high = float(eigs.max()) if eigs.size else 0.0

@@ -43,6 +43,9 @@ SAMPLERS = (SPECTRAL, ENUMERATION)
 #: Philox keys are 128-bit: a seed is valid when 0 <= seed < SEED_LIMIT.
 SEED_LIMIT = 2**128
 
+#: Largest sample size, replication count or iteration budget: counts enter float64 (count / n), exact up to it.
+MAX_COUNT = 2**53
+
 #: Largest ground set whose subsets fit an int64 bit mask.
 MAX_MASK_GROUND_SET = 63
 
@@ -50,9 +53,29 @@ MAX_MASK_GROUND_SET = 63
 _SPECTRAL_CHUNK = 1 << 11
 
 
+def _count(what: str, value) -> int:
+    """The rule for every sample size, replication count and iteration budget: an integer in [1, MAX_COUNT]."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ConfigError(f"{what}: {value!r} is not an integer")
+    if value < 1:
+        raise ConfigError(f"{what} must be at least 1, not {value}")
+    if value > MAX_COUNT:
+        raise ConfigError(f"{what} must be at most 2**53, not {value}")
+    return int(value)
+
+
+def _seed(value) -> int:
+    """The rule for every seed: an integer in [0, SEED_LIMIT). Bools are not integers; numpy integers are."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ConfigError(f"seeds: {value!r} is not an integer")
+    if not 0 <= value < SEED_LIMIT:
+        raise ConfigError(f"seeds must be in [0, 2**128), not {value}")
+    return int(value)
+
+
 def make_rng(seed: int) -> np.random.Generator:
-    """The package-wide generator: Philox keyed by the given seed."""
-    return np.random.Generator(np.random.Philox(key=seed))
+    """The package-wide generator: Philox keyed by the given seed; ConfigError unless :func:`_seed` accepts it."""
+    return np.random.Generator(np.random.Philox(key=_seed(seed)))
 
 
 @dataclass(frozen=True)
@@ -161,10 +184,10 @@ def _enumeration_draw_many(table: DistributionTable, count: int, rng: np.random.
 def sample_batch(kernel: KernelMatrix, n: int, seed: int, sampler: str = SPECTRAL) -> SampleBatch:
     """Draw n independent subsets; deterministic under a fixed seed.
 
-    ConfigError unless n >= 1 and the sampler is one of SAMPLERS.
+    ConfigError unless n passes :func:`_count`, the sampler is one of
+    SAMPLERS and the seed passes :func:`_seed`, checked in that order.
     """
-    if n < 1:
-        raise ConfigError(f"batch size must be at least 1, not {n}")
+    n = _count("batch size", n)
     if sampler not in SAMPLERS:
         raise ConfigError(f"unknown sampler {sampler!r}")
     entries = as_array(kernel)

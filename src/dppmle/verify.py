@@ -30,7 +30,7 @@ from .kernels import (
 )
 from .likelihood import LikelihoodContext, gradient, hessian
 from .numdiff import fd_gradient, fd_hessian, fd_hessian_of
-from .sampling import SEED_LIMIT, sample_batch
+from .sampling import SEED_LIMIT, _seed, sample_batch
 from .verify_support import random_ensemble
 
 QUICK = "quick"
@@ -162,8 +162,8 @@ def _check_closed_form_round_trip(seed: int, instances: int = 50) -> CheckResult
 
 
 def run_checks(level: str = QUICK, seed: int = 0) -> list[CheckResult]:
-    # Check k runs at seed + k, wrapped into the Philox key range [0, 2**128).
-    seeds = [(seed + k) % SEED_LIMIT for k in range(7)]
+    # The base seed must be a Philox key; check k runs at seed + k, wrapped into [0, 2**128).
+    seeds = [(_seed(seed) + k) % SEED_LIMIT for k in range(7)]
     worst = probability_route_deviation(seeds[0], kernels=50, max_size=3)
     checks = [CheckResult("probability-oracles", worst <= 1e-10, f"max deviation {worst:.3e}")]
     # The sizes are drawn lazily, before each problem, from the problems' own stream.

@@ -191,6 +191,15 @@ class TestCltExperiment:
     def test_replications_must_be_positive(self):
         with pytest.raises(ConfigError, match="replications must be at least 1, not 0"):
             clt_experiment(validate_kernel(DENSE2, "ensemble"), 100, 0, 0)
+        # the count rule's upper end, refused before numpy is asked for the tables
+        with pytest.raises(ConfigError, match="replications must be at most 2\\*\\*53"):
+            clt_experiment(validate_kernel(DENSE2, "ensemble"), 100, 2**53 + 1, 0)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5], ids=["negative", "float"])
+    def test_seed_rule(self, seed):
+        # Philox refuses a negative key with a bare ValueError and keys 1.5 as seed 1
+        with pytest.raises(ConfigError, match="seeds"):
+            clt_experiment(validate_kernel(DENSE2, "ensemble"), 100, 5, seed)
 
     def test_newton_path_for_three_elements(self, rng):
         kernel = random_irreducible_ensemble(3, rng)
@@ -344,6 +353,11 @@ class TestBerryEsseen:
     def test_sample_size_must_be_positive(self):
         with pytest.raises(ConfigError, match="sample size must be at least 1"):
             berry_esseen_experiment(validate_kernel(DENSE2, "ensemble"), (0,), 10, 0)
+
+    def test_sample_sizes_must_be_integers(self):
+        # a fractional size is refused, not truncated to 100
+        with pytest.raises(ConfigError, match="sample size: 100.7 is not an integer"):
+            berry_esseen_experiment(validate_kernel(DENSE2, "ensemble"), [100.7], 10, 0)
 
     def test_all_degenerate_size_raises(self):
         # One draw never fills the cells the closed form needs.

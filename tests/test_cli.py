@@ -301,6 +301,19 @@ class TestInputBoundary:
         ["estimate", "--batch", "{zero_items}", "--method", "closed2x2"],
         ["estimate", "--batch", "{zero_items}", "--method", "block", "--blocks", "[]"],
         ["estimate", "--batch", "{zero_items}", "--method", "moments"],
+        ["berry-esseen", "--sizes", "100000000000000000000", "--reps", "5"],
+        ["berry-esseen", "--reps", "100000000000000000000", "--sizes", "10"],
+        ["berry-esseen", "--reps", str(2**60), "--sizes", "10"],
+        ["sample", "--kernel", "1 1; 1 2", "--n", "100000000000000000000"],
+        ["sample", "--kernel", "1 1; 1 2", "--n", str(2**60)],
+        ["experiment", "--kernel", "1 1; 1 2", "--method", "closed2x2", "--n", "100000000000000000000",
+         "--out", "{out}"],
+        ["experiment", "--config", "{huge_size}", "--out", "{out}"],
+        ["experiment", "--kernel", "1 1; 1 2", "--method", "sgd", "--n", "10",
+         "--iters", "100000000000000000000", "--out", "{out}"],
+        ["estimate", "--batch", "{batch}", "--method", "sgd", "--iters", "100000000000000000000"],
+        ["sample", "--kernel", "1e308 1e308; 1e308 1e308", "--n", "3"],
+        ["estimate", "--batch", "{batch}", "--method", "newton", "--seed", "-1"],
     ], ids=["inline-kernel", "blocks-json", "blocks-triple", "blocks-repeat",
             "config-json", "config-kernel-entry", "batch-mask",
             "config-not-object", "sgd-iters", "newton-iters", "eta-zero", "eta-negative",
@@ -319,7 +332,10 @@ class TestInputBoundary:
             "preset-eta", "kernel-empty", "batch-seed-negative", "batch-sampler-unknown",
             "batch-index", "batch-pasted", "config-kernel-huge-int", "config-eta-huge-int",
             "zero-items-newton", "zero-items-sgd", "zero-items-closed2x2", "zero-items-block",
-            "zero-items-moments"])
+            "zero-items-moments", "berry-esseen-sizes-1e20", "berry-esseen-reps-1e20",
+            "berry-esseen-reps-2-pow-60", "sample-n-1e20", "sample-n-2-pow-60", "experiment-n-1e20",
+            "config-sample-sizes-1e20", "experiment-iters-1e20", "estimate-iters-1e20",
+            "kernel-eigenvalue-overflow", "estimate-newton-seed-negative"])
     def test_exit_code_and_one_line(self, argv, tmp_path, kernel_file, capsys):
         paths = {
             "batch": tmp_path / "batch.csv",
@@ -348,6 +364,7 @@ class TestInputBoundary:
             "huge_int_kernel": tmp_path / "huge_int_kernel.json",
             "huge_int_eta": tmp_path / "huge_int_eta.json",
             "zero_items": tmp_path / "zero_items.csv",
+            "huge_size": tmp_path / "huge_size.json",
         }
         main(["sample", "--kernel", str(kernel_file), "--n", "100", "--out", str(paths["batch"])])
         paths["malformed"].write_text('{"kernel": [[1, 0], [0')
@@ -376,6 +393,8 @@ class TestInputBoundary:
             {"kernel": [[10**400, 0], [0, 1]], "method": "moments", "sample_sizes": [10]}))
         paths["huge_int_eta"].write_text(json.dumps(
             {"kernel": [[1, 0], [0, 1]], "method": "sgd", "sample_sizes": [10], "eta": 10**400}))
+        paths["huge_size"].write_text(json.dumps(
+            {"kernel": [[1, 1], [1, 2]], "method": "closed2x2", "sample_sizes": [10**20]}))
         paths["negative_seed"].write_text(json.dumps(
             {"kernel": [[1, 0], [0, 1]], "method": "moments", "sample_sizes": [10], "seeds": [-1]}))
         for key, extra in (("output_dir_number", {"output_dir": 5}), ("kernel_id_number", {"kernel_id": 5})):
@@ -586,6 +605,18 @@ class TestConfigValidation:
         # csv.writer does not quote a lone carriage return, which would split the row.
         with pytest.raises(ConfigError, match="kernel_id"):
             ExperimentConfig(kernel_id, np.eye(2), "moments", (100,), (0,))
+
+    def test_count_boundary(self):
+        # counts are exact float64 frequencies up to 2**53; numpy integers count
+        config = ExperimentConfig("x", np.eye(2), "moments", (2**53, np.int64(100)), (0,))
+        assert config.sample_sizes == (2**53, 100) and all(type(n) is int for n in config.sample_sizes)
+        with pytest.raises(ConfigError, match="sample_sizes must be at most 2\\*\\*53, not 9007199254740993"):
+            ExperimentConfig("x", np.eye(2), "moments", (2**53 + 1,), (0,))
+
+    def test_preset_seeds_are_checked(self):
+        # a fractional seed is refused, not truncated to seed 1
+        with pytest.raises(ConfigError, match="seeds: 1.5 is not an integer"):
+            preset_configs("twobytwo", seeds=(1.5,))
 
     def test_largest_seed_runs(self):
         config = ExperimentConfig("x", np.eye(2), "moments", (100,), (2**128 - 1,))

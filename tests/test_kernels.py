@@ -65,6 +65,18 @@ class TestValidateKernel:
         with pytest.raises(EigenvalueOutOfRange):
             validate_kernel(np.diag([1.0, -0.5]), "ensemble")
 
+    @pytest.mark.parametrize("entries", [[[1e308, 1e308], [1e308, 1e308]], [[1e308, 1e308], [1e308, 1.7e308]]],
+                             ids=["rank-1", "full-rank"])
+    def test_eigenvalue_beyond_float_range_rejected(self, entries):
+        # finite entries whose largest eigenvalue overflows to inf; inf as the
+        # tolerance would pass every bound, and both samplers draw wrongly from it
+        with pytest.raises(EigenvalueOutOfRange, match="beyond float64's range") as err:
+            validate_kernel(entries, "ensemble")
+        assert err.value.eigenvalue == np.inf
+        # a large eigenvalue that float64 holds is fine
+        np.testing.assert_array_equal(validate_kernel(np.diag([1.5e308, 1.0]), "ensemble").eigenvalues(),
+                                      [1.0, 1.5e308])
+
 
 class TestProbabilities:
     def test_identity_empty_subset(self):

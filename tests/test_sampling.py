@@ -255,6 +255,21 @@ class TestBatches:
             sample_batch(kernel, 0, 1, "enumeration")
         with pytest.raises(ConfigError):
             sample_batch(kernel, 10, 1, "bogus")
+        # counts become float64 frequencies, exact up to 2**53; above it the
+        # refusal comes before numpy is asked for the array
+        with pytest.raises(ConfigError, match="batch size must be at most 2\\*\\*53"):
+            sample_batch(kernel, 2**53 + 1, 1, "enumeration")
+
+    @pytest.mark.parametrize("seed", [1.5, True, -1, SEED_LIMIT, np.float64(2.0)],
+                             ids=["float", "bool", "negative", "2-pow-128", "numpy-float"])
+    def test_seed_rule(self, seed):
+        # every generator the package builds checks its seed: a float or a bool
+        # would key a stream silently, and Philox refuses a negative key bare
+        kernel = validate_kernel(np.eye(2), "ensemble")
+        with pytest.raises(ConfigError, match="seeds"):
+            make_rng(seed)
+        with pytest.raises(ConfigError, match="seeds"):
+            sample_batch(kernel, 3, seed, "enumeration")
 
     def test_mask_bounds_checked(self):
         with pytest.raises(ValueError):
