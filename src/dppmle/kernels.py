@@ -318,50 +318,46 @@ def _reached(linked: np.ndarray, start: int) -> np.ndarray:
         reached = grown
 
 
-def _sign_scan(a: np.ndarray, b: np.ndarray) -> tuple[float, np.ndarray]:
-    """sign_distance by a scan of all 2^(n-1) sign classes, element 0 at +1; the first minimum wins."""
-    n = a.shape[0]
+def _sign_scan(w: np.ndarray) -> np.ndarray:
+    """Signs, element 0 at +1, of the first of the 2^(n-1) sign classes in mask order that maximizes s^T w s."""
+    n = w.shape[0]
     classes = 1 << max(n - 1, 0)
-    best = np.inf
-    best_signs = np.ones(n)
     for start in range(0, classes, _SIGN_CHUNK):
         # Bit i of a class sets the sign of element i + 1.
         rows = np.arange(start, min(start + _SIGN_CHUNK, classes))[:, None] << 1 >> np.arange(n) & 1
-        for signs in np.where(rows == 1, -1.0, 1.0):
-            dist = float(np.linalg.norm(a - b * (signs[:, None] * signs)))
-            if dist < best - 1e-15:
-                best = dist
-                best_signs = signs
-    return best, best_signs
+        chunk = np.where(rows == 1, -1.0, 1.0)
+        q = ((chunk @ w) * chunk).sum(axis=1)
+        pick = int(np.argmax(q))
+        # A later chunk replaces the pick only with a strictly larger q; a NaN never does.
+        if not start or q[pick] > best:
+            best, signs = q[pick], chunk[pick]
+    return signs
 
 
 def sign_distance(kernel_a, kernel_b) -> tuple[float, np.ndarray]:
     """Minimal Frobenius distance between two kernels modulo sign conjugation.
 
     Conjugation L -> D L D by a diagonal D of +/-1 entries leaves the point
-    process unchanged, so estimators recover a kernel only up to it. The
-    distance depends on D only through the pairs (i, j) with
-    a_ij * b_ij != 0, so it splits over the connected components of that
-    pattern. Each component's 2^(k-1) sign classes are scanned (D and -D
-    conjugate identically) with its first element at +1, and the first
-    minimizing class in mask order wins. Returns the distance together
-    with the +/-1 diagonal, as a float vector.
+    process unchanged, so estimators recover a kernel only up to it. With
+    s = diag(D) and W = A o B, ||A - D B D||^2 = ||A||^2 + ||B||^2 - 2 s^T W s,
+    which depends on s only through the pairs with a_ij * b_ij != 0. So the
+    classes split over the connected components of that pattern, dense or
+    not. Each component's 2^(k-1) classes (D and -D conjugate identically)
+    are scored with its first element at +1; the first class in mask order
+    that attains the largest computed q = s^T W s wins, with no slack.
+    Returns the norm of A - D B D at the assembled signs (NaN if an entry
+    is NaN) together with the +/-1 diagonal, as a float vector.
     """
-    a = as_array(kernel_a)
-    b = as_array(kernel_b)
+    a, b = as_array(kernel_a), as_array(kernel_b)
     if a.shape != b.shape:
         raise ValueError(f"kernel shapes differ: {a.shape} vs {b.shape}")
-    linked = a * b != 0
-    # A pattern without zeros, as for any two dense kernels, is one component.
-    if linked.all():
-        return _sign_scan(a, b)
-    linked |= linked.T
+    w = a * b
+    linked = (w != 0) | (w != 0).T
     signs = np.ones(a.shape[0])
     left = np.ones(a.shape[0], dtype=bool)
     while left.any():
         part = _reached(linked, int(np.argmax(left)))
-        block = np.ix_(part, part)
-        signs[part] = _sign_scan(a[block], b[block])[1]
+        signs[part] = _sign_scan(w[np.ix_(part, part)])
         left &= ~part
     return float(np.linalg.norm(a - b * (signs[:, None] * signs))), signs
 

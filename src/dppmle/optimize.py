@@ -17,7 +17,7 @@ import numpy as np
 from .errors import SingularPrincipalMinor
 from .kernels import ENSEMBLE, KernelMatrix, as_array
 from .likelihood import LikelihoodContext, LikelihoodPoint, empirical_distribution, vech_embedding
-from .sampling import SampleBatch, make_rng
+from .sampling import SampleBatch, _count, make_rng
 
 CONVERGED = "converged"
 MAX_ITER = "max_iter"
@@ -107,10 +107,12 @@ def newton_raphson(
     iteration budget runs out, J^T H J is singular (status
     ``singular``), or the iterate leaves the validity region: a supported
     minor loses positivity or entries blow past 1e8 (status ``diverged``).
-    The last valid iterate is always returned. ValueError when
+    The last valid iterate is always returned. ConfigError unless
+    ``max_iter`` passes :func:`~dppmle.sampling._count`; ValueError when
     ``trace_every`` < 1 or the initial kernel does not match the table's
     ground set.
     """
+    max_iter = _count("iterations", max_iter)
     if trace_every < 1:
         raise ValueError(f"trace_every must be at least 1, not {trace_every!r}")
     entries = _symmetric_start(initial, ctx.dist.n)
@@ -175,7 +177,8 @@ def sgd(
     solve a zero right-hand side and come out exactly 0. M's sign is read
     off its LU as ``slogdet`` reads it (LU semantics: valid iff the sign
     is > 0, and an exactly zero pivot is singular). The update is
-    pad(L_Z^{-1}) - (L + I)^{-1}. ValueError when eta is not a positive
+    pad(L_Z^{-1}) - (L + I)^{-1}. ConfigError unless ``iters`` passes
+    :func:`~dppmle.sampling._count`; ValueError when eta is not a positive
     finite number, ``trace_every`` < 1 or the initial kernel does not match
     the batch's ground set.
     """
@@ -189,7 +192,7 @@ def sgd(
     entries = np.asfortranarray(_symmetric_start(initial, batch.n_ground))
     ctx = LikelihoodContext(empirical_distribution(batch))
     rng = make_rng(seed)
-    picks = rng.integers(0, len(batch), size=iters)
+    picks = rng.integers(0, len(batch), size=_count("iterations", iters))
     # Every drawn mask is supported, so its (keep, rest) is a slot of the
     # context's embedding. Both are symmetric: their transposes are the
     # same values as Fortran-ordered views, the layout dgesv returns.

@@ -28,6 +28,7 @@ from dppmle.experiments import (
 )
 from dppmle.kernels import kernel_from_text, save_kernel, validate_kernel
 from dppmle.sampling import SampleBatch, load_batch, sample_batch, save_batch
+from dppmle.verify import _check_closed_form_round_trip, covariance_formula_errors, probability_route_deviation
 
 DENSE2 = np.array([[1.0, 1.0], [1.0, 2.0]])
 
@@ -223,6 +224,16 @@ class TestVerifyCommand:
         lines = [ln for ln in out.strip().splitlines() if ln.startswith("[")]
         assert len(lines) == 7
         assert "monte-carlo-clt-covariance" in lines[-1]
+
+    @pytest.mark.parametrize("measure", [
+        lambda seed: probability_route_deviation(seed, 2, 3),
+        lambda seed: covariance_formula_errors(seed, 2),
+        _check_closed_form_round_trip,
+    ], ids=["probability-routes", "covariance-formula", "closed-form-round-trip"])
+    @pytest.mark.parametrize("seed", [-1, 2**128, 1.5, True], ids=["negative", "2-pow-128", "float", "bool"])
+    def test_measurements_check_their_seeds(self, measure, seed):
+        with pytest.raises(ConfigError, match="seeds must be in|is not an integer"):
+            measure(seed)
 
 
 class TestInputBoundary:

@@ -287,7 +287,7 @@ class TestSignDistance:
             assert dab <= dac + dcb + 1e-12
 
     def test_dense_pair_is_the_whole_pair_scan(self, rng):
-        for n in range(1, 7):
+        for n in range(1, 13):
             a, b = random_kernel(n, rng).entries, random_kernel(n, rng).entries
             dist, signs = sign_distance(a, b)
             expected_dist, expected_signs = _whole_pair_scan(a, b)
@@ -315,6 +315,34 @@ class TestSignDistance:
         assert dist == 0.0
         assert signs.tolist() == [1.0, 1.0, 1.0, -1.0]
         assert _whole_pair_scan(a, b)[1].tolist() == [1.0, 1.0, -1.0, 1.0]
+
+    def test_exact_three_way_tie_takes_the_first_class(self):
+        # s^T (A o B) s is exactly 11 at the signs (1, 1, 1), (1, 1, -1) and (1, -1, -1),
+        # classes 0, 2 and 3, and 3 at (1, -1, 1)
+        a = np.array([[3.0, 1.0, -1.0], [1.0, 3.0, 1.0], [-1.0, 1.0, 3.0]])
+        dist, signs = sign_distance(a, np.ones((3, 3)))
+        assert signs.tolist() == [1.0, 1.0, 1.0]
+        assert dist == 4.47213595499958
+
+    def test_near_tie_takes_the_larger_score(self):
+        # With d = 2^-51 every score is exact: s^T (A o B) s is 2 - 2d at (1, 1, 1) and
+        # 2 + 2d at (1, 1, -1), so their squared distances 14.75 and 14.75 - 2^-48 differ
+        # by 2 ulps and the distances by 1. No slack lets the first class keep the pick.
+        d = 2.0**-51
+        a = np.array([[0.0, 1.0, -1.0], [1.0, 0.0, 1.0 - d], [-1.0, 1.0 - d, 0.0]])
+        b = np.array([[1.5, 1.0, 1.0], [1.0, 1.5, 1.0], [1.0, 1.0, 1.5]])
+        dist, signs = sign_distance(a, b)
+        assert signs.tolist() == [1.0, 1.0, -1.0]
+        assert float(np.sum((a - b * np.outer(signs, signs)) ** 2)) == 14.75 - 2.0**-48
+        assert dist == float(np.linalg.norm(a - b * np.outer(signs, signs)))
+        assert dist < float(np.linalg.norm(a - b))
+
+    def test_nan_entry_gives_nan_on_either_pattern(self):
+        # one pattern without zeros, one split into two components
+        for a in ([[np.nan, 1.0], [1.0, 1.0]], [[np.nan, 0.0], [0.0, 1.0]]):
+            dist, signs = sign_distance(a, DENSE2)
+            assert np.isnan(dist)
+            assert signs.tolist() == [1.0, 1.0]
 
     def test_forty_items_in_pairs(self, rng):
         # 2^39 sign classes for a whole-pair scan; twenty components of 2 classes each

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dppmle.closed_form import mle_2x2
-from dppmle.errors import SingularPrincipalMinor
+from dppmle.errors import ConfigError, SingularPrincipalMinor
 from dppmle.experiments import SGD, TRIDIAGONAL_3, TRIDIAGONAL_3_START, preset_configs
 from dppmle.kernels import (
     DistributionTable,
@@ -287,6 +287,18 @@ class TestSgd:
         batch = SampleBatch(2, np.array([0, 3, 1]), 0, "enumeration")
         with pytest.raises(ValueError, match="trace_every"):
             sgd(batch, np.eye(2), eta=0.1, iters=10, seed=0, trace_every=trace_every)
+
+
+@pytest.mark.parametrize("budget", [10**20, 2.5, -1, 0, True], ids=["1e20", "float", "negative", "zero", "bool"])
+@pytest.mark.parametrize("solver", ["newton", "sgd"])
+def test_iteration_budget_is_a_count(solver, budget):
+    # the count rule of sample sizes and replications; unchecked, numpy or range fails or runs no step
+    batch = SampleBatch(2, np.array([0, 3, 1]), 0, "enumeration")
+    with pytest.raises(ConfigError, match="iterations"):
+        if solver == "newton":
+            newton_raphson(LikelihoodContext(empirical_distribution(batch)), np.eye(2), max_iter=budget)
+        else:
+            sgd(batch, np.eye(2), iters=budget)
 
 
 def _empty_then_singleton_batch() -> SampleBatch:
