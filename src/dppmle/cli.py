@@ -177,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch", required=True)
     p.add_argument("--method", choices=list(experiments.METHODS), default=experiments.NEWTON)
     p.add_argument("--kernel", help="true kernel, for the orbit-distance report")
-    p.add_argument("--l0", help="initial kernel for the iterative solvers")
+    p.add_argument("--l0", help="newton/sgd start (default I, from which they can only return a diagonal kernel)")
     p.add_argument("--iters", type=int, default=100)
     p.add_argument("--eta", type=float, default=0.1)
     p.add_argument("--seed", type=int, default=0)

@@ -20,7 +20,7 @@ from .closed_form import _block_pairs, mle_2x2, mle_block, moments_estimator
 from .errors import ConfigError, DegenerateTable, DppError
 from .kernels import ENSEMBLE, KernelMatrix, as_array, load_kernel, sign_distance, validate_kernel
 from .likelihood import LikelihoodContext, empirical_distribution
-from .optimize import newton_raphson, sgd
+from .optimize import _step_size, newton_raphson, sgd
 from .sampling import ENUMERATION, SAMPLERS, _count, _seed, sample_batch
 
 NEWTON = "newton"
@@ -81,34 +81,23 @@ def _ensemble(key: str, value) -> KernelMatrix:
         raise ConfigError(f"invalid {key}: {exc}") from exc
 
 
-def _real(key: str, value) -> float:
-    """``value`` as a float if it is a real number, not a bool, within the float range; a ConfigError otherwise."""
-    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
-        raise ConfigError(f"{key}: {value!r} is not a real number")
-    try:
-        return float(value)
-    except OverflowError as exc:
-        raise ConfigError(f"{key}: {exc}") from exc
-
-
 def check_method(method: str, n_ground: int, initial, iterations, eta, blocks):
     """The request (initial, iterations, eta, blocks) for ``method`` on ``n_ground`` items, normalized.
 
     Every method needs at least one item, iterations that pass
-    :func:`~dppmle.sampling._count` and a positive finite eta; closed2x2
-    needs 2 items, and block ``blocks``. Given blocks must be integer
-    pairs that partition the items, and a given initial an n_ground x
-    n_ground ensemble kernel, whatever the method. A violation is a
-    ConfigError. Configs and :func:`estimate` use what this returns:
-    initial as entries, blocks as int pairs.
+    :func:`~dppmle.sampling._count` and an eta that passes
+    :func:`~dppmle.optimize._step_size`; closed2x2 needs 2 items, and
+    block ``blocks``. Given blocks must be integer pairs that partition
+    the items, and a given initial an n_ground x n_ground ensemble
+    kernel, whatever the method. A violation is a ConfigError. Configs
+    and :func:`estimate` use what this returns: initial as entries,
+    blocks as int pairs.
     """
     if method not in METHODS:
         raise ConfigError(f"unknown method {method!r} (choose from {METHODS})")
     if n_ground < 1:
         raise ConfigError(f"estimation needs at least one item, not {n_ground}")
-    iterations, eta = _count("iterations", iterations), _real("eta", eta)
-    if not (np.isfinite(eta) and eta > 0):
-        raise ConfigError(f"eta must be a positive finite number, not {eta!r}")
+    iterations, eta = _count("iterations", iterations), _step_size(eta)
     if method == CLOSED_2X2 and n_ground != 2:
         raise ConfigError(f"closed2x2 requires 2 items, not {n_ground}")
     if method == BLOCK and blocks is None:
@@ -165,10 +154,10 @@ class ExperimentResult:
 
     @property
     def summary(self) -> dict:
-        per_n: dict[str, float] = {}
+        per_n: dict[str, float | None] = {}
         for n in self.config.sample_sizes:
             distances = [r.distance for r in self.rows if r.n == n and np.isfinite(r.distance)]
-            per_n[str(n)] = median(distances) if distances else float("nan")
+            per_n[str(n)] = median(distances) if distances else None
         return {
             "kernel": self.config.kernel_id,
             "method": self.config.method,
@@ -236,7 +225,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 def write_results(results: list[ExperimentResult], out_dir) -> tuple[Path, Path]:
     """Write runs.csv and summary.json; rows sorted deterministically.
 
-    A runs.csv field holding a comma, a quote or a line break is quoted.
+    A runs.csv field holding a comma, a quote or a line break is quoted. summary.json
+    is strict JSON: a sample size with no finite distance has the median null.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -248,7 +238,7 @@ def write_results(results: list[ExperimentResult], out_dir) -> tuple[Path, Path]
         csv.writer(fh, lineterminator="\n").writerows(row.fields() for row in rows)
     summary_path = out / "summary.json"
     with open(summary_path, "w", encoding="utf-8") as fh:
-        json.dump([result.summary for result in results], fh, indent=2, sort_keys=True)
+        json.dump([result.summary for result in results], fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
     return runs_path, summary_path
 

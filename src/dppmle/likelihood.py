@@ -85,10 +85,11 @@ class LikelihoodContext:
 class LikelihoodPoint:
     """The objective at one kernel, from one factorization of the embedded stack.
 
-    ``value`` is -inf when det(L + I) or a supported minor has det <= 0;
-    ``valid`` is True when every supported minor has det > 0. The gradient
-    and the Hessian share one batched inverse of the stack, taken on first
-    use; both raise LinAlgError when L + I is singular and
+    ``value`` is finite exactly when every determinant of the stack, det(L + I)
+    and each supported minor, is positive, and -inf otherwise: that is the
+    one test of the domain. The gradient and the Hessian share one batched
+    inverse of the stack, taken on first use. Inside the domain neither can
+    raise; outside it both raise LinAlgError when L + I is singular and
     SingularPrincipalMinor when a supported minor is.
     """
 
@@ -97,8 +98,7 @@ class LikelihoodPoint:
         self._coef, keep, self._rest = ctx.embedding
         self._stack = as_array(kernel) * keep + self._rest
         self._sign, logdet = np.linalg.slogdet(self._stack)
-        self.valid = bool(np.all(self._sign[1:] > 0))
-        self.value = float(self._coef @ logdet) if self.valid and self._sign[0] > 0 else -math.inf
+        self.value = float(self._coef @ logdet) if np.all(self._sign > 0) else -math.inf
 
     @cached_property
     def _padded(self) -> np.ndarray:
@@ -145,7 +145,7 @@ def vech_embedding(n: int) -> np.ndarray:
 
 
 def log_likelihood(ctx: LikelihoodContext, kernel) -> float:
-    """Scaled log-likelihood; -inf when a supported minor has det <= 0."""
+    """Scaled log-likelihood; -inf when det(L + I) or a supported minor is not positive."""
     return LikelihoodPoint(ctx, kernel).value
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import SingularPrincipalMinor
+from .errors import ConfigError, SingularPrincipalMinor
 from .kernels import ENSEMBLE, KernelMatrix, as_array
 from .likelihood import LikelihoodContext, LikelihoodPoint, empirical_distribution, vech_embedding
 from .sampling import SampleBatch, _count, make_rng
@@ -57,6 +57,19 @@ def _symmetric_start(initial, n_ground: int) -> np.ndarray:
             f"initial kernel has shape {entries.shape}, the ground set has {n_ground} items"
         )
     return (entries + entries.T) / 2.0
+
+
+def _step_size(value) -> float:
+    """The rule for every SGD step size: a real number (not a bool) within the float range, finite and > 0."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ConfigError(f"eta: {value!r} is not a real number")
+    try:
+        eta = float(value)
+    except OverflowError as exc:
+        raise ConfigError(f"eta: {exc}") from exc
+    if not (math.isfinite(eta) and eta > 0):
+        raise ConfigError(f"eta must be a positive finite number, not {eta!r}")
+    return eta
 
 
 def _blown_up(candidate: np.ndarray) -> bool:
@@ -103,28 +116,29 @@ def newton_raphson(
     Hessian and g the gradient, each step solves (J^T H J) x = J^T vec(g)
     and moves L <- L - unvech(x), so every iterate is exactly symmetric.
 
-    Stops when the gradient Frobenius norm falls below ``grad_tol``, the
-    iteration budget runs out, J^T H J is singular (status
-    ``singular``), or the iterate leaves the validity region: a supported
-    minor loses positivity or entries blow past 1e8 (status ``diverged``).
-    The last valid iterate is always returned. ConfigError unless
-    ``max_iter`` passes :func:`~dppmle.sampling._count`; ValueError when
-    ``trace_every`` < 1 or the initial kernel does not match the table's
-    ground set.
+    Each point, the start included, is tested once: an objective of -inf
+    (det(L + I) or a supported minor not positive) or a candidate entry
+    past 1e8 ends the run ``diverged``. It also stops when the gradient
+    norm falls below ``grad_tol``, the budget runs out, or J^T H J is
+    singular (``singular``). The last point inside the domain is
+    returned; a start outside it comes back with nothing recorded.
+    ConfigError unless ``max_iter`` passes
+    :func:`~dppmle.sampling._count`; ValueError when ``trace_every`` < 1
+    or the initial kernel does not match the table's ground set.
     """
     max_iter = _count("iterations", max_iter)
     if trace_every < 1:
         raise ValueError(f"trace_every must be at least 1, not {trace_every!r}")
-    entries = _symmetric_start(initial, ctx.dist.n)
+    candidate = entries = _symmetric_start(initial, ctx.dist.n)
     embed = vech_embedding(ctx.dist.n)
-    point = LikelihoodPoint(ctx, entries)
     trace = IterationTrace()
     for step in range(max_iter + 1):
-        try:
-            grad = point.gradient()
-        except SingularPrincipalMinor:
+        point = LikelihoodPoint(ctx, candidate)
+        if point.value == -math.inf:
             trace.status = DIVERGED
             break
+        # inside the domain no determinant is zero, so the gradient cannot raise
+        entries, grad = candidate, point.gradient()
         grad_norm = float(np.linalg.norm(grad))
         if step % trace_every == 0:
             trace.record(entries, point.value, grad_norm)
@@ -143,11 +157,6 @@ def newton_raphson(
         if _blown_up(candidate):
             trace.status = DIVERGED
             break
-        point = LikelihoodPoint(ctx, candidate)
-        if not point.valid:
-            trace.status = DIVERGED
-            break
-        entries = candidate
     return _final(entries, trace)
 
 
@@ -164,9 +173,10 @@ def sgd(
     Each step picks one draw uniformly from the batch (simple random
     sampling with replacement) and applies
     L <- L + eta * (pad(L_Z^{-1}) - (L + I)^{-1}); the empty draw
-    contributes only the normalizer term. A singular supported minor or
-    an entry blow-up ends the run with status ``diverged`` and the last
-    valid iterate is returned; that outcome is an expected behavior of
+    contributes only the normalizer term. A drawn minor whose LU sign is
+    not positive, a singular L + I (at a step or a trace point), a
+    singular supported minor at a trace point or an entry blow-up ends
+    the run ``diverged`` with the last valid iterate; that is expected of
     the plain update on repulsive kernels, not an error.
 
     The drawn minor is never sliced out. With z the draw's 0/1 indicator,
@@ -177,16 +187,15 @@ def sgd(
     solve a zero right-hand side and come out exactly 0. M's sign is read
     off its LU as ``slogdet`` reads it (LU semantics: valid iff the sign
     is > 0, and an exactly zero pivot is singular). The update is
-    pad(L_Z^{-1}) - (L + I)^{-1}. ConfigError unless ``iters`` passes
-    :func:`~dppmle.sampling._count`; ValueError when eta is not a positive
-    finite number, ``trace_every`` < 1 or the initial kernel does not match
-    the batch's ground set.
+    pad(L_Z^{-1}) - (L + I)^{-1}. ConfigError unless ``eta`` passes
+    :func:`_step_size` and ``iters`` :func:`~dppmle.sampling._count`;
+    ValueError when ``trace_every`` < 1 or the initial kernel does not
+    match the batch's ground set.
     """
     # Imported here so that only SGD runs load scipy.linalg.
     from scipy.linalg.lapack import dgesv
 
-    if not (np.isfinite(eta) and eta > 0):
-        raise ValueError(f"step size must be a positive finite number, not {eta!r}")
+    eta = _step_size(eta)
     if trace_every < 1:
         raise ValueError(f"trace_every must be at least 1, not {trace_every!r}")
     entries = np.asfortranarray(_symmetric_start(initial, batch.n_ground))
@@ -208,7 +217,7 @@ def sgd(
             point = LikelihoodPoint(ctx, entries)
             try:
                 grad_norm = float(np.linalg.norm(point.gradient()))
-            except SingularPrincipalMinor:
+            except (SingularPrincipalMinor, np.linalg.LinAlgError):
                 trace.status = DIVERGED
                 break
             trace.record(entries, point.value, grad_norm)

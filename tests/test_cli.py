@@ -114,6 +114,18 @@ class TestExperimentCommand:
         assert (first / "runs.csv").read_bytes() == (second / "runs.csv").read_bytes()
         assert (first / "summary.json").read_bytes() == (second / "summary.json").read_bytes()
 
+    def test_summary_without_a_finite_distance_is_strict_json(self, tmp_path):
+        # one or two draws never fill the 2x2 table, so every cell is degenerate
+        out = tmp_path / "degenerate"
+        assert main(["experiment", "--kernel", "1 1; 1 2", "--method", "closed2x2",
+                     "--n", "1", "2", "--seed", "0", "1", "--out", str(out)]) == 0
+
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        summary = json.loads((out / "summary.json").read_text(), parse_constant=refuse)
+        assert summary[0]["median_distance"] == {"1": None, "2": None}
+
     def test_empty_sample_sizes_exit_code(self, tmp_path, capsys):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"kernel": [[1, 0], [0, 1]], "sample_sizes": []}))

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dppmle.errors import EmptyBatch, SingularPrincipalMinor
 from dppmle.kernels import (
@@ -121,6 +123,16 @@ class TestGradient:
             lhs = gradient(ctx, conjugate(kernel.entries, signs))
             rhs = conjugate(gradient(ctx, kernel.entries), signs)
             np.testing.assert_allclose(lhs, rhs, atol=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 6), st.booleans(), st.integers(0, 2**32 - 1))
+    def test_diagonal_kernel_has_diagonal_gradient(self, n, sparse, seed):
+        # at a diagonal L, pad(L_J^{-1}) and (L + I)^{-1} are diagonal, whatever the table
+        rng = np.random.default_rng(seed)
+        table = TestBatchedSupport.sparse_table(n, rng) if sparse else random_table(n, rng)
+        grad = gradient(LikelihoodContext(table), np.diag(rng.uniform(0.1, 10.0, n)))
+        assert np.all(grad[~np.eye(n, dtype=bool)] == 0.0)
+        assert np.all(np.isfinite(grad))
 
     def test_stationarity_random_truth(self, rng):
         for _ in range(10):
@@ -336,23 +348,23 @@ class TestEmbeddedStack:
         ctx = LikelihoodContext(DistributionTable(probs))
         self.assert_same_point(ctx, entries)
         point = LikelihoodPoint(ctx, entries)
-        assert point.value == -np.inf and not point.valid
+        assert point.value == -np.inf
         for method in (point.gradient, point.hessian):
             with pytest.raises(SingularPrincipalMinor) as info:
                 method()
             assert info.value.mask == 7
 
-    @pytest.mark.parametrize("entries, mask, valid", [
-        ([[1.0, 3.0], [3.0, 1.0]], 0b11, False),  # supported minor with det < 0
-        ([[-3.0, 0.0], [0.0, 2.0]], 0b10, True),  # det(L + I) < 0, supported minor positive
+    @pytest.mark.parametrize("entries, mask", [
+        ([[1.0, 3.0], [3.0, 1.0]], 0b11),  # supported minor with det < 0
+        ([[-3.0, 0.0], [0.0, 2.0]], 0b10),  # det(L + I) < 0, supported minor positive
     ], ids=["minor-negative", "normalizer-negative"])
-    def test_non_positive_determinant_gives_minus_infinity(self, entries, mask, valid):
+    def test_non_positive_determinant_gives_minus_infinity(self, entries, mask):
         probs = np.zeros(4)
         probs[mask] = 1.0
         ctx = LikelihoodContext(DistributionTable(probs))
         self.assert_same_point(ctx, entries)
         point = LikelihoodPoint(ctx, entries)
-        assert point.value == -np.inf and point.valid == valid
+        assert point.value == -np.inf
         assert np.all(np.isfinite(point.gradient()))
 
     @pytest.mark.parametrize("entries", [

@@ -167,6 +167,17 @@ class TestNewton:
         assert trace.iterates == [] and trace.objective == [] and trace.grad_norms == []
         assert np.array_equal(estimate.entries, np.ones((2, 2)))
 
+    @pytest.mark.parametrize("probs, start", [
+        ([0.0, 0.0, 1.0, 0.0], [[-1.0, 0.0], [0.0, 2.0]]),  # L + I singular, the {1} minor positive
+        ([0.25] * 4, [[1.0, 3.0], [3.0, 1.0]]),  # nonsingular, but the {0, 1} minor is -8
+    ], ids=["singular-normalizer", "negative-minor"])
+    def test_start_outside_the_domain_ends_diverged(self, probs, start):
+        ctx = LikelihoodContext(DistributionTable(np.array(probs)))
+        estimate, trace = newton_raphson(ctx, np.array(start))
+        assert trace.status == DIVERGED
+        assert trace.iterates == [] and trace.objective == [] and trace.grad_norms == []
+        assert np.array_equal(estimate.entries, start)
+
     def test_empirical_dense2_converges_to_mle(self):
         kernel = validate_kernel(DENSE2, "ensemble")
         batch = sample_batch(kernel, 30_000, 0, "enumeration")
@@ -268,14 +279,30 @@ class TestSgd:
 
     def test_eta_validation(self):
         batch = SampleBatch(2, np.zeros(5, dtype=int), 0, "enumeration")
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             sgd(batch, np.eye(2), eta=0.0, iters=10, seed=0)
 
     @pytest.mark.parametrize("eta", [np.nan, np.inf])
     def test_non_finite_eta_rejected(self, eta):
         batch = SampleBatch(2, np.zeros(5, dtype=int), 0, "enumeration")
-        with pytest.raises(ValueError, match="positive finite"):
+        with pytest.raises(ConfigError, match="positive finite"):
             sgd(batch, np.eye(2), eta=eta, iters=10, seed=0)
+
+    @pytest.mark.parametrize("eta", [True, np.array([0.1]), "0.1", 10**400],
+                             ids=["bool", "array", "string", "huge-int"])
+    def test_eta_is_a_real_number(self, eta):
+        # the step-size rule that configs and estimate apply
+        batch = SampleBatch(2, np.zeros(5, dtype=int), 0, "enumeration")
+        with pytest.raises(ConfigError, match="^eta: "):
+            sgd(batch, np.eye(2), eta=eta, iters=10, seed=0)
+
+    def test_singular_normalizer_ends_diverged(self):
+        # every draw is {1}, whose minor 2 is positive, but L + I = diag(0, 3) is singular
+        batch = SampleBatch(2, np.full(5, 0b10), 0, "enumeration")
+        estimate, trace = sgd(batch, np.diag([-1.0, 2.0]), eta=0.1, iters=10, seed=0)
+        assert trace.status == DIVERGED
+        assert trace.iterates == []
+        assert np.array_equal(estimate.entries, np.diag([-1.0, 2.0]))
 
     def test_initial_size_must_match(self):
         batch = SampleBatch(2, np.array([0, 3, 1]), 0, "enumeration")
@@ -287,6 +314,18 @@ class TestSgd:
         batch = SampleBatch(2, np.array([0, 3, 1]), 0, "enumeration")
         with pytest.raises(ValueError, match="trace_every"):
             sgd(batch, np.eye(2), eta=0.1, iters=10, seed=0, trace_every=trace_every)
+
+
+@pytest.mark.parametrize("solver", ["newton", "sgd"])
+def test_start_at_identity_keeps_estimate_diagonal(solver):
+    # the gradient at a diagonal kernel is diagonal (see test_likelihood), and so is
+    # every step: from I, without an initial kernel, a dense truth comes back diagonal
+    batch = sample_batch(validate_kernel(DENSE2, "ensemble"), 3000, 0, "enumeration")
+    if solver == "newton":
+        estimate, _ = newton_raphson(LikelihoodContext(empirical_distribution(batch)), np.eye(2))
+    else:
+        estimate, _ = sgd(batch, np.eye(2), iters=3000, seed=0)
+    assert estimate.entries[0, 1] == estimate.entries[1, 0] == 0.0
 
 
 @pytest.mark.parametrize("budget", [10**20, 2.5, -1, 0, True], ids=["1e20", "float", "negative", "zero", "bool"])
