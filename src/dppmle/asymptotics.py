@@ -253,10 +253,10 @@ def berry_esseen_experiment(kernel_star: KernelMatrix, sizes, reps: int, seed: i
     root of the closed-form covariance. The reported distance is the max
     of the three componentwise Kolmogorov statistics and the deviations
     over a fixed quartile grid of joint rectangles. The kernel must be
-    2x2 with b > 0 (ValueError, ZeroB), its covariance finite and its
-    four subset probabilities a distribution (ConfigError), and the sizes
-    ascending counts (ConfigError, :func:`~dppmle.sampling._count`); all
-    are checked before any draw.
+    2x2 (ValueError) with b > 0 (ZeroB, a ConfigError), its covariance
+    finite and its four subset probabilities a distribution (ConfigError),
+    and the sizes ascending counts (ConfigError,
+    :func:`~dppmle.sampling._count`); all are checked before any draw.
     """
     sizes = tuple(_count("sample size", n) for n in sizes)
     if any(later < earlier for earlier, later in zip(sizes, sizes[1:])):

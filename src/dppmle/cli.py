@@ -135,8 +135,6 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_berry_esseen(args) -> int:
-    if args.b < 0:
-        raise ConfigError("--b must be nonnegative: b is reported nonnegative by convention")
     kernel = _parsed("--a/--b/--c", lambda e: validate_kernel(e, ENSEMBLE),
                      [[args.a, args.b], [args.b, args.c]])
     report = berry_esseen_experiment(kernel, args.sizes, args.reps, args.seed)

@@ -49,9 +49,9 @@ class ReducibleKernel(DppError):
     """The kernel splits into independent blocks; the asymptotic covariance is undefined."""
 
 
-class ZeroB(DppError):
-    """The explicit covariance formula requires a strictly positive off-diagonal."""
-
-
 class ConfigError(DppError):
     """An experiment configuration failed validation."""
+
+
+class ZeroB(ConfigError):
+    """The explicit covariance formula requires a strictly positive off-diagonal."""

@@ -20,7 +20,7 @@ from .closed_form import _block_pairs, mle_2x2, mle_block, moments_estimator
 from .errors import ConfigError, DegenerateTable, DppError
 from .kernels import ENSEMBLE, KernelMatrix, as_array, load_kernel, sign_distance, validate_kernel
 from .likelihood import LikelihoodContext, empirical_distribution
-from .optimize import _step_size, newton_raphson, sgd
+from .optimize import _real, newton_raphson, sgd
 from .sampling import ENUMERATION, SAMPLERS, _count, _seed, sample_batch
 
 NEWTON = "newton"
@@ -86,7 +86,7 @@ def check_method(method: str, n_ground: int, initial, iterations, eta, blocks):
 
     Every method needs at least one item, iterations that pass
     :func:`~dppmle.sampling._count` and an eta that passes
-    :func:`~dppmle.optimize._step_size`; closed2x2 needs 2 items, and
+    :func:`~dppmle.optimize._real`; closed2x2 needs 2 items, and
     block ``blocks``. Given blocks must be integer pairs that partition
     the items, and a given initial an n_ground x n_ground ensemble
     kernel, whatever the method. A violation is a ConfigError. Configs
@@ -97,7 +97,7 @@ def check_method(method: str, n_ground: int, initial, iterations, eta, blocks):
         raise ConfigError(f"unknown method {method!r} (choose from {METHODS})")
     if n_ground < 1:
         raise ConfigError(f"estimation needs at least one item, not {n_ground}")
-    iterations, eta = _count("iterations", iterations), _step_size(eta)
+    iterations, eta = _count("iterations", iterations), _real("eta", eta)
     if method == CLOSED_2X2 and n_ground != 2:
         raise ConfigError(f"closed2x2 requires 2 items, not {n_ground}")
     if method == BLOCK and blocks is None:
@@ -173,7 +173,7 @@ def estimate(method: str, batch, initial=None, iterations: int = 100, eta: float
     ``iterations`` and ``eta`` drive the iterative solvers, ``seed`` picks
     SGD's draws, and ``blocks`` is the pair partition of ``block``. The
     status is the solver's trace status, the closed form's tag, or ``ok``;
-    the iteration count is the Newton steps taken, SGD's budget, or 0. A
+    the iteration count is the solver's ``trace.steps``, or 0. A
     request that breaks a rule of :func:`check_method`, or a seed that
     :func:`~dppmle.sampling._seed` refuses, is a ConfigError whatever the
     method; DegenerateTable and EmptyBatch propagate.
@@ -185,13 +185,13 @@ def estimate(method: str, batch, initial=None, iterations: int = 100, eta: float
     # SGD and block read the masks; the others read the empirical table.
     if method == SGD:
         kernel, trace = sgd(batch, initial, eta=eta, iters=iterations, seed=seed)
-        return kernel.entries, trace.status, iterations
+        return kernel.entries, trace.status, trace.steps
     if method == BLOCK:
         return mle_block(batch, blocks).entries, "ok", 0
     table = empirical_distribution(batch)
     if method == NEWTON:
         kernel, trace = newton_raphson(LikelihoodContext(table), initial, max_iter=iterations)
-        return kernel.entries, trace.status, max(len(trace.iterates) - 1, 0)
+        return kernel.entries, trace.status, trace.steps
     if method == CLOSED_2X2:
         kernel, tag = mle_2x2(table)
         return kernel.entries, tag, 0

@@ -30,12 +30,13 @@ BLOWUP_LIMIT = 1e8
 
 @dataclass
 class IterationTrace:
-    """Thinned per-iteration history of a solver run."""
+    """Thinned per-iteration history of a solver run, and the steps it took, set when it stops."""
 
     iterates: list = field(default_factory=list)
     objective: list = field(default_factory=list)
     grad_norms: list = field(default_factory=list)
     status: str = MAX_ITER
+    steps: int = 0
 
     def record(self, entries: np.ndarray, value: float, grad_norm: float) -> None:
         self.iterates.append(entries.copy())
@@ -59,17 +60,18 @@ def _symmetric_start(initial, n_ground: int) -> np.ndarray:
     return (entries + entries.T) / 2.0
 
 
-def _step_size(value) -> float:
-    """The rule for every SGD step size: a real number (not a bool) within the float range, finite and > 0."""
+def _real(what: str, value, zero_ok: bool = False) -> float:
+    """The eta and grad_tol rule: a real (not a bool) within the float range, finite and > 0, or >= 0 if zero_ok."""
     if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
-        raise ConfigError(f"eta: {value!r} is not a real number")
+        raise ConfigError(f"{what}: {value!r} is not a real number")
     try:
-        eta = float(value)
+        real = float(value)
     except OverflowError as exc:
-        raise ConfigError(f"eta: {exc}") from exc
-    if not (math.isfinite(eta) and eta > 0):
-        raise ConfigError(f"eta must be a positive finite number, not {eta!r}")
-    return eta
+        raise ConfigError(f"{what}: {exc}") from exc
+    if not (math.isfinite(real) and (real >= 0 if zero_ok else real > 0)):
+        sign = "nonnegative" if zero_ok else "positive"
+        raise ConfigError(f"{what} must be a {sign} finite number, not {real!r}")
+    return real
 
 
 def _blown_up(candidate: np.ndarray) -> bool:
@@ -121,14 +123,14 @@ def newton_raphson(
     past 1e8 ends the run ``diverged``. It also stops when the gradient
     norm falls below ``grad_tol``, the budget runs out, or J^T H J is
     singular (``singular``). The last point inside the domain is
-    returned; a start outside it comes back with nothing recorded.
-    ConfigError unless ``max_iter`` passes
-    :func:`~dppmle.sampling._count`; ValueError when ``trace_every`` < 1
-    or the initial kernel does not match the table's ground set.
+    returned, and ``trace.steps`` is its index; a start outside it comes
+    back with nothing recorded. ConfigError unless ``max_iter`` and
+    ``trace_every`` pass :func:`~dppmle.sampling._count` and ``grad_tol``
+    :func:`_real` with zero allowed; ValueError when the initial kernel
+    does not match the table's ground set.
     """
-    max_iter = _count("iterations", max_iter)
-    if trace_every < 1:
-        raise ValueError(f"trace_every must be at least 1, not {trace_every!r}")
+    max_iter, trace_every = _count("iterations", max_iter), _count("trace_every", trace_every)
+    grad_tol = _real("grad_tol", grad_tol, zero_ok=True)
     candidate = entries = _symmetric_start(initial, ctx.dist.n)
     embed = vech_embedding(ctx.dist.n)
     trace = IterationTrace()
@@ -157,6 +159,7 @@ def newton_raphson(
         if _blown_up(candidate):
             trace.status = DIVERGED
             break
+    trace.steps = max(step - 1, 0) if point.value == -math.inf else step
     return _final(entries, trace)
 
 
@@ -177,7 +180,8 @@ def sgd(
     not positive, a singular L + I (at a step or a trace point), a
     singular supported minor at a trace point or an entry blow-up ends
     the run ``diverged`` with the last valid iterate; that is expected of
-    the plain update on repulsive kernels, not an error.
+    the plain update on repulsive kernels, not an error. ``trace.steps``
+    is the step at which it stopped, or ``iters``.
 
     The drawn minor is never sliced out. With z the draw's 0/1 indicator,
     M = L * z z^T + diag(1 - z) embeds L_Z in a full matrix: det M = det L_Z
@@ -188,16 +192,14 @@ def sgd(
     off its LU as ``slogdet`` reads it (LU semantics: valid iff the sign
     is > 0, and an exactly zero pivot is singular). The update is
     pad(L_Z^{-1}) - (L + I)^{-1}. ConfigError unless ``eta`` passes
-    :func:`_step_size` and ``iters`` :func:`~dppmle.sampling._count`;
-    ValueError when ``trace_every`` < 1 or the initial kernel does not
-    match the batch's ground set.
+    :func:`_real`, and ``iters`` and ``trace_every``
+    :func:`~dppmle.sampling._count`; ValueError when the initial kernel
+    does not match the batch's ground set.
     """
     # Imported here so that only SGD runs load scipy.linalg.
     from scipy.linalg.lapack import dgesv
 
-    eta = _step_size(eta)
-    if trace_every < 1:
-        raise ValueError(f"trace_every must be at least 1, not {trace_every!r}")
+    eta, trace_every = _real("eta", eta), _count("trace_every", trace_every)
     entries = np.asfortranarray(_symmetric_start(initial, batch.n_ground))
     ctx = LikelihoodContext(empirical_distribution(batch))
     rng = make_rng(seed)
@@ -211,7 +213,6 @@ def sgd(
     constants = [(keep.T, rest.T, eye - rest.T) for keep, rest in zip(keeps, rests)]
     slots = np.searchsorted(ctx.support[0], batch.masks) + 1
     trace = IterationTrace()
-    trace.status = MAX_ITER
     for step, slot in enumerate(slots[picks].tolist()):
         if step % trace_every == 0:
             point = LikelihoodPoint(ctx, entries)
@@ -235,4 +236,5 @@ def sgd(
             trace.status = DIVERGED
             break
         entries = candidate
+    trace.steps = step if trace.status == DIVERGED else len(picks)
     return _final(entries, trace)

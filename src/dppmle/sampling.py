@@ -54,7 +54,7 @@ _SPECTRAL_CHUNK = 1 << 11
 
 
 def _count(what: str, value) -> int:
-    """The rule for every sample size, replication count and iteration budget: an integer in [1, MAX_COUNT]."""
+    """The rule for every sample size, replication count, budget and trace interval: an integer in 1..MAX_COUNT."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ConfigError(f"{what}: {value!r} is not an integer")
     if value < 1:

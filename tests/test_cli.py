@@ -197,8 +197,15 @@ class TestBerryEsseenCommand:
     def test_zero_b_is_one_error_line(self, capsys):
         # a valid kernel, but the standardization needs the explicit covariance, which needs b > 0
         code = main(["berry-esseen", "--a", "0", "--b", "0", "--c", "1"])
-        assert code == 1
-        assert capsys.readouterr().err == "error: explicit covariance requires b > 0\n"
+        assert code == 2
+        assert capsys.readouterr().err == "config error: explicit covariance requires b > 0\n"
+
+    @pytest.mark.parametrize("b", ["0", "-0.0", "-1", "-1e-300"])
+    def test_b_at_most_zero_is_one_rule(self, b, capsys):
+        # berry_esseen_experiment owns the b rule; the CLI only parses --b
+        code = main(["berry-esseen", "--a", "1", f"--b={b}", "--c", "2"])
+        assert code == 2
+        assert capsys.readouterr().err == "config error: explicit covariance requires b > 0\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -5,7 +5,7 @@ import pytest
 
 from dppmle.closed_form import mle_2x2
 from dppmle.errors import ConfigError, SingularPrincipalMinor
-from dppmle.experiments import SGD, TRIDIAGONAL_3, TRIDIAGONAL_3_START, preset_configs
+from dppmle.experiments import SGD, TRIDIAGONAL_3, TRIDIAGONAL_3_START, estimate, preset_configs
 from dppmle.kernels import (
     DistributionTable,
     enumerate_distribution,
@@ -43,29 +43,29 @@ def _gather_scatter_sgd(batch, initial, eta, iters, seed, trace_every=100):
     ctx = LikelihoodContext(empirical_distribution(batch))
     picks = make_rng(seed).integers(0, len(batch), size=iters)
     eye = np.eye(entries.shape[0])
-    trace = IterationTrace()
+    trace = IterationTrace(steps=iters)
     for step in range(iters):
         if step % trace_every == 0:
             point = LikelihoodPoint(ctx, entries)
             try:
                 grad_norm = float(np.linalg.norm(point.gradient()))
-            except SingularPrincipalMinor:
-                trace.status = DIVERGED
+            except (SingularPrincipalMinor, np.linalg.LinAlgError):
+                trace.status, trace.steps = DIVERGED, step
                 break
             trace.record(entries, point.value, grad_norm)
         block = np.ix_(*[subset_indices(int(batch.masks[picks[step]]))] * 2)
         try:
             update = -np.linalg.inv(entries + eye)
             if np.linalg.slogdet(entries[block])[0] <= 0:
-                trace.status = DIVERGED
+                trace.status, trace.steps = DIVERGED, step
                 break
             update[block] += np.linalg.inv(entries[block])
         except np.linalg.LinAlgError:
-            trace.status = DIVERGED
+            trace.status, trace.steps = DIVERGED, step
             break
         candidate = entries + eta * update
         if not np.all(np.isfinite(candidate)) or np.max(np.abs(candidate)) > BLOWUP_LIMIT:
-            trace.status = DIVERGED
+            trace.status, trace.steps = DIVERGED, step
             break
         entries = candidate
     return (entries + entries.T) / 2.0, trace
@@ -75,6 +75,7 @@ def _assert_same_run(batch, initial, eta, iters, seed, trace_every=100):
     estimate, trace = sgd(batch, initial, eta=eta, iters=iters, seed=seed, trace_every=trace_every)
     expected, expected_trace = _gather_scatter_sgd(batch, initial, eta, iters, seed, trace_every)
     assert trace.status == expected_trace.status
+    assert trace.steps == expected_trace.steps
     assert len(trace.iterates) == len(expected_trace.iterates)
     assert all(np.array_equal(a, b) for a, b in zip(trace.iterates, expected_trace.iterates))
     assert np.array_equal(estimate.entries, expected)
@@ -131,7 +132,7 @@ class TestNewton:
     @pytest.mark.parametrize("trace_every", [0, -3])
     def test_trace_every_below_one_rejected(self, trace_every):
         ctx = LikelihoodContext(enumerate_distribution(validate_kernel(DENSE2, "ensemble")))
-        with pytest.raises(ValueError, match="trace_every"):
+        with pytest.raises(ConfigError, match="trace_every"):
             newton_raphson(ctx, np.eye(2), max_iter=5, trace_every=trace_every)
 
     def test_flat_curvature_ends_singular(self):
@@ -177,6 +178,27 @@ class TestNewton:
         assert trace.status == DIVERGED
         assert trace.iterates == [] and trace.objective == [] and trace.grad_norms == []
         assert np.array_equal(estimate.entries, start)
+
+    @pytest.mark.parametrize("probs, start, max_iter, status", [
+        (None, DENSE2 + 0.05 * np.array([[1.0, -0.5], [-0.5, 0.8]]), 100, CONVERGED),
+        (None, DENSE2 + 0.05 * np.array([[1.0, -0.5], [-0.5, 0.8]]), 2, MAX_ITER),
+        ([0.25] * 4, [[1.0, 3.0], [3.0, 1.0]], 100, DIVERGED),
+        ([0.25, 0.21, 0.48, 0.06], [[0.6, 0.4], [0.4, 1.0]], 100, DIVERGED),
+        ([0.5, 0.25, 0.25, 0.0], np.eye(2), 100, SINGULAR),
+        ([0.9, 0.05, 0.05, 0.0], np.eye(2), 100, DIVERGED),
+    ], ids=["converged", "max-iter", "diverged-at-start", "diverged-later", "singular", "blow-up"])
+    def test_steps_index_the_returned_point(self, probs, start, max_iter, status):
+        table = enumerate_distribution(validate_kernel(DENSE2, "ensemble")) if probs is None \
+            else DistributionTable(np.array(probs))
+        ctx = LikelihoodContext(table)
+        estimate, trace = newton_raphson(ctx, np.array(start), max_iter=max_iter)
+        assert trace.status == status
+        assert trace.steps == max(len(trace.iterates) - 1, 0)
+        if trace.iterates:
+            assert np.array_equal(estimate.entries, trace.iterates[-1])
+        # the count does not depend on how thinly the run is traced
+        _, thinned = newton_raphson(ctx, np.array(start), max_iter=max_iter, trace_every=4)
+        assert (thinned.status, thinned.steps) == (status, trace.steps)
 
     def test_empirical_dense2_converges_to_mle(self):
         kernel = validate_kernel(DENSE2, "ensemble")
@@ -242,7 +264,7 @@ class TestSgd:
         batch = sample_batch(kernel, 30_000, 3, "enumeration")
         estimate, trace = sgd(batch, np.eye(3), eta=0.1, iters=60_000, seed=3,
                               trace_every=5000)
-        assert trace.status == MAX_ITER
+        assert trace.status == MAX_ITER and trace.steps == 60_000
         np.testing.assert_allclose(estimate.entries.diagonal(), [7.0, 5.0, 9.0], atol=0.2)
         off_diag = estimate.entries[~np.eye(3, dtype=bool)]
         np.testing.assert_allclose(off_diag, 0.0, atol=1e-12)
@@ -299,10 +321,20 @@ class TestSgd:
     def test_singular_normalizer_ends_diverged(self):
         # every draw is {1}, whose minor 2 is positive, but L + I = diag(0, 3) is singular
         batch = SampleBatch(2, np.full(5, 0b10), 0, "enumeration")
+        assert _assert_same_run(batch, np.diag([-1.0, 2.0]), 0.1, 10, 0) == DIVERGED
         estimate, trace = sgd(batch, np.diag([-1.0, 2.0]), eta=0.1, iters=10, seed=0)
-        assert trace.status == DIVERGED
-        assert trace.iterates == []
+        assert trace.iterates == [] and trace.steps == 0
         assert np.array_equal(estimate.entries, np.diag([-1.0, 2.0]))
+
+    def test_diverged_run_counts_the_steps_it_took(self):
+        # table1's dense2x2 SGD cell at seed 0 stops at step 1767 of its 60000; every
+        # point before the failed update is traced, so the trace holds 1768
+        config = TABLE1_SGD["dense2x2"]
+        batch = sample_batch(validate_kernel(config.kernel, "ensemble"), 30_000, 0, config.sampler)
+        _, status, iterations = estimate(SGD, batch, config.initial, config.iterations, config.eta, 0)
+        _, trace = sgd(batch, config.initial, eta=config.eta, iters=config.iterations, seed=0, trace_every=1)
+        assert status == trace.status == DIVERGED
+        assert iterations == trace.steps == len(trace.iterates) - 1 == 1767
 
     def test_initial_size_must_match(self):
         batch = SampleBatch(2, np.array([0, 3, 1]), 0, "enumeration")
@@ -312,7 +344,7 @@ class TestSgd:
     @pytest.mark.parametrize("trace_every", [0, -3])
     def test_trace_every_below_one_rejected(self, trace_every):
         batch = SampleBatch(2, np.array([0, 3, 1]), 0, "enumeration")
-        with pytest.raises(ValueError, match="trace_every"):
+        with pytest.raises(ConfigError, match="trace_every"):
             sgd(batch, np.eye(2), eta=0.1, iters=10, seed=0, trace_every=trace_every)
 
 
@@ -338,6 +370,33 @@ def test_iteration_budget_is_a_count(solver, budget):
             newton_raphson(LikelihoodContext(empirical_distribution(batch)), np.eye(2), max_iter=budget)
         else:
             sgd(batch, np.eye(2), iters=budget)
+
+
+@pytest.mark.parametrize("trace_every", [True, 2.5, "3", 0, -3, 2**53 + 1],
+                         ids=["bool", "float", "string", "zero", "negative", "2-pow-53-plus-1"])
+@pytest.mark.parametrize("solver", ["newton", "sgd"])
+def test_trace_every_is_a_count(solver, trace_every):
+    batch = SampleBatch(2, np.array([0, 3, 1]), 0, "enumeration")
+    with pytest.raises(ConfigError, match="^trace_every"):
+        if solver == "newton":
+            newton_raphson(LikelihoodContext(empirical_distribution(batch)), np.eye(2), trace_every=trace_every)
+        else:
+            sgd(batch, np.eye(2), iters=10, trace_every=trace_every)
+
+
+@pytest.mark.parametrize("grad_tol, message", [
+    (np.nan, "grad_tol must be a nonnegative finite number, not nan"),
+    (np.inf, "grad_tol must be a nonnegative finite number, not inf"),
+    (-1e-8, "grad_tol must be a nonnegative finite number, not -1e-08"),
+    ("x", "grad_tol: 'x' is not a real number"),
+    (True, "grad_tol: True is not a real number"),
+    (10**400, "grad_tol: int too large to convert to float"),
+], ids=["nan", "inf", "negative", "string", "bool", "huge-int"])
+def test_grad_tol_is_a_finite_real_at_least_zero(grad_tol, message):
+    ctx = LikelihoodContext(enumerate_distribution(validate_kernel(DENSE2, "ensemble")))
+    with pytest.raises(ConfigError) as info:
+        newton_raphson(ctx, np.eye(2), grad_tol=grad_tol)
+    assert str(info.value) == message
 
 
 def _empty_then_singleton_batch() -> SampleBatch:
