@@ -12,7 +12,8 @@ which inverts in closed form: the likelihood's interior critical point is
 and when the discriminant p1 p2 - p0 p3 is negative the maximizer sits on
 the b = 0 boundary at ((p1 + p3)/(p0 + p2), 0, (p2 + p3)/(p0 + p1)).
 b is reported nonnegative always; the sign orbit is handled by
-``sign_distance``.
+``sign_distance``. The objective these formulas maximize is
+:func:`~dppmle.likelihood.log_likelihood` at [[a, b], [b, c]].
 """
 
 from __future__ import annotations
@@ -160,27 +161,4 @@ def moments_estimator(table: DistributionTable) -> tuple[np.ndarray, np.ndarray]
     magnitudes = np.sqrt(np.maximum(np.outer(singles, singles) - p0 * pairs, 0.0)) / p0
     np.fill_diagonal(magnitudes, 0.0)
     return singles / p0, magnitudes
-
-
-# ---------------------------------------------------------------------------
-# The (a, b, c) chart of the 2x2 objective
-# ---------------------------------------------------------------------------
-
-
-def chart_log_likelihood(theta, table: DistributionTable) -> float:
-    """Objective in the (a, b, c) chart; zero-frequency terms are skipped."""
-    a, b, c = theta
-    p0, p1, p2, p3 = (float(x) for x in table.probs)
-    det = a * c - b * b
-    d = (a + 1.0) * (c + 1.0) - b * b
-    if a <= 0 or c <= 0 or d <= 0 or (p3 > 0 and det <= 0):
-        return -np.inf
-    total = -np.log(d)
-    if p1 > 0:
-        total += p1 * np.log(a)
-    if p2 > 0:
-        total += p2 * np.log(c)
-    if p3 > 0:
-        total += p3 * np.log(det)
-    return float(total)
 

@@ -1,7 +1,10 @@
 """Central finite-difference oracles for the likelihood calculus.
 
 These only call the public evaluation routines as black boxes, so they
-stay independent of the analytic derivations they check.
+stay independent of the analytic derivations they check. There are two:
+:func:`fd_gradient` differences the objective, :func:`fd_hessian` the
+gradient. The curvature in the vech chart ((a, b, c) at N = 2) is
+J^T @ fd_hessian @ J, J from :func:`~dppmle.likelihood.vech_embedding`.
 """
 
 from __future__ import annotations
@@ -59,40 +62,3 @@ def fd_hessian(ctx: LikelihoodContext, kernel) -> np.ndarray:
             out[:, k * n + l] = diff.reshape(-1)
     return out
 
-
-def fd_hessian_of(fn, x: np.ndarray) -> np.ndarray:
-    """Dense Hessian of a scalar function of a flat vector.
-
-    Second central differences at base steps h = 1e-3 and h/2 combined by
-    Richardson extrapolation, cancelling the O(h^2) truncation term while
-    keeping the step wide enough that the eps / h^2 roundoff stays negligible.
-    """
-    coarse = _fd_hessian_single(fn, x, 1e-3)
-    fine = _fd_hessian_single(fn, x, 1e-3 / 2.0)
-    return (4.0 * fine - coarse) / 3.0
-
-
-def _fd_hessian_single(fn, x: np.ndarray, step: float) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    d = x.size
-    steps = step * (1.0 + np.abs(x))
-    center = fn(x)
-    out = np.empty((d, d))
-    for i in range(d):
-        for j in range(i, d):
-            hi, hj = steps[i], steps[j]
-            if i == j:
-                out[i, i] = (fn(_bumped(x, i, hi)) - 2.0 * center + fn(_bumped(x, i, -hi))) / hi**2
-            else:
-                pp = fn(_bumped(_bumped(x, i, hi), j, hj))
-                pm = fn(_bumped(_bumped(x, i, hi), j, -hj))
-                mp = fn(_bumped(_bumped(x, i, -hi), j, hj))
-                mm = fn(_bumped(_bumped(x, i, -hi), j, -hj))
-                out[i, j] = out[j, i] = (pp - pm - mp + mm) / (4.0 * hi * hj)
-    return out
-
-
-def _bumped(x: np.ndarray, i: int, h: float) -> np.ndarray:
-    y = x.copy()
-    y[i] += h
-    return y

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .asymptotics import clt_experiment, covariance_2x2_explicit
-from .closed_form import chart_log_likelihood, forward_probs_2x2, mle_2x2
+from .closed_form import forward_probs_2x2, mle_2x2
 from .kernels import (
     ENSEMBLE,
     DistributionTable,
@@ -28,8 +28,8 @@ from .kernels import (
     marginal_of,
     subset_indices,
 )
-from .likelihood import LikelihoodContext, gradient, hessian
-from .numdiff import fd_gradient, fd_hessian, fd_hessian_of
+from .likelihood import LikelihoodContext, gradient, hessian, vech_embedding
+from .numdiff import fd_gradient, fd_hessian
 from .sampling import SEED_LIMIT, _seed, sample_batch
 from .verify_support import random_ensemble
 
@@ -111,8 +111,10 @@ def covariance_formula_errors(seed: int, instances: int) -> tuple[bool, float, f
     """The explicit 2x2 covariance against the inverse finite-difference curvature.
 
     The first case is BENCHMARK, the others random (a, b, c) with
-    0 < b < sqrt(ac) drawn from ``seed``. Returns whether the formula gives
-    BENCHMARK_COV at BENCHMARK (atol 1e-9), the worst entry of
+    0 < b < sqrt(ac) drawn from ``seed``. The curvature is the (a, b, c)
+    chart's, J^T @ fd_hessian @ J with J = vech_embedding(2), of
+    log_likelihood on the kernel's own table. Returns whether the formula
+    gives BENCHMARK_COV at BENCHMARK (atol 1e-9), the worst entry of
     -curvature @ explicit - I, and the worst relative entry error of the
     formula against inv(-curvature). The product keeps finite-difference
     noise from being amplified by the curvature's condition number.
@@ -123,12 +125,12 @@ def covariance_formula_errors(seed: int, instances: int) -> tuple[bool, float, f
         a, c = rng.uniform(0.5, 3.0, size=2)
         b = rng.uniform(0.2, 0.9) * np.sqrt(a * c)
         cases.append(np.array([[a, b], [b, c]]))
+    embed = vech_embedding(2)
     residual = rel = 0.0
     for entries in cases:
         explicit = covariance_2x2_explicit(entries)
-        table = forward_probs_2x2(entries)
-        theta = entries[np.triu_indices(2)]
-        curvature = fd_hessian_of(lambda t: chart_log_likelihood(t, table), theta)
+        ctx = LikelihoodContext(forward_probs_2x2(entries))
+        curvature = embed.T @ fd_hessian(ctx, entries) @ embed
         residual = max(residual, float(np.max(np.abs(-curvature @ explicit - np.eye(3)))))
         oracle = np.linalg.inv(-curvature)
         rel = max(rel, float(np.max(np.abs(explicit - oracle) / np.abs(oracle))))

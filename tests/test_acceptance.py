@@ -19,7 +19,6 @@ from dppmle.asymptotics import berry_esseen_experiment
 from dppmle.closed_form import (
     INTERIOR,
     _mle_2x2_arrays,
-    chart_log_likelihood,
     forward_probs_2x2,
     mle_2x2,
 )
@@ -109,7 +108,7 @@ def test_criterion_4_closed_form_optimality():
                       + p3 * np.log(a_g * c_g - b_g**2)
                       - np.log((a_g + 1) * (c_g + 1) - b_g**2))
         values = np.where(feasible, values, -np.inf)
-        if chart_log_likelihood(estimate.entries[np.triu_indices(2)], table) < values.max() - 1e-12:
+        if log_likelihood(LikelihoodContext(table), estimate) < values.max() - 1e-12:
             beaten += 1
         worst_resid = max(worst_resid, float(np.max(np.abs(
             chart_gradient(estimate.entries[np.triu_indices(2)], table)))))
@@ -210,7 +209,7 @@ def test_criterion_6b_newton_wrong_critical_point():
         estimate, trace = newton_raphson(ctx, SADDLE_START, max_iter=100)
         e = estimate.entries
         closed, _ = mle_2x2(ctx.dist)
-        best = chart_log_likelihood(closed.entries[np.triu_indices(2)], ctx.dist)
+        best = log_likelihood(ctx, closed)
         in_bands = (abs(e[0, 1]) < 0.05 and abs(e[0, 0] - 0.657) <= 0.2
                     and abs(e[1, 1] - 1.499) <= 0.2)
         if (trace.status == CONVERGED and in_bands and log_likelihood(ctx, e) < best

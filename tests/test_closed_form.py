@@ -11,7 +11,6 @@ from dppmle.closed_form import (
     INTERIOR,
     _block_pairs,
     _mle_2x2_arrays,
-    chart_log_likelihood,
     forward_probs_2x2,
     mle_2x2,
     mle_block,
@@ -23,7 +22,7 @@ from dppmle.kernels import (
     enumerate_distribution,
     validate_kernel,
 )
-from dppmle.likelihood import empirical_distribution
+from dppmle.likelihood import LikelihoodContext, empirical_distribution, log_likelihood
 from dppmle.sampling import SampleBatch, make_rng, sample_batch
 from oracles import chart_gradient
 
@@ -193,7 +192,7 @@ class TestGridOptimality:
                     - np.log((a_grid + 1) * (c_grid + 1) - b_grid**2)
                 )
             values = np.where(feasible, values, -np.inf)
-            own = chart_log_likelihood(estimate.entries[np.triu_indices(2)], table)
+            own = log_likelihood(LikelihoodContext(table), estimate)
             assert own >= values.max() - 1e-12
 
 

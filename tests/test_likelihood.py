@@ -83,6 +83,21 @@ class TestLogLikelihood:
         indefinite = np.array([[1.0, 3.0], [3.0, 1.0]])  # det < 0 on the supported pair
         assert log_likelihood(ctx, indefinite) == -np.inf
 
+    def test_two_by_two_objective(self, rng):
+        # the (a, b, c) objective is log_likelihood at [[a, b], [b, c]], with one domain rule
+        for _ in range(50):
+            a, c = rng.uniform(0.2, 4.0, size=2)
+            b = rng.uniform(-0.95, 0.95) * np.sqrt(a * c)
+            _, p1, p2, p3 = probs = rng.dirichlet(np.ones(4))
+            expected = (p1 * np.log(a) + p2 * np.log(c) + p3 * np.log(a * c - b * b)
+                        - np.log((a + 1) * (c + 1) - b * b))
+            value = log_likelihood(LikelihoodContext(DistributionTable(probs)), [[a, b], [b, c]])
+            assert value == pytest.approx(expected, rel=0, abs=1e-12)
+        # a < 0 is inside the domain when {0} is never observed: only det(L + I) and L_{1} count
+        ctx = LikelihoodContext(DistributionTable(np.array([0.5, 0.0, 0.5, 0.0])))
+        value = log_likelihood(ctx, [[-0.1, 0.0], [0.0, 1.0]])
+        assert np.isfinite(value) and value == pytest.approx(-np.log(1.8), rel=0, abs=1e-12)
+
 
 class TestGradient:
     def test_zero_at_truth_identity(self):

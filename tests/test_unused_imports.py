@@ -1,9 +1,12 @@
-"""Every name a module imports is used in that module.
+"""Every name a module imports is used in that module, and no private helper is left over.
 
 No linter is a dependency, so this walks the syntax trees itself. A name
 counts as used when it appears as a bare name anywhere in the module,
 including as the base of an attribute access. The package's
-``__init__.py`` is left out: it imports names to re-export them.
+``__init__.py`` is left out: it imports names to re-export them. A
+module-level function or class of the package whose name starts with
+``_`` must be read somewhere in the package, as a name, an attribute or
+an imported name; otherwise it is a helper its callers left behind.
 """
 
 import ast
@@ -12,9 +15,9 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = sorted((ROOT / "src" / "dppmle").glob("*.py"))
 MODULES = sorted(
-    [path for path in (ROOT / "src" / "dppmle").glob("*.py") if path.name != "__init__.py"]
-    + list((ROOT / "tests").glob("*.py")),
+    [path for path in PACKAGE if path.name != "__init__.py"] + list((ROOT / "tests").glob("*.py")),
 )
 
 
@@ -41,3 +44,37 @@ def test_finds_an_unused_name():
 @pytest.mark.parametrize("path", MODULES, ids=[f"{p.parent.name}/{p.name}" for p in MODULES])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def unread_private_helpers(sources: dict[str, str]) -> list[str]:
+    """Module-level ``_`` functions and classes in ``sources`` that none of them reads."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    return [
+        f"{name} line {node.lineno}: {node.name}"
+        for name, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and node.name not in read
+    ]
+
+
+def test_finds_an_unread_helper():
+    sources = {
+        "a.py": "def _imported(): pass\ndef _orphan(): pass\nclass _Reached: pass\n",
+        "b.py": "import a\nfrom a import _imported\nprint(a._Reached)\n",
+    }
+    assert unread_private_helpers(sources) == ["a.py line 2: _orphan"]
+
+
+def test_no_unread_private_helpers():
+    assert unread_private_helpers({path.name: path.read_text(encoding="utf-8") for path in PACKAGE}) == []
