@@ -37,12 +37,13 @@ def is_irreducible(kernel) -> bool:
 
     A kernel that permutes into diagonal blocks describes independent
     subprocesses; its curvature is singular in the cross-block directions,
-    so the asymptotic covariance only exists for connected patterns.
+    so the asymptotic covariance only exists for connected patterns. An
+    entry links its pair when it exceeds 1e-12 of the largest entry.
     """
     entries = as_array(kernel)
     if entries.ndim != 2:
         raise ValueError(f"expected a square matrix, got shape {entries.shape}")
-    tol = 1e-12 * max(1.0, float(np.max(np.abs(entries))))
+    tol = 1e-12 * float(np.max(np.abs(entries)))
     linked = np.abs(entries) > tol
     return bool(_reached(linked | linked.T, 0).all())
 
@@ -53,6 +54,8 @@ def asymptotic_covariance(kernel_star: KernelMatrix) -> np.ndarray:
     inv(-J^T H J), with H the Hessian of the expected objective at the
     truth and J from :func:`~dppmle.likelihood.vech_embedding`; an
     N(N+1)/2 square matrix, for 2x2 kernels the (a, b, c) covariance.
+    SingularHessian unless every curvature eigenvalue is below -1e-10
+    times the largest curvature entry.
     """
     if not is_irreducible(kernel_star):
         raise ReducibleKernel("kernel splits into independent blocks")
@@ -61,8 +64,8 @@ def asymptotic_covariance(kernel_star: KernelMatrix) -> np.ndarray:
     curvature = embed.T @ hessian(ctx, kernel_star) @ embed
     curvature = (curvature + curvature.T) / 2.0
     eigs = np.linalg.eigvalsh(curvature)
-    tol = 1e-10 * max(1.0, float(np.max(np.abs(curvature))))
-    if eigs.max() > -tol:
+    tol = 1e-10 * float(np.max(np.abs(curvature)))
+    if eigs.max() >= -tol:
         raise SingularHessian(
             f"curvature is not negative definite on symmetric directions (max eig {eigs.max():.3e})"
         )
@@ -169,8 +172,12 @@ def clt_experiment(kernel_star: KernelMatrix, n: int, reps: int, seed: int) -> C
     """Empirical covariance of sqrt(n) * vech(aligned estimate - truth).
 
     The scaled errors come from :func:`_replicate`; failed replications
-    are dropped and counted.
+    are dropped and counted. ReducibleKernel unless the truth passes
+    :func:`is_irreducible`, checked before any draw: a reducible truth has
+    no root-n law, and Newton from it never leaves its blocks.
     """
+    if not is_irreducible(kernel_star):
+        raise ReducibleKernel("kernel splits into independent blocks")
     deviations, failures = _replicate(
         kernel_star, enumerate_distribution(kernel_star), n, reps, make_rng(seed)
     )

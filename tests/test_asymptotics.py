@@ -20,7 +20,7 @@ from dppmle.asymptotics import (
     is_irreducible,
 )
 from dppmle.closed_form import forward_probs_2x2
-from dppmle.errors import ConfigError, DegenerateTable, ReducibleKernel, ZeroB
+from dppmle.errors import ConfigError, DegenerateTable, ReducibleKernel, SingularHessian, ZeroB
 from dppmle.kernels import enumerate_distribution, validate_kernel
 from dppmle.likelihood import LikelihoodContext, hessian, vech_embedding
 from dppmle.numdiff import fd_hessian
@@ -30,6 +30,7 @@ from oracles import chart_hessian, score_information
 
 DENSE2 = np.array([[1.0, 1.0], [1.0, 2.0]])
 EXPECTED_COV = np.array([[10.0, 12.5, 10.0], [12.5, 20.0, 20.0], [10.0, 20.0, 30.0]])
+BLOCKS4 = np.array([[1.0, 0.5, 0.0, 0.0], [0.5, 2.0, 0.0, 0.0], [0.0, 0.0, 0.5, 0.3], [0.0, 0.0, 0.3, 1.5]])
 
 
 class TestIrreducibility:
@@ -48,6 +49,10 @@ class TestIrreducibility:
         entries[2:, 2:] = DENSE2
         assert not is_irreducible(entries)
 
+    def test_tiny_dense_is_irreducible(self):
+        # the link tolerance scales with the largest entry; an absolute floor cut every link here
+        assert is_irreducible(1e-12 * DENSE2)
+
     def test_empty_kernel_raises(self):
         with pytest.raises(ValueError):
             is_irreducible(np.zeros((0, 0)))
@@ -58,7 +63,7 @@ class TestIrreducibility:
     )))
     def test_matches_connected_components(self, entries):
         # asymmetric patterns included: an entry on either side links its pair
-        tol = 1e-12 * max(1.0, float(np.max(np.abs(entries))))
+        tol = 1e-12 * float(np.max(np.abs(entries)))
         n_components, _ = connected_components(np.abs(entries) > tol, directed=False)
         assert is_irreducible(entries) == (n_components == 1)
 
@@ -111,6 +116,18 @@ class TestAsymptoticCovariance:
     def test_reducible_rejected(self):
         with pytest.raises(ReducibleKernel):
             asymptotic_covariance(validate_kernel(np.diag([7.0, 5.0, 9.0]), "ensemble"))
+
+    def test_large_kernel_matches_explicit(self):
+        # curvature eigenvalues -2.2e-8 to -1.4e-13: negative definite relative to the
+        # largest entry, which an absolute floor of 1e-10 refused
+        entries = 1000.0 * DENSE2
+        np.testing.assert_allclose(asymptotic_covariance(validate_kernel(entries, "ensemble")),
+                                   covariance_2x2_explicit(entries), rtol=1e-8)
+
+    def test_rank_deficient_kernel_raises_singular_hessian(self):
+        # the vech curvature at [[1, 1], [1, 1]] has eigenvalues -0.10, about 0 and +1.44
+        with pytest.raises(SingularHessian, match="not negative definite"):
+            asymptotic_covariance(validate_kernel([[1.0, 1.0], [1.0, 1.0]], "ensemble"))
 
     def test_symmetric_psd(self, rng):
         for _ in range(5):
@@ -201,6 +218,18 @@ class TestCltExperiment:
         # Philox refuses a negative key with a bare ValueError and keys 1.5 as seed 1
         with pytest.raises(ConfigError, match="seeds"):
             clt_experiment(validate_kernel(DENSE2, "ensemble"), 100, 5, seed)
+
+    @pytest.mark.parametrize("entries", [BLOCKS4, np.diag([7.0, 5.0, 9.0]), [[1.0, 0.0], [0.0, 2.0]]],
+                             ids=["two-blocks", "diagonal3x3", "zero-b"])
+    def test_reducible_truth_is_refused_before_drawing(self, entries, monkeypatch):
+        # the cross-block gradient vanishes at the truth, so Newton from it would stay in the
+        # blocks and report the block-constrained law, with exactly 0 cross-block variance
+        def no_draws(*args):
+            raise AssertionError("drew replications")
+
+        monkeypatch.setattr(asymptotics, "_replicate", no_draws)
+        with pytest.raises(ReducibleKernel):
+            clt_experiment(validate_kernel(entries, "ensemble"), 10_000, 100, 0)
 
     def test_newton_path_for_three_elements(self, rng):
         kernel = random_irreducible_ensemble(3, rng)

@@ -7,6 +7,8 @@ including as the base of an attribute access. The package's
 module-level function or class of the package whose name starts with
 ``_`` must be read somewhere in the package, as a name, an attribute or
 an imported name; otherwise it is a helper its callers left behind.
+Every file of the package and of ``tests/`` parses under the grammar of
+Python 3.10, the oldest version ``pyproject.toml`` claims.
 """
 
 import ast
@@ -16,9 +18,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "dppmle").glob("*.py"))
-MODULES = sorted(
-    [path for path in PACKAGE if path.name != "__init__.py"] + list((ROOT / "tests").glob("*.py")),
-)
+SOURCES = PACKAGE + sorted((ROOT / "tests").glob("*.py"))
+MODULES = [path for path in SOURCES if path.name != "__init__.py"]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -44,6 +45,12 @@ def test_finds_an_unused_name():
 @pytest.mark.parametrize("path", MODULES, ids=[f"{p.parent.name}/{p.name}" for p in MODULES])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[f"{p.parent.name}/{p.name}" for p in SOURCES])
+def test_parses_under_python_3_10(path):
+    # the suite may run on a newer Python, whose parser takes syntax that 3.10 refuses, such as except*
+    ast.parse(path.read_text(encoding="utf-8"), feature_version=(3, 10))
 
 
 def unread_private_helpers(sources: dict[str, str]) -> list[str]:
