@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -156,7 +157,9 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if all_ok else EXIT_CHECK_FAILED
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: each ``add_argument`` builds a help formatter."""
     parser = argparse.ArgumentParser(
         prog="dppmle",
         description="Estimation experiments for finite determinantal point processes",

@@ -309,12 +309,13 @@ def inclusion_probabilities(table: DistributionTable) -> np.ndarray:
 
 def _reached(linked: np.ndarray, start: int) -> np.ndarray:
     """Boolean mask of the items reachable from ``start`` along the symmetric boolean pattern ``linked``."""
-    reached = np.arange(len(linked)) == start
-    # Grow the reached set until a sweep adds none.
+    hop = linked | np.eye(len(linked), dtype=bool)
+    reached = hop[start]
+    # Grow the reached set by one boolean product per sweep until a sweep adds none.
     while True:
-        grown = reached | linked[reached].any(axis=0)
-        if grown.sum() == reached.sum():
-            return reached
+        grown = reached @ hop
+        if np.count_nonzero(grown) == np.count_nonzero(reached):
+            return grown
         reached = grown
 
 

@@ -21,13 +21,15 @@ A :class:`LikelihoodPoint` factorizes L + I and every supported minor in
 one embedded stack. With z a subset's 0/1 indicator, the n x n matrix
 M = L * z z^T + diag(1 - z) has det M = det L_J and
 M^{-1} = pad(L_J^{-1}) + diag(1 - z); L + I is the same form with every
-entry kept and I added. :class:`LikelihoodContext` caches these
-constants once per table, and a point makes one batched ``slogdet`` and
-one batched ``inv`` over the stack; the value, the gradient and the
-Hessian are each one weighted reduction over it. The stack factorizes
-n x n matrices where a gather would factorize k x k minors, and the
-context holds two (m + 1, n, n) arrays for m supported masks. That wins
-at small n, where numpy's per-call overhead dominates; with all 2^n masks
+entry kept and I added. The factors z z^T and diag(1 - z) depend only
+on n and the supported masks, so every table on one support shares one
+read-only copy from a small memo, and :class:`LikelihoodContext` adds
+the table's weights. A point makes one batched ``slogdet`` and one
+batched ``inv`` over the stack; the value, the gradient and the Hessian
+are each one weighted reduction over it. The stack factorizes n x n
+matrices where a gather would factorize k x k minors, and the factors
+are two (m + 1, n, n) arrays for m supported masks. That wins at small
+n, where numpy's per-call overhead dominates; with all 2^n masks
 supported, the inverse alone costs more than gathering once n reaches
 about 10.
 """
@@ -36,7 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -73,13 +75,23 @@ class LikelihoodContext:
         Slot 0 is L + I (keep all ones, rest I, coef -1). Slot j >= 1 is the
         j-th supported mask with indicator z (keep z z^T, rest diag(1 - z),
         coef its weight), so the value is coef @ logdet of the stack.
+        ``keep`` and ``rest`` are read-only, shared per (n, supported masks).
         """
         masks, weights = self.support
-        n = self.dist.n
-        z = (masks[:, None] >> np.arange(n) & 1).astype(float)
-        keep = np.concatenate([np.ones((1, n, n)), z[:, :, None] * z[:, None, :]])
-        rest = np.concatenate([np.ones((1, n)), 1.0 - z])[:, :, None] * np.eye(n)
-        return np.concatenate([[-1.0], weights]), keep, rest
+        return (np.concatenate([[-1.0], weights]), *_embedded_constants(self.dist.n, masks.tobytes()))
+
+
+@lru_cache(maxsize=2)
+def _embedded_constants(n: int, masks: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (keep, rest) of :attr:`LikelihoodContext.embedding` for the masks' bytes.
+
+    Monte Carlo tables at one n nearly all support every mask: two entries serve them.
+    """
+    z = (np.frombuffer(masks, dtype=np.intp)[:, None] >> np.arange(n) & 1).astype(float)
+    keep = np.concatenate([np.ones((1, n, n)), z[:, :, None] * z[:, None, :]])
+    rest = np.concatenate([np.ones((1, n)), 1.0 - z])[:, :, None] * np.eye(n)
+    keep.flags.writeable = rest.flags.writeable = False
+    return keep, rest
 
 
 class LikelihoodPoint:
@@ -98,30 +110,34 @@ class LikelihoodPoint:
         self._coef, keep, self._rest = ctx.embedding
         self._stack = as_array(kernel) * keep + self._rest
         self._sign, logdet = np.linalg.slogdet(self._stack)
-        self.value = float(self._coef @ logdet) if np.all(self._sign > 0) else -math.inf
+        # slogdet's signs are -1, 0 or +1; ndarray.min skips np.all's dispatch at every size
+        self.value = float(self._coef @ logdet) if self._sign.min() > 0 else -math.inf
+        self._padded_stack = None
 
-    @cached_property
     def _padded(self) -> np.ndarray:
-        """(L + I)^{-1}, then pad(L_J^{-1}) for every supported mask J."""
-        if self._sign[0] == 0:
-            raise np.linalg.LinAlgError("L + I is singular")
-        singular = np.nonzero(self._sign[1:] == 0)[0]
-        if singular.size:
-            mask = int(self._masks[singular[0]])
-            raise SingularPrincipalMinor(f"singular principal minor at mask {mask}", mask)
-        padded = np.linalg.inv(self._stack)
-        padded[1:] -= self._rest[1:]
-        return padded
+        """(L + I)^{-1}, then pad(L_J^{-1}) for every supported mask J; inverted on first use."""
+        if self._padded_stack is None:
+            # a zero determinant makes the value -inf, so a finite value needs no diagnosis
+            if self.value == -math.inf:
+                if self._sign[0] == 0:
+                    raise np.linalg.LinAlgError("L + I is singular")
+                singular = np.nonzero(self._sign[1:] == 0)[0]
+                if singular.size:
+                    mask = int(self._masks[singular[0]])
+                    raise SingularPrincipalMinor(f"singular principal minor at mask {mask}", mask)
+            self._padded_stack = np.linalg.inv(self._stack)
+            self._padded_stack[1:] -= self._rest[1:]
+        return self._padded_stack
 
     def gradient(self) -> np.ndarray:
         """See :func:`gradient`."""
-        padded = self._padded
+        padded = self._padded()
         m, n = padded.shape[:2]
         return (self._coef @ padded.reshape(m, n * n)).reshape(n, n)
 
     def hessian(self) -> np.ndarray:
         """See :func:`hessian`."""
-        padded = self._padded
+        padded = self._padded()
         m, n = padded.shape[:2]
         flat = padded.reshape(m, n * n)
         # outer[(i,k),(l,j)] = -sum_s coef_s A_s[i,k] A_s[l,j], and
@@ -130,17 +146,20 @@ class LikelihoodPoint:
         return outer.reshape(n, n, n, n).transpose(0, 3, 1, 2).reshape(n * n, n * n)
 
 
+@lru_cache(maxsize=8)
 def vech_embedding(n: int) -> np.ndarray:
     """The 0/1 (n^2, n(n+1)/2) matrix J with vec(S) = J @ vech(S) for symmetric S.
 
     vech lists the upper triangle in ``np.triu_indices(n)`` order, so a 2x2
     [[a, b], [b, c]] has vech (a, b, c). The curvature of the objective in
-    that chart is J^T H J, with H from :func:`hessian`.
+    that chart is J^T H J, with H from :func:`hessian`. Memoized per n, so
+    the result is read-only.
     """
     rows, cols = np.triu_indices(n)
     embed = np.zeros((n * n, rows.size))
     embed[rows * n + cols, np.arange(rows.size)] = 1.0
     embed[cols * n + rows, np.arange(rows.size)] = 1.0
+    embed.flags.writeable = False
     return embed
 
 

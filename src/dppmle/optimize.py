@@ -100,6 +100,12 @@ def _lu_sign(lu: np.ndarray, piv: np.ndarray) -> int:
     return -1 if (swaps + negatives) % 2 else 1
 
 
+def _norm(grad: np.ndarray) -> float:
+    """Frobenius norm as ``np.linalg.norm`` computes it, the square root of one dot, without its dispatch."""
+    flat = grad.ravel(order="K")
+    return math.sqrt(flat.dot(flat))
+
+
 def _final(entries: np.ndarray, trace: IterationTrace) -> tuple[KernelMatrix, IterationTrace]:
     sym = np.ascontiguousarray((entries + entries.T) / 2.0)
     return KernelMatrix(sym, ENSEMBLE), trace
@@ -133,6 +139,7 @@ def newton_raphson(
     grad_tol = _real("grad_tol", grad_tol, zero_ok=True)
     candidate = entries = _symmetric_start(initial, ctx.dist.n)
     embed = vech_embedding(ctx.dist.n)
+    embed_t = embed.T
     trace = IterationTrace()
     for step in range(max_iter + 1):
         point = LikelihoodPoint(ctx, candidate)
@@ -141,7 +148,7 @@ def newton_raphson(
             break
         # inside the domain no determinant is zero, so the gradient cannot raise
         entries, grad = candidate, point.gradient()
-        grad_norm = float(np.linalg.norm(grad))
+        grad_norm = _norm(grad)
         if step % trace_every == 0:
             trace.record(entries, point.value, grad_norm)
         if grad_norm <= grad_tol:
@@ -151,7 +158,7 @@ def newton_raphson(
             trace.status = MAX_ITER
             break
         try:
-            x = np.linalg.solve(embed.T @ point.hessian() @ embed, embed.T @ grad.reshape(-1))
+            x = np.linalg.solve(embed_t @ point.hessian() @ embed, embed_t @ grad.reshape(-1))
         except np.linalg.LinAlgError:
             trace.status = SINGULAR
             break
@@ -212,26 +219,35 @@ def sgd(
     eye = rests[0].T
     constants = [(keep.T, rest.T, eye - rest.T) for keep, rest in zip(keeps, rests)]
     slots = np.searchsorted(ctx.support[0], batch.masks) + 1
+    # dgesv factorizes M and L + I in place here (overwrite_a = 1, by position: f2py parses keywords slowly)
+    drawn, normalizer = np.empty_like(entries), np.empty_like(entries)
     trace = IterationTrace()
     for step, slot in enumerate(slots[picks].tolist()):
         if step % trace_every == 0:
             point = LikelihoodPoint(ctx, entries)
             try:
-                grad_norm = float(np.linalg.norm(point.gradient()))
+                grad_norm = _norm(point.gradient())
             except (SingularPrincipalMinor, np.linalg.LinAlgError):
                 trace.status = DIVERGED
                 break
             trace.record(entries, point.value, grad_norm)
         keep, rest, diag_z = constants[slot]
-        lu, piv, pad, info = dgesv(entries * keep + rest, diag_z, overwrite_a=1)
+        np.multiply(entries, keep, out=drawn)
+        drawn += rest
+        lu, piv, pad, info = dgesv(drawn, diag_z, 1)
         if info > 0 or _lu_sign(lu, piv) <= 0:
             trace.status = DIVERGED
             break
-        _, _, inv_s, info = dgesv(entries + eye, eye, overwrite_a=1)
+        np.add(entries, eye, out=normalizer)
+        _, _, inv_s, info = dgesv(normalizer, eye, 1)
         if info > 0:
             trace.status = DIVERGED
             break
-        candidate = entries + eta * (pad - inv_s)
+        # entries + eta * (pad - inv_s) in pad's buffer, with the same three roundings
+        candidate = pad
+        candidate -= inv_s
+        candidate *= eta
+        candidate += entries
         if _blown_up(candidate):
             trace.status = DIVERGED
             break

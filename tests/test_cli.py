@@ -220,6 +220,27 @@ def test_stdout_holds_the_out_bytes(argv, tmp_path, capsys):
     assert capsys.readouterr().out == out.read_text(encoding="utf-8")
 
 
+def test_one_process_answers_as_fresh_ones(capsys):
+    # main builds its parser once per process; a call after a refused one
+    # must still answer as a fresh process does
+    calls = [
+        ["sample", "--kernel", "1 1; 1 2", "--n", "20", "--seed", "3"],
+        ["sample", "--kernel", "1 2; 0 1", "--n", "3"],
+        ["berry-esseen", "--sizes", "100", "400", "--reps", "50", "--seed", "1"],
+    ]
+    src = str(Path(dppmle.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    answers = []
+    for argv in calls:
+        fresh = subprocess.run([sys.executable, "-m", "dppmle.cli", *argv], env=env,
+                               capture_output=True, text=True)
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+        answers.append((code, captured.err.startswith("config error: "), captured.err.count("\n")))
+    assert answers == [(0, False, 0), (2, True, 1), (0, False, 0)]
+
+
 class TestVerifyCommand:
     def test_quick_level_passes(self, capsys):
         code = main(["verify", "--level", "quick", "--seed", "0"])

@@ -217,6 +217,44 @@ class TestVechEmbedding:
             vech = sym[np.triu_indices(n)]
             np.testing.assert_array_equal(vech_embedding(n) @ vech, sym.reshape(-1))
 
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_shared_result_is_read_only_and_fresh(self, n):
+        # entry (i*n + j, k) is 1 exactly when (i, j) or (j, i) is the k-th upper-triangle pair
+        pairs = list(zip(*np.triu_indices(n)))
+        fresh = np.array([[float((i, j) == pair or (j, i) == pair) for pair in pairs]
+                          for i in range(n) for j in range(n)]).reshape(n * n, len(pairs))
+        embed = vech_embedding(n)
+        assert embed is vech_embedding(n)
+        np.testing.assert_array_equal(embed, fresh)
+        with pytest.raises(ValueError):
+            embed[0, 0] = 2.0
+
+
+class TestSharedConstants:
+    """Tables on one support share one read-only (keep, rest); the weights stay per table."""
+
+    @staticmethod
+    def table(n, masks, rng):
+        probs = np.zeros(1 << n)
+        probs[masks] = rng.dirichlet(np.ones(len(masks)))
+        return DistributionTable(probs / probs.sum())
+
+    def test_one_support_shares_keep_and_rest(self, rng):
+        first = LikelihoodContext(self.table(3, [0, 1, 3, 7], rng)).embedding
+        second = LikelihoodContext(self.table(3, [0, 1, 3, 7], rng)).embedding
+        assert first[1] is second[1] and first[2] is second[2]
+        assert not np.array_equal(first[0], second[0])
+        for constant in first[1:]:
+            with pytest.raises(ValueError):
+                constant[0, 0, 0] = 2.0
+
+    def test_other_support_or_size_gets_its_own(self, rng):
+        base = LikelihoodContext(self.table(3, [0, 1, 3, 7], rng)).embedding
+        for other in (self.table(3, [0, 1, 3, 6], rng), self.table(4, [0, 1, 3, 7], rng)):
+            keep, rest = LikelihoodContext(other).embedding[1:]
+            assert keep is not base[1] and rest is not base[2]
+            assert keep.shape == (5, other.n, other.n)
+
 
 class TestKlGap:
     def test_zero_at_truth_and_orbit(self):

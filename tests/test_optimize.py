@@ -5,14 +5,29 @@ import pytest
 
 from dppmle.closed_form import mle_2x2
 from dppmle.errors import ConfigError, SingularPrincipalMinor
-from dppmle.experiments import SGD, TRIDIAGONAL_3, TRIDIAGONAL_3_START, estimate, preset_configs
+from dppmle.experiments import (
+    NEWTON,
+    SGD,
+    TRIDIAGONAL_3,
+    TRIDIAGONAL_3_START,
+    estimate,
+    preset_configs,
+)
 from dppmle.kernels import (
     DistributionTable,
     enumerate_distribution,
     subset_indices,
     validate_kernel,
 )
-from dppmle.likelihood import LikelihoodContext, LikelihoodPoint, empirical_distribution, gradient
+from dppmle.likelihood import (
+    LikelihoodContext,
+    LikelihoodPoint,
+    empirical_distribution,
+    gradient,
+    hessian,
+    log_likelihood,
+    vech_embedding,
+)
 from dppmle.optimize import (
     BLOWUP_LIMIT,
     CONVERGED,
@@ -34,6 +49,7 @@ DIAG3 = np.diag([7.0, 5.0, 9.0])
 # although both the permutation and the pivots are odd; its {0, 1} minor has det < 0.
 SWAPPED_START = np.array([[0.1, 1.0, 0.0], [1.0, 0.1, 0.0], [0.0, 0.0, -2.0]])
 TABLE1_SGD = {c.kernel_id: c for c in preset_configs("table1") if c.method == SGD}
+TABLE1_NEWTON = {c.kernel_id: c for c in preset_configs("table1") if c.method == NEWTON}
 
 
 def _gather_scatter_sgd(batch, initial, eta, iters, seed, trace_every=100):
@@ -71,13 +87,52 @@ def _gather_scatter_sgd(batch, initial, eta, iters, seed, trace_every=100):
     return (entries + entries.T) / 2.0, trace
 
 
-def _assert_same_run(batch, initial, eta, iters, seed, trace_every=100):
-    estimate, trace = sgd(batch, initial, eta=eta, iters=iters, seed=seed, trace_every=trace_every)
-    expected, expected_trace = _gather_scatter_sgd(batch, initial, eta, iters, seed, trace_every)
+def _textbook_newton(ctx, initial, max_iter, grad_tol=1e-8):
+    """Reference Newton: the vech-chart loop over the public objective, gradient and Hessian."""
+    entries = np.array(initial, dtype=float)
+    candidate = entries = (entries + entries.T) / 2.0
+    embed = vech_embedding(entries.shape[0])
+    trace = IterationTrace()
+    for step in range(max_iter + 1):
+        value = log_likelihood(ctx, candidate)
+        if value == -np.inf:
+            trace.status, trace.steps = DIVERGED, max(step - 1, 0)
+            break
+        entries, grad = candidate, gradient(ctx, candidate)
+        grad_norm = float(np.linalg.norm(grad))
+        trace.record(entries, value, grad_norm)
+        trace.steps = step
+        if grad_norm <= grad_tol:
+            trace.status = CONVERGED
+            break
+        if step == max_iter:
+            break
+        try:
+            x = np.linalg.solve(embed.T @ hessian(ctx, entries) @ embed, embed.T @ grad.reshape(-1))
+        except np.linalg.LinAlgError:
+            trace.status = SINGULAR
+            break
+        candidate = entries - (embed @ x).reshape(grad.shape)
+        if not np.all(np.isfinite(candidate)) or np.max(np.abs(candidate)) > BLOWUP_LIMIT:
+            trace.status = DIVERGED
+            break
+    return (entries + entries.T) / 2.0, trace
+
+
+def _assert_same_trace(trace, expected_trace):
     assert trace.status == expected_trace.status
     assert trace.steps == expected_trace.steps
     assert len(trace.iterates) == len(expected_trace.iterates)
     assert all(np.array_equal(a, b) for a, b in zip(trace.iterates, expected_trace.iterates))
+    # bit for bit, a NaN matching a NaN
+    np.testing.assert_array_equal(trace.objective, expected_trace.objective, strict=True)
+    np.testing.assert_array_equal(trace.grad_norms, expected_trace.grad_norms, strict=True)
+
+
+def _assert_same_run(batch, initial, eta, iters, seed, trace_every=100):
+    estimate, trace = sgd(batch, initial, eta=eta, iters=iters, seed=seed, trace_every=trace_every)
+    expected, expected_trace = _gather_scatter_sgd(batch, initial, eta, iters, seed, trace_every)
+    _assert_same_trace(trace, expected_trace)
     assert np.array_equal(estimate.entries, expected)
     return trace.status
 
@@ -520,3 +575,38 @@ class TestEmbeddedStep:
         # one empty-draw step takes I to exactly -I, so L + I = 0 at step 1
         batch = SampleBatch(3, np.zeros(10, dtype=int), 0, "enumeration")
         assert _assert_same_run(batch, np.eye(3), 4.0, 2, 0, trace_every=10**9) == DIVERGED
+
+
+class TestNewtonPin:
+    """newton_raphson reproduces the textbook Newton loop bit for bit."""
+
+    @staticmethod
+    def assert_same_run(ctx, initial, max_iter):
+        estimate, trace = newton_raphson(ctx, initial, max_iter=max_iter)
+        expected, expected_trace = _textbook_newton(ctx, initial, max_iter)
+        _assert_same_trace(trace, expected_trace)
+        assert np.array_equal(estimate.entries, expected)
+        return trace.status
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("kernel_id", sorted(TABLE1_NEWTON))
+    def test_table1_cells(self, kernel_id, seed):
+        config = TABLE1_NEWTON[kernel_id]
+        truth = validate_kernel(config.kernel, "ensemble")
+        batch = sample_batch(truth, 30_000, seed, config.sampler)
+        ctx = LikelihoodContext(empirical_distribution(batch))
+        assert self.assert_same_run(ctx, config.initial, config.iterations) == CONVERGED
+
+    def test_clt_newton_tables(self):
+        # The two n = 5 kernels of the clt-newton benchmark, Newton from the
+        # truth as the CLT driver runs it; kernel 1's tables at seed 1 hold a
+        # run that wanders to the iteration budget.
+        statuses = set()
+        for kernel_seed, table_seed in ((0, 0), (1, 1)):
+            truth = random_irreducible_ensemble(5, np.random.default_rng(kernel_seed))
+            tables = make_rng(table_seed).multinomial(
+                30_000, enumerate_distribution(truth).probs, size=20) / 30_000
+            for table in tables:
+                ctx = LikelihoodContext(DistributionTable(table))
+                statuses.add(self.assert_same_run(ctx, truth.entries, 50))
+        assert statuses == {CONVERGED, DIVERGED, MAX_ITER}

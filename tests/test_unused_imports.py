@@ -8,7 +8,10 @@ module-level function or class of the package whose name starts with
 ``_`` must be read somewhere in the package, as a name, an attribute or
 an imported name; otherwise it is a helper its callers left behind.
 Every file of the package and of ``tests/`` parses under the grammar of
-Python 3.10, the oldest version ``pyproject.toml`` claims.
+Python 3.10, the oldest version ``pyproject.toml`` claims. Every memo of
+the package is bounded: ``functools.lru_cache`` gets a literal integer
+``maxsize``, and ``functools.cache`` is not used, since a memo of
+likelihood stacks without a bound holds every table's arrays for good.
 """
 
 import ast
@@ -85,3 +88,59 @@ def test_finds_an_unread_helper():
 
 def test_no_unread_private_helpers():
     assert unread_private_helpers({path.name: path.read_text(encoding="utf-8") for path in PACKAGE}) == []
+
+
+def unbounded_memos(source: str) -> list[str]:
+    """Uses of ``functools.cache``, and of ``functools.lru_cache`` without a literal integer ``maxsize``."""
+    tree = ast.parse(source)
+    modules, names = set(), {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(alias.asname or alias.name for alias in node.names if alias.name == "functools")
+        elif isinstance(node, ast.ImportFrom) and node.module == "functools":
+            names.update({alias.asname or alias.name: alias.name for alias in node.names})
+
+    def memo(node):
+        if isinstance(node, ast.Name):
+            return names.get(node.id)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules:
+            return node.attr
+        return None
+
+    sized = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and memo(node.func) == "lru_cache":
+            size = [keyword.value for keyword in node.keywords if keyword.arg == "maxsize"] or node.args[:1]
+            if len(size) == 1 and isinstance(size[0], ast.Constant) and type(size[0].value) is int:
+                sized.add(node.func)
+    return [
+        f"line {node.lineno}: {memo(node)}" for node in ast.walk(tree)
+        if memo(node) in ("cache", "lru_cache") and node not in sized
+    ]
+
+
+def test_finds_an_unbounded_memo():
+    source = "\n".join([
+        "import functools",
+        "from functools import cache, lru_cache as memo",
+        "@functools.lru_cache(maxsize=4)",
+        "def a(): pass",
+        "@memo(8)",
+        "def b(): pass",
+        "@memo(maxsize=None)",
+        "def c(): pass",
+        "@memo",
+        "def d(): pass",
+        "@cache",
+        "def e(): pass",
+        "f = functools.lru_cache(maxsize=True)(len)",
+        "g = functools.cache(len)",
+    ])
+    assert sorted(unbounded_memos(source)) == [
+        "line 11: cache", "line 13: lru_cache", "line 14: cache", "line 7: lru_cache", "line 9: lru_cache",
+    ]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=[f"{p.parent.name}/{p.name}" for p in PACKAGE])
+def test_memos_are_bounded(path):
+    assert unbounded_memos(path.read_text(encoding="utf-8")) == []
