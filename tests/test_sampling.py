@@ -104,6 +104,37 @@ def _per_draw_batch(entries, count, seed, eliminate):
     return np.array(masks, dtype=np.int64)
 
 
+def _row_major_spectral_draws(lam, vecs, rng, count):
+    """The draws-major sampler that ``_spectral_draws`` replaced: its per-pick arrays are (m, n)."""
+    n = lam.size
+    keep = lam / (1.0 + lam)
+    masks = np.zeros(count, dtype=np.int64)
+    for start in range(0, count, sampling._SPECTRAL_CHUNK):
+        u = rng.random((min(sampling._SPECTRAL_CHUNK, count - start), 2 * n))
+        sizes = np.count_nonzero(u[:, :n] < keep, axis=1)
+        order = np.argsort(-sizes, kind="stable")
+        u = u[order]
+        picking = np.count_nonzero(sizes[:, None] > np.arange(n + 1), axis=0)
+        selection = (u[:, :n] < keep).astype(float)
+        weights = selection @ (vecs * vecs).T
+        columns, mask = [], np.zeros(u.shape[0], dtype=np.int64)
+        for s in range(sizes.max()):
+            a, b = picking[s], picking[s + 1]
+            w = np.clip(weights[:a], 0.0, None)
+            cdf = np.cumsum(w / w.sum(axis=1, keepdims=True), axis=1)
+            item = np.minimum(np.count_nonzero(cdf <= u[:a, n + s, None], axis=1), n - 1)
+            mask[:a] |= np.left_shift(1, item)
+            draw, item = np.arange(b), item[:b]
+            column = (selection[:b] * vecs[item]) @ vecs.T
+            for earlier in columns:
+                column -= earlier[:b] * earlier[draw, item][:, None]
+            column /= np.sqrt(w[draw, item])[:, None]
+            weights[:b] -= column**2
+            columns.append(column)
+        masks[start + order] = mask
+    return masks
+
+
 def _fixed_spectrum_kernel(lam, seed):
     """A kernel with eigenvalues lam in a random orthonormal basis, so its draw-size law is known."""
     basis, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(len(lam), len(lam))))
@@ -212,6 +243,27 @@ class TestLockstepDraws:
             sizes = np.unique([int(m).bit_count() for m in chunk])
             assert sizes.size >= least_sizes
         assert np.array_equal(sample_batch(entries, count, 6, "spectral").masks, expected)
+
+
+class TestRowMajorReference:
+    """The sampler draws exactly what the draws-major loop drew from the same eigenpairs and stream.
+
+    From n = 8 on, numpy's pairwise row sum can round a pick's normalizer differently, so a mask could
+    flip where a uniform lands within rounding of a cdf boundary; none does on these draws.
+    """
+
+    @pytest.mark.parametrize("entries,count", [
+        *[pytest.param(random_ensemble(n, np.random.default_rng(n)).entries, 2 * sampling._SPECTRAL_CHUNK + 100,
+                       id=f"n{n}") for n in (1, 2, 3, 7, 8, 9, 10, 12, 20)],
+        pytest.param(_rank3_kernel(12, 5), 2 * sampling._SPECTRAL_CHUNK + 100, id="rank3-n12"),
+        pytest.param(np.kron(np.eye(15), [[1, 0.5], [0.5, 2]]), 2 * sampling._SPECTRAL_CHUNK + 100, id="block-n30"),
+        pytest.param(random_ensemble(40, np.random.default_rng(40)).entries, 1000, id="n40"),
+    ])
+    def test_same_masks_as_row_major_loop(self, entries, count):
+        lam, vecs = np.linalg.eigh(entries)
+        lam = np.clip(lam, 0.0, None)
+        expected = _row_major_spectral_draws(lam, vecs, make_rng(3), count)
+        np.testing.assert_array_equal(sampling._spectral_draws(lam, vecs, make_rng(3), count), expected)
 
 
 class TestEnumerationSampler:
