@@ -9,8 +9,9 @@ Each spectral draw reads 2n uniforms from the stream: n select the
 eigenvectors, then one per selected vector drives a pick, and the rest
 are unused. The sampler reads the rows of a chunk of draws as one block
 and runs the chain rule once per pick over every draw of the chunk that
-is still picking, as dense products over all n eigenvectors. A batch is
-therefore a prefix of any larger batch at the same seed. (Earlier
+is still picking, as dense products over all n eigenvectors, with one
+row per item across the chunk's draws. A batch is therefore a prefix of
+any larger batch at the same seed. (Earlier
 versions read n + k uniforms per draw, so their spectral batches differ
 from these at the same seed.)
 
@@ -123,12 +124,15 @@ def _spectral_draws(lam: np.ndarray, vecs: np.ndarray, rng: np.random.Generator,
     draw i: the first n select the eigenvectors, and the next k, one per
     selected vector, drive the k picks. Rows are read in draw order, so the
     chunking never shows in the draws. Within a chunk the draws are ordered
-    by size, largest first, so pick s runs once over a prefix of the rows.
-    Its weights, ``S @ (V*V).T`` at first for the 0/1 selection rows S, are
+    by size, largest first, so pick s runs once over a prefix of the draws.
+    Its weights, ``(V*V) @ S.T`` at first for the 0/1 selection rows S, are
     the diagonal of K's Schur complement on the earlier picks. Each pick but
     a draw's last adds a column of the Cholesky factor of K over the picks,
-    ``(S * V[item]) @ V.T`` less the earlier columns' rank-one terms, and
-    downdates the weights by its square.
+    ``V @ (S * V[item]).T`` less the earlier columns' rank-one terms, and
+    downdates the weights by its square. Weights, pick uniforms and columns
+    are item-major, ``(n, m)``, so every per-pick operation runs over
+    contiguous rows of draws, and a pick's normalizer adds the item rows in
+    order.
     """
     n = lam.size
     if n > MAX_MASK_GROUND_SET:
@@ -140,25 +144,30 @@ def _spectral_draws(lam: np.ndarray, vecs: np.ndarray, rng: np.random.Generator,
         sizes = np.count_nonzero(u[:, :n] < keep, axis=1)
         order = np.argsort(-sizes, kind="stable")
         u = u[order]
-        # Ordered by size, the first picking[s] rows make pick s; picking[s + 1] of them pick again.
+        # Ordered by size, the first picking[s] draws make pick s; picking[s + 1] of them pick again.
         picking = np.count_nonzero(sizes[:, None] > np.arange(n + 1), axis=0)
         selection = (u[:, :n] < keep).astype(float)
-        weights = selection @ (vecs * vecs).T
+        # Item-major: row i holds item i's weight, or pick i's uniform, for every draw of the chunk.
+        weights = (vecs * vecs) @ selection.T
+        picks = u[:, n:].T.copy()
         columns, mask = [], np.zeros(u.shape[0], dtype=np.int64)
         for s in range(sizes.max()):
             a, b = picking[s], picking[s + 1]
             # Rounding in the downdate can leave picked items slightly negative.
-            w = np.clip(weights[:a], 0.0, None)
-            cdf = np.cumsum(w / w.sum(axis=1, keepdims=True), axis=1)
-            # cdf is nondecreasing, so this count is searchsorted(cdf, u, "right").
-            item = np.minimum(np.count_nonzero(cdf <= u[:a, n + s, None], axis=1), n - 1)
+            w = np.maximum(weights[:, :a], 0.0)
+            cdf = w / w.sum(axis=0)
+            # The adds of cumsum(w / total) along the items, row by row: np.cumsum down axis 0 is slow.
+            for i in range(1, n):
+                cdf[i] += cdf[i - 1]
+            # cdf is nondecreasing down each column, so this count is searchsorted(cdf, pick, "right").
+            item = np.minimum(np.count_nonzero(cdf <= picks[s, :a], axis=0), n - 1)
             mask[:a] |= np.left_shift(1, item)
             draw, item = np.arange(b), item[:b]
-            column = (selection[:b] * vecs[item]) @ vecs.T
+            column = vecs @ (selection[:b] * vecs[item]).T
             for earlier in columns:
-                column -= earlier[:b] * earlier[draw, item][:, None]
-            column /= np.sqrt(w[draw, item])[:, None]
-            weights[:b] -= column**2
+                column -= earlier[:, :b] * earlier[item, draw]
+            column /= np.sqrt(w[item, draw])
+            weights[:, :b] -= column**2
             columns.append(column)
         masks[start + order] = mask
     return masks
@@ -257,9 +266,9 @@ def batch_from_csv(text: str) -> SampleBatch:
     """
     meta = {"n_ground": None, "seed": 0, "sampler": ENUMERATION}
     masks = []
-    checked = {}
+    append, checked, position = masks.append, {}, 0
     for ln in filter(str.strip, text.splitlines()):
-        if ln.startswith("#"):
+        if ln[0] == "#":
             for token in ln[1:].split():
                 if "=" in token:
                     key, value = token.split("=", 1)
@@ -272,9 +281,10 @@ def batch_from_csv(text: str) -> SampleBatch:
             mask = checked.get(tail)
             if mask is None:
                 mask = checked[tail] = _row_mask(ln, tail)
-            if index != str(len(masks)):
-                raise ValueError(f"row {ln!r}: index {index!r} is not the row's position {len(masks)}")
-            masks.append(mask)
+            if index != str(position):
+                raise ValueError(f"row {ln!r}: index {index!r} is not the row's position {position}")
+            append(mask)
+            position += 1
     if meta["n_ground"] is None:
         raise ValueError("missing '# n_ground=..' metadata line")
     return SampleBatch(meta["n_ground"], np.array(masks, dtype=np.int64), meta["seed"], meta["sampler"])

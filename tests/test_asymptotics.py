@@ -21,9 +21,10 @@ from dppmle.asymptotics import (
 )
 from dppmle.closed_form import forward_probs_2x2
 from dppmle.errors import ConfigError, DegenerateTable, ReducibleKernel, SingularHessian, ZeroB
-from dppmle.kernels import enumerate_distribution, validate_kernel
+from dppmle.kernels import DistributionTable, enumerate_distribution, sign_distance, validate_kernel
 from dppmle.likelihood import LikelihoodContext, hessian, vech_embedding
 from dppmle.numdiff import fd_hessian
+from dppmle.optimize import CONVERGED, newton_raphson
 from dppmle.sampling import make_rng
 from dppmle.verify_support import random_irreducible_ensemble
 from oracles import chart_hessian, score_information
@@ -258,6 +259,40 @@ class TestCltExperiment:
         assert failures <= 4
         assert np.sum(stats <= chi2.ppf(0.99, dim)) >= 388
         assert 170 <= np.sum(stats <= chi2.ppf(0.5, dim)) <= 230
+
+
+class TestReducibleTruthRate:
+    def test_cross_block_entries_are_consistent_but_slower_than_root_n(self):
+        """At the reducible truth BLOCKS4 the cross-block entries converge, but not at the sqrt(N) rate.
+
+        Newton starts 0.05 off the truth in every cross-block entry, since from the truth itself it
+        never leaves the blocks, on 100 multinomial tables per N = 1e4 ... 1e8. The bands come from
+        measurement, not from a theorem: on 12 generator seeds the cross-block RMS fell at every step,
+        about as N^-0.21, sqrt(N) times it grew 12.4-15.6 fold, and sqrt(N) times the in-block RMS
+        stayed within a factor 1.28 (the in-block entries are at a sqrt(N) law). The rate Brunel et al.
+        give for reducible kernels is not checked here. A cross-block RMS that stops falling means an
+        estimator stuck in the blocks; a sqrt(N) RMS that stops growing means cross-block entries at a
+        sqrt(N) law, which a singular Fisher information at a reducible truth rules out.
+        """
+        kernel = validate_kernel(BLOCKS4, "ensemble")
+        cross = BLOCKS4 == 0
+        table, rng = enumerate_distribution(kernel), make_rng(7)
+        cross_rms, inblock_rms = [], []
+        for size in 10 ** np.arange(4, 9):
+            cross_rows, inblock_rows = [], []
+            for empirical in rng.multinomial(size, table.probs, size=100) / size:
+                estimate, trace = newton_raphson(LikelihoodContext(DistributionTable(empirical)),
+                                                 BLOCKS4 + 0.05 * cross, max_iter=200)
+                if trace.status == CONVERGED:
+                    _, signs = sign_distance(kernel, estimate)
+                    aligned = estimate.entries * np.outer(signs, signs)
+                    cross_rows.append(aligned[cross])
+                    inblock_rows.append((aligned - BLOCKS4)[~cross])
+            cross_rms.append(np.sqrt(np.mean(np.square(cross_rows))))
+            inblock_rms.append(np.sqrt(size * np.mean(np.square(inblock_rows))))
+        assert np.all(np.diff(cross_rms) < 0)
+        assert 1e2 * cross_rms[-1] / cross_rms[0] > 6
+        assert max(inblock_rms) / min(inblock_rms) < 1.5
 
 
 def _per_corner_distance(standardized):

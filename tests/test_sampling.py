@@ -265,6 +265,29 @@ class TestRowMajorReference:
         expected = _row_major_spectral_draws(lam, vecs, make_rng(3), count)
         np.testing.assert_array_equal(sampling._spectral_draws(lam, vecs, make_rng(3), count), expected)
 
+    def test_pick_at_a_cdf_boundary(self):
+        # Random uniforms never land on a cdf boundary. Here the eigenvectors are the columns of a
+        # 4x4 Hadamard matrix over 2, so each first pick's cdf is exactly 0.25, 0.5, 0.75, 1, and a
+        # uniform on a boundary takes the next item, as searchsorted(cdf, u, "right") does.
+        class Replay:
+            def __init__(self, block):
+                self.block = block
+
+            def random(self, shape):
+                rows, self.block = self.block[:shape[0]], self.block[shape[0]:]
+                return rows
+
+        hadamard = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]]) / 2
+        # The first four uniforms select eigenvectors (keep = 0.5), the rest drive the picks.
+        block = np.array([[0.25, 0.9, 0.9, 0.9, 0.5, 0.1, 0.1, 0.1],
+                          [0.25, 0.25, 0.9, 0.9, 0.5, 0.5, 0.1, 0.1],
+                          [0.9, 0.9, 0.9, 0.25, 0.75, 0.1, 0.1, 0.1],
+                          [0.9, 0.25, 0.25, 0.9, 0.25, 0.6, 0.1, 0.1],
+                          [0.9, 0.9, 0.9, 0.9, 0.1, 0.1, 0.1, 0.1]])
+        masks = sampling._spectral_draws(np.ones(4), hadamard, Replay(block), len(block))
+        assert masks[0] == 1 << 2
+        np.testing.assert_array_equal(masks, _row_major_spectral_draws(np.ones(4), hadamard, Replay(block), len(block)))
+
 
 class TestEnumerationSampler:
     def test_degenerate_table(self):
