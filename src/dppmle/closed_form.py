@@ -43,10 +43,19 @@ def _entries_2x2(kernel) -> tuple[float, float, float]:
 
 def forward_probs_2x2(kernel) -> DistributionTable:
     """Exact 4-entry table of the 2x2 kernel, ordered (empty, {0}, {1}, {0,1})."""
-    a, b, c = _entries_2x2(kernel)
+    return DistributionTable(_forward_2x2_arrays(*_entries_2x2(kernel)))
+
+
+def _forward_2x2_arrays(a, b, c) -> np.ndarray:
+    """The tables of the 2x2 kernels [[a, b], [b, c]], cells (empty, {0}, {1}, {0,1}) on a new last axis.
+
+    The one rule of :func:`forward_probs_2x2`, over arrays of (a, b, c); a
+    negative determinant, roundoff at the PSD boundary, is clamped to 0.
+    """
+    a, b, c = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (a, b, c)))
     d = (a + 1.0) * (c + 1.0) - b * b
-    det = max(a * c - b * b, 0.0)
-    return DistributionTable(np.array([1.0, a, c, det]) / d)
+    det = np.maximum(a * c - b * b, 0.0)
+    return np.stack([np.ones_like(d), a, c, det], axis=-1) / d[..., None]
 
 
 def mle_2x2(table: DistributionTable) -> tuple[KernelMatrix, str]:

@@ -10,6 +10,7 @@ and the marginal-kernel convention P(A subset of Y) = det(K_A).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -34,7 +35,7 @@ SYMMETRY_TOL = 1e-10
 #: Largest ground set for which dense 2^n tables are built.
 MAX_DENSE_GROUND_SET = 20
 
-#: Masks factorized per batch by enumerate_distribution.
+#: Masks factorized per batch by the ensemble route (enumerate_distribution, ensemble_probability).
 _ENUMERATION_CHUNK = 1 << 12
 
 #: Sign classes tabulated at once by sign_distance; bounds its table at large n.
@@ -190,21 +191,48 @@ def _minor_probabilities(entries: np.ndarray, index: np.ndarray, log_norm: float
     return np.where(sign > 0, np.exp(logdet - log_norm), 0.0)
 
 
-def _size_groups(masks: np.ndarray, n: int):
-    """Split masks by size: yields (positions in ``masks``, index stack)."""
+@lru_cache(maxsize=8)
+def _size_groups(masks: bytes, n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """The intp masks in ``masks`` split by size: (positions, index stack) per size, read-only.
+
+    Memoized on the masks' bytes: enumeration and both routes of the
+    probability check ask for the same 2^n masks at every kernel of a size.
+    """
+    masks = np.frombuffer(masks, dtype=np.intp)
     bits = masks[:, None] >> np.arange(n) & 1
     sizes = bits.sum(axis=1)
+    groups = []
     for k in np.unique(sizes):
         where = np.nonzero(sizes == k)[0]
-        yield where, np.nonzero(bits[where])[1].reshape(where.size, k)
+        index = np.nonzero(bits[where])[1].reshape(where.size, k)
+        where.flags.writeable = index.flags.writeable = False
+        groups.append((where, index))
+    return tuple(groups)
 
 
-def _checked_mask(mask, n: int) -> int:
-    """``mask`` as an int; ValueError unless it names a subset of the n items, 0 <= mask < 2^n."""
-    mask = int(mask)
-    if not 0 <= mask < 1 << n:
-        raise ValueError(f"mask {mask} is outside [0, 2^{n}) for a ground set of {n} items")
-    return mask
+def _subset_probabilities(entries: np.ndarray, masks: np.ndarray, log_norm: float) -> np.ndarray:
+    """Atomic probabilities of the subsets in the flat intp mask array ``masks``.
+
+    Factorizes by size within chunks of ``_ENUMERATION_CHUNK`` masks, so the
+    index stacks stay bounded however many masks there are.
+    """
+    probs = np.empty(masks.size)
+    for start in range(0, masks.size, _ENUMERATION_CHUNK):
+        for where, index in _size_groups(masks[start:start + _ENUMERATION_CHUNK].tobytes(), entries.shape[0]):
+            probs[start + where] = _minor_probabilities(entries, index, log_norm)
+    return probs
+
+
+def _checked_masks(mask, n: int) -> np.ndarray:
+    """One mask or an array of them as an integer array; ValueError unless each is in [0, 2^n)."""
+    masks = np.asarray(mask) if np.ndim(mask) else np.asarray(int(mask))
+    # a Python int past int64 makes an object array, which the range test below refuses
+    if masks.dtype.kind not in "iuO":
+        raise ValueError(f"masks must be integers, not {masks.dtype}")
+    outside = (masks < 0) | (masks >= 1 << n)
+    if outside.any():
+        raise ValueError(f"mask {masks[outside][0]} is outside [0, 2^{n}) for a ground set of {n} items")
+    return masks.astype(np.intp, copy=False)
 
 
 def _log_normalizer(entries: np.ndarray) -> float:
@@ -215,17 +243,21 @@ def _log_normalizer(entries: np.ndarray) -> float:
     return logdet
 
 
-def ensemble_probability(kernel, mask: int) -> float:
+def ensemble_probability(kernel, mask):
     """Atomic probability det(L_A) / det(L + I) that Y is exactly the subset A = ``mask``.
 
     The empty minor has determinant 1 by convention. Log-determinants are
-    used so large ground sets do not underflow. ValueError unless
-    0 <= mask < 2^n.
+    used so large ground sets do not underflow. ``mask`` is one mask, for
+    a float, or an integer array of them, for an array of its shape whose
+    entries are the bits of the one-mask calls: a mask's minor is
+    factorized alone whatever else is asked, by the rule
+    :func:`enumerate_distribution` uses. ValueError unless every mask is
+    in [0, 2^n).
     """
     entries = as_array(kernel)
-    mask = _checked_mask(mask, entries.shape[0])
-    index = np.array([subset_indices(mask)], dtype=np.intp)
-    return float(_minor_probabilities(entries, index, _log_normalizer(entries))[0])
+    masks = _checked_masks(mask, entries.shape[0])
+    probs = _subset_probabilities(entries, masks.ravel(), _log_normalizer(entries)).reshape(masks.shape)
+    return float(probs) if probs.ndim == 0 else probs
 
 
 def marginal_of(kernel: KernelMatrix) -> KernelMatrix:
@@ -245,24 +277,24 @@ def marginal_of(kernel: KernelMatrix) -> KernelMatrix:
     return KernelMatrix(marginal, MARGINAL)
 
 
-def atomic_probability_from_marginal(kernel, mask: int) -> float:
+def atomic_probability_from_marginal(kernel, mask):
     """Atomic probability |det(K - I_Abar)| of the subset A = ``mask``, from a marginal kernel.
 
     I_Abar is the diagonal indicator of the complement of A, so the value
     agrees with the ensemble route whenever K is the marginal of L.
-    ValueError unless 0 <= mask < 2^n.
+    ``mask`` is one mask, for a float, or an integer array of M masks, for
+    an array of its shape: one batched ``slogdet`` of an (M, n, n) stack,
+    each entry the bits of its one-mask call. ValueError unless every mask
+    is in [0, 2^n).
     """
     entries = as_array(kernel)
     n = entries.shape[0]
-    mask = _checked_mask(mask, n)
-    shifted = entries.copy()
-    for i in range(n):
-        if not mask >> i & 1:
-            shifted[i, i] -= 1.0
-    sign, logdet = np.linalg.slogdet(shifted)
-    if sign == 0:
-        return 0.0
-    return float(np.exp(logdet))
+    masks = _checked_masks(mask, n)
+    outside = (masks.reshape(-1, 1) >> np.arange(n) & 1) == 0
+    _, logdet = np.linalg.slogdet(entries - outside[:, :, None] * np.eye(n))
+    # a singular matrix has sign 0 and logdet -inf, which exp maps to probability 0
+    probs = np.exp(logdet).reshape(masks.shape)
+    return float(probs) if probs.ndim == 0 else probs
 
 
 def _check_dense(n: int) -> None:
@@ -279,13 +311,7 @@ def enumerate_distribution(kernel) -> DistributionTable:
     entries = as_array(kernel)
     n = entries.shape[0]
     _check_dense(n)
-    logdet_norm = _log_normalizer(entries)
-    probs = np.empty(1 << n)
-    for start in range(0, 1 << n, _ENUMERATION_CHUNK):
-        masks = np.arange(start, min(start + _ENUMERATION_CHUNK, 1 << n))
-        for where, index in _size_groups(masks, n):
-            probs[masks[where]] = _minor_probabilities(entries, index, logdet_norm)
-    return DistributionTable(probs)
+    return DistributionTable(_subset_probabilities(entries, np.arange(1 << n, dtype=np.intp), _log_normalizer(entries)))
 
 
 def inclusion_probabilities(table: DistributionTable) -> np.ndarray:

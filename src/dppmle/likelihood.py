@@ -32,6 +32,14 @@ are two (m + 1, n, n) arrays for m supported masks. That wins at small
 n, where numpy's per-call overhead dominates; with all 2^n masks
 supported, the inverse alone costs more than gathering once n reaches
 about 10.
+
+The public routines also take a (..., n, n) stack of kernels on one
+table: one (..., m + 1, n, n) embedded stack, one batched ``slogdet``
+and one batched ``inv``, with the stack's axes in front of every result.
+The rule for a stack is bitwise: each kernel gets exactly the float, the
+gradient and the Hessian of its own one-kernel call, -inf outside the
+domain included, and the stack raises what the first singular kernel,
+in C order, raises alone.
 """
 
 from __future__ import annotations
@@ -95,55 +103,87 @@ def _embedded_constants(n: int, masks: bytes) -> tuple[np.ndarray, np.ndarray]:
 
 
 class LikelihoodPoint:
-    """The objective at one kernel, from one factorization of the embedded stack.
+    """The objective at one kernel, or at a stack of kernels, from one factorization of the embedded stack.
+
+    One (n, n) kernel gives a float value, an (n, n) gradient and an
+    (n^2, n^2) Hessian; a (..., n, n) stack of kernels on the context's
+    table puts its axes in front of each. LAPACK factorizes every matrix
+    of the stack alone, and each kernel's value, gradient and Hessian are
+    the same dot, ``gemv`` and ``gemm`` as its one-kernel point's, so they
+    are the same bits.
 
     ``value`` is finite exactly when every determinant of the stack, det(L + I)
     and each supported minor, is positive, and -inf otherwise: that is the
     one test of the domain. The gradient and the Hessian share one batched
     inverse of the stack, taken on first use. Inside the domain neither can
     raise; outside it both raise LinAlgError when L + I is singular and
-    SingularPrincipalMinor when a supported minor is.
+    SingularPrincipalMinor when a supported minor is. A stack raises what
+    the first such kernel, in C order, raises alone.
     """
 
     def __init__(self, ctx: LikelihoodContext, kernel):
         self._masks = ctx.support[0]
         self._coef, keep, self._rest = ctx.embedding
-        self._stack = as_array(kernel) * keep + self._rest
+        entries = as_array(kernel)
+        batched = entries.ndim > 2
+        if batched:
+            entries = entries[..., None, :, :]
+        self._stack = entries * keep + self._rest
         self._sign, logdet = np.linalg.slogdet(self._stack)
-        # slogdet's signs are -1, 0 or +1; ndarray.min skips np.all's dispatch at every size
-        self.value = float(self._coef @ logdet) if self._sign.min() > 0 else -math.inf
+        if not batched:
+            # slogdet's signs are -1, 0 or +1; ndarray.min skips np.all's dispatch at every size
+            self._inside = self._sign.min() > 0
+            self.value = float(self._coef @ logdet) if self._inside else -math.inf
+        else:
+            inside = self._sign.min(axis=-1) > 0
+            self._inside = inside.all()
+            # one (1, m + 1) @ (m + 1, 1) dot per kernel: a single gemv over the stack sums in another order.
+            # Kernels outside the domain dot zeros, so that a -inf log-determinant makes no NaN
+            dots = self._coef[None, :] @ np.where(inside[..., None], logdet, 0.0)[..., :, None]
+            self.value = np.where(inside, dots[..., 0, 0], -math.inf)
         self._padded_stack = None
 
     def _padded(self) -> np.ndarray:
         """(L + I)^{-1}, then pad(L_J^{-1}) for every supported mask J; inverted on first use."""
         if self._padded_stack is None:
-            # a zero determinant makes the value -inf, so a finite value needs no diagnosis
-            if self.value == -math.inf:
-                if self._sign[0] == 0:
+            # a zero determinant puts a kernel outside the domain, so a stack inside it needs no diagnosis
+            if not self._inside:
+                singular = (self._sign == 0).reshape(-1, self._sign.shape[-1])
+                first = singular.any(axis=1).argmax()
+                if singular[first, 0]:
                     raise np.linalg.LinAlgError("L + I is singular")
-                singular = np.nonzero(self._sign[1:] == 0)[0]
-                if singular.size:
-                    mask = int(self._masks[singular[0]])
+                if singular[first].any():
+                    mask = int(self._masks[singular[first, 1:].argmax()])
                     raise SingularPrincipalMinor(f"singular principal minor at mask {mask}", mask)
             self._padded_stack = np.linalg.inv(self._stack)
-            self._padded_stack[1:] -= self._rest[1:]
+            self._padded_stack[..., 1:, :, :] -= self._rest[1:]
         return self._padded_stack
 
     def gradient(self) -> np.ndarray:
         """See :func:`gradient`."""
         padded = self._padded()
-        m, n = padded.shape[:2]
-        return (self._coef @ padded.reshape(m, n * n)).reshape(n, n)
+        if padded.ndim == 3:
+            # one kernel, as in every Newton iteration: fixed-rank shapes cost less per call than a stack's
+            m, n = padded.shape[:2]
+            return (self._coef @ padded.reshape(m, n * n)).reshape(n, n)
+        *batch, m, n, _ = padded.shape
+        return (self._coef @ padded.reshape(*batch, m, n * n)).reshape(*batch, n, n)
 
     def hessian(self) -> np.ndarray:
         """See :func:`hessian`."""
         padded = self._padded()
-        m, n = padded.shape[:2]
-        flat = padded.reshape(m, n * n)
         # outer[(i,k),(l,j)] = -sum_s coef_s A_s[i,k] A_s[l,j], and
         # tensor[i,j,k,l] = d gradient_{ij} / d L_{kl} is its (i,j,k,l) reordering
-        outer = (flat.T * -self._coef) @ flat
-        return outer.reshape(n, n, n, n).transpose(0, 3, 1, 2).reshape(n * n, n * n)
+        if padded.ndim == 3:
+            m, n = padded.shape[:2]
+            flat = padded.reshape(m, n * n)
+            outer = (flat.T * -self._coef) @ flat
+            return outer.reshape(n, n, n, n).transpose(0, 3, 1, 2).reshape(n * n, n * n)
+        *batch, m, n, _ = padded.shape
+        flat = padded.reshape(*batch, m, n * n)
+        outer = (flat.swapaxes(-1, -2) * -self._coef) @ flat
+        tensor = outer.reshape(*batch, n, n, n, n).transpose(*range(len(batch)), -4, -1, -3, -2)
+        return tensor.reshape(*batch, n * n, n * n)
 
 
 @lru_cache(maxsize=8)
@@ -163,8 +203,11 @@ def vech_embedding(n: int) -> np.ndarray:
     return embed
 
 
-def log_likelihood(ctx: LikelihoodContext, kernel) -> float:
-    """Scaled log-likelihood; -inf when det(L + I) or a supported minor is not positive."""
+def log_likelihood(ctx: LikelihoodContext, kernel):
+    """Scaled log-likelihood; -inf when det(L + I) or a supported minor is not positive.
+
+    A float for one kernel, an array of the stack's shape for a (..., n, n) stack.
+    """
     return LikelihoodPoint(ctx, kernel).value
 
 
@@ -172,6 +215,7 @@ def gradient(ctx: LikelihoodContext, kernel) -> np.ndarray:
     """Gradient matrix sum_J p(J) pad(L_J^{-1}) - (L + I)^{-1}.
 
     Raises SingularPrincipalMinor at the smallest supported singular mask.
+    A (..., n, n) stack gives a (..., n, n) array, one gradient per kernel.
     """
     return LikelihoodPoint(ctx, kernel).gradient()
 
@@ -182,7 +226,8 @@ def hessian(ctx: LikelihoodContext, kernel) -> np.ndarray:
     Entry ((i,j),(k,l)) is
     -sum_J p(J) A_ik A_lj + B_ik B_lj with A = pad(L_J^{-1}) and
     B = (L + I)^{-1}; rows and columns are indexed i*N+j and k*N+l.
-    Returned as an (N^2, N^2) array, symmetric as a matrix.
+    Returned as an (N^2, N^2) array, symmetric as a matrix; a (..., N, N)
+    stack gives a (..., N^2, N^2) array.
     """
     return LikelihoodPoint(ctx, kernel).hessian()
 

@@ -16,21 +16,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .asymptotics import clt_experiment, covariance_2x2_explicit
-from .closed_form import forward_probs_2x2, mle_2x2
+from .closed_form import _forward_2x2_arrays, _mle_2x2_arrays, forward_probs_2x2
+from .errors import ConfigError
 from .kernels import (
     ENSEMBLE,
     DistributionTable,
     KernelMatrix,
+    _size_groups,
     atomic_probability_from_marginal,
     ensemble_probability,
     enumerate_distribution,
     inclusion_probabilities,
     marginal_of,
-    subset_indices,
 )
 from .likelihood import LikelihoodContext, gradient, hessian, vech_embedding
 from .numdiff import fd_gradient, fd_hessian
-from .sampling import SEED_LIMIT, _seed, sample_batch
+from .sampling import SEED_LIMIT, _count, _seed, sample_batch
 from .verify_support import random_ensemble
 
 QUICK = "quick"
@@ -55,24 +56,36 @@ def probability_route_deviation(seed: int, kernels: int, max_size: int) -> float
     Per subset, the direct ensemble probability, the atomic probability
     from the marginal kernel and the enumerated table agree, and the
     table's containment probability equals the marginal's principal
-    minor; each table sums to 1.
+    minor; each table sums to 1. Each route runs once per kernel over all
+    2^n masks, and the minors are one ``det`` per subset size.
+
+    The direct and table routes share ``kernels._minor_probabilities``, so
+    their comparison checks only how each turns masks into index stacks;
+    the marginal routes, the atomic probabilities |det(K - I_Abar)| and
+    the containment minors against the zeta transform of the table, are
+    the independent ones. ConfigError unless ``kernels`` passes
+    :func:`~dppmle.sampling._count` and ``max_size`` is an integer of at
+    least 2.
     """
     rng = np.random.default_rng(_seed(seed))
+    kernels = _count("kernels", kernels)
+    if isinstance(max_size, bool) or not isinstance(max_size, (int, np.integer)) or max_size < 2:
+        raise ConfigError(f"max_size must be an integer of at least 2, not {max_size!r}")
     worst = 0.0
     for _ in range(kernels):
         n = int(rng.integers(2, max_size + 1))
         kernel = random_ensemble(n, rng)
         table = enumerate_distribution(kernel)
         marginal = marginal_of(kernel)
-        containment = inclusion_probabilities(table)
-        for mask in range(1 << n):
-            direct = ensemble_probability(kernel, mask)
-            atomic = atomic_probability_from_marginal(marginal, mask)
-            idx = subset_indices(mask)
-            minor = np.linalg.det(marginal.entries[np.ix_(idx, idx)]) if idx else 1.0
-            worst = max(worst, abs(direct - table.probs[mask]), abs(atomic - direct),
-                        abs(atomic - table.probs[mask]), abs(containment[mask] - minor))
-        worst = max(worst, abs(table.probs.sum() - 1.0))
+        masks = np.arange(1 << n, dtype=np.intp)
+        direct = ensemble_probability(kernel, masks)
+        atomic = atomic_probability_from_marginal(marginal, masks)
+        minors = np.empty(masks.size)
+        for where, index in _size_groups(masks.tobytes(), n):
+            minors[where] = np.linalg.det(marginal.entries[index[:, :, None], index[:, None, :]])
+        deviations = [direct - table.probs, atomic - direct, atomic - table.probs,
+                      inclusion_probabilities(table) - minors]
+        worst = max(worst, float(np.abs(deviations).max()), abs(float(table.probs.sum()) - 1.0))
     return worst
 
 
@@ -94,9 +107,11 @@ def derivative_errors(rng: np.random.Generator, sizes, routes) -> list[float]:
     One problem per entry of ``sizes``: a kernel of that size with a
     widened ridge and a Dirichlet table, both drawn from ``rng``. The
     error is max |analytic - numeric| / (1 + |analytic|) over entries.
+    ConfigError when ``sizes`` is empty.
     """
     worst = [0.0] * len(routes)
-    for n in sizes:
+    problems = 0
+    for problems, n in enumerate(sizes, 1):
         kernel = random_ensemble(n, rng, jitter=0.3)
         probs = rng.dirichlet(np.ones(1 << n))
         ctx = LikelihoodContext(DistributionTable(probs / probs.sum()))
@@ -104,6 +119,7 @@ def derivative_errors(rng: np.random.Generator, sizes, routes) -> list[float]:
             exact = analytic(ctx, kernel)
             error = np.abs(exact - numeric(ctx, kernel)) / (1.0 + np.abs(exact))
             worst[k] = max(worst[k], float(np.max(error)))
+    _count("problems", problems)
     return worst
 
 
@@ -118,8 +134,10 @@ def covariance_formula_errors(seed: int, instances: int) -> tuple[bool, float, f
     -curvature @ explicit - I, and the worst relative entry error of the
     formula against inv(-curvature). The product keeps finite-difference
     noise from being amplified by the curvature's condition number.
+    ConfigError unless ``instances`` passes :func:`~dppmle.sampling._count`.
     """
     rng = np.random.default_rng(_seed(seed))
+    instances = _count("instances", instances)
     cases = [BENCHMARK.entries]
     while len(cases) < instances:
         a, c = rng.uniform(0.5, 3.0, size=2)
@@ -149,22 +167,30 @@ def _check_closed_form_round_trip(seed: int, instances: int = 50) -> CheckResult
     # a and c come back within 1e-12. b = sqrt(p1 p2 - p0 p3)/p0 amplifies the
     # discriminant's cancellation; its bound is six times the measured worst
     # error over 1e5 instances, 0.17 eps (1+a)(1+c)(1+ac) / max(b, sqrt(eps a c)).
+    # Instance by instance the draws are a, c, then b's factor; the forward and
+    # inverse maps run once over all instances, elementwise.
     rng = np.random.default_rng(_seed(seed))
+    draws = rng.uniform([0.3, 0.3, 0.0], [4.0, 4.0, 0.95], size=(_count("instances", instances), 3))
+    a, c = draws[:, 0], draws[:, 1]
+    b = draws[:, 2] * np.sqrt(a * c)
+    recovered, _, _ = _mle_2x2_arrays(_forward_2x2_arrays(a, b, c))
+    dev = np.abs(recovered - np.stack([a, b, c], axis=1))
     eps = np.finfo(float).eps
-    worst, passed = 0.0, True
-    for _ in range(instances):
-        a, c = rng.uniform(0.3, 4.0, size=2)
-        b = rng.uniform(0.0, 0.95) * np.sqrt(a * c)
-        recovered, tag = mle_2x2(forward_probs_2x2(np.array([[a, b], [b, c]])))
-        dev = np.abs(recovered.entries[[0, 0, 1], [0, 1, 1]] - [a, b, c])
-        b_tol = eps * (1 + a) * (1 + c) * (1 + a * c) / max(b, np.sqrt(eps * a * c))
-        passed = passed and max(dev[0], dev[2]) <= 1e-12 and dev[1] <= b_tol
-        worst = max(worst, float(dev.max()))
-    return CheckResult("closed-form-round-trip", passed, f"max deviation {worst:.3e}")
+    b_tol = eps * (1 + a) * (1 + c) * (1 + a * c) / np.maximum(b, np.sqrt(eps * a * c))
+    passed = bool(np.all((np.maximum(dev[:, 0], dev[:, 2]) <= 1e-12) & (dev[:, 1] <= b_tol)))
+    return CheckResult("closed-form-round-trip", passed, f"max deviation {float(dev.max()):.3e}")
 
 
 def run_checks(level: str = QUICK, seed: int = 0) -> list[CheckResult]:
-    # The base seed must be a Philox key; check k runs at seed + k, wrapped into [0, 2**128).
+    """The checks of ``level``, QUICK or FULL, in order, each passed as a Python bool.
+
+    ``quick`` runs six checks; ``full`` adds the Monte Carlo CLT covariance.
+    The base seed must be a Philox key: check k runs at seed + k, wrapped
+    into [0, 2**128), so the largest seed's checks run at seeds 2**128 - 1,
+    0, 1, .... ConfigError for another level or a seed outside the rule.
+    """
+    if level not in (QUICK, FULL):
+        raise ConfigError(f"unknown verify level {level!r}; expected {QUICK!r} or {FULL!r}")
     seeds = [(_seed(seed) + k) % SEED_LIMIT for k in range(7)]
     worst = probability_route_deviation(seeds[0], kernels=50, max_size=3)
     checks = [CheckResult("probability-oracles", worst <= 1e-10, f"max deviation {worst:.3e}")]

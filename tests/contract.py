@@ -40,6 +40,8 @@ def cli(*args):
 # (file that keeps stdout, or None; argv), run in order in the run's directory
 CONTRACT = [
     *[(f"verify-{seed}.txt", cli("verify", "--level", "full", "--seed", seed)) for seed in range(5)],
+    # the largest seed: checks 1-6 run at the wrapped seeds 0-5
+    ("verify-wrap.txt", cli("verify", "--level", "quick", "--seed", 2**128 - 1)),
     (None, cli("experiment", "--preset", "table1", "--seed", 0, "--out", "table1")),
     (None, cli("experiment", "--preset", "table1", "--seed", *range(5), "--out", "table1-seeds")),
     (None, cli("experiment", "--preset", "twobytwo", "--out", "twobytwo")),

@@ -15,6 +15,7 @@ from dppmle.errors import (
 from dppmle.kernels import (
     DistributionTable,
     KernelMatrix,
+    _size_groups,
     atomic_probability_from_marginal,
     ensemble_probability,
     enumerate_distribution,
@@ -120,12 +121,12 @@ class TestProbabilities:
         k = validate_kernel(np.eye(2), "marginal")
         assert atomic_probability_from_marginal(k, 0b01) == pytest.approx(0.0, abs=1e-15)
 
-    @pytest.mark.parametrize("mask", [-1, 4, 1 << 40])
+    @pytest.mark.parametrize("mask", [-1, 4, 1 << 40, 1 << 70])
     def test_ensemble_route_refuses_masks_outside_ground_set(self, mask):
         with pytest.raises(ValueError, match="outside"):
             ensemble_probability(validate_kernel(DENSE2, "ensemble"), mask)
 
-    @pytest.mark.parametrize("mask", [-1, 4, 1 << 40])
+    @pytest.mark.parametrize("mask", [-1, 4, 1 << 40, 1 << 70])
     def test_marginal_route_refuses_masks_outside_ground_set(self, mask):
         with pytest.raises(ValueError, match="outside"):
             atomic_probability_from_marginal(marginal_of(validate_kernel(DENSE2, "ensemble")), mask)
@@ -152,6 +153,69 @@ class TestProbabilities:
     def test_enumerate_refuses_large_ground_set(self):
         with pytest.raises(GroundSetTooLarge):
             enumerate_distribution(np.eye(21))
+
+
+def _one_mask_ensemble(entries, mask):
+    """The one-mask ensemble route as it was before it took mask arrays: one (1, k, k) slogdet."""
+    n = entries.shape[0]
+    index = np.array([subset_indices(mask)], dtype=np.intp)
+    _, log_norm = np.linalg.slogdet(entries + np.eye(n))
+    sign, logdet = np.linalg.slogdet(entries[index[:, :, None], index[:, None, :]])
+    return float(np.where(sign > 0, np.exp(logdet - log_norm), 0.0)[0])
+
+
+def _one_mask_marginal(entries, mask):
+    """The one-mask marginal route as it was before it took mask arrays: a copy shifted in a loop."""
+    shifted = entries.copy()
+    for i in range(entries.shape[0]):
+        if not mask >> i & 1:
+            shifted[i, i] -= 1.0
+    sign, logdet = np.linalg.slogdet(shifted)
+    return 0.0 if sign == 0 else float(np.exp(logdet))
+
+
+class TestMaskArrays:
+    """A mask array gives each mask the bits of its one-mask call."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_both_routes_match_one_mask_calls(self, n, rng):
+        for _ in range(5 if n < 7 else 2):
+            kernel = random_kernel(n, rng)
+            marginal = marginal_of(kernel)
+            masks = rng.permutation(1 << n)
+            direct = ensemble_probability(kernel, masks)
+            atomic = atomic_probability_from_marginal(marginal, masks)
+            assert direct.shape == atomic.shape == masks.shape
+            for k, mask in enumerate(masks.tolist()):
+                one = ensemble_probability(kernel, mask)
+                assert type(one) is float and direct[k] == one == _one_mask_ensemble(kernel.entries, mask)
+                one = atomic_probability_from_marginal(marginal, mask)
+                assert type(one) is float and atomic[k] == one == _one_mask_marginal(marginal.entries, mask)
+            assert np.array_equal(ensemble_probability(kernel, np.arange(1 << n)), enumerate_distribution(kernel).probs)
+
+    def test_shape_is_kept(self):
+        masks = np.array([[0, 1], [3, 2]])
+        for route, kernel in ((ensemble_probability, validate_kernel(DENSE2, "ensemble")),
+                              (atomic_probability_from_marginal, marginal_of(validate_kernel(DENSE2, "ensemble")))):
+            assert route(kernel, masks).shape == (2, 2)
+            assert route(kernel, np.array([], dtype=int)).shape == (0,)
+
+    def test_size_groups_are_shared_and_read_only(self):
+        groups = _size_groups(np.arange(8, dtype=np.intp).tobytes(), 3)
+        assert _size_groups(np.arange(8, dtype=np.intp).tobytes(), 3) is groups
+        assert [index.shape for _, index in groups] == [(1, 0), (3, 1), (3, 2), (1, 3)]
+        for where, index in groups:
+            for part in (where, index):
+                with pytest.raises(ValueError):
+                    part[...] = 0
+
+    @pytest.mark.parametrize("route", [ensemble_probability, atomic_probability_from_marginal])
+    def test_refuses_bad_mask_arrays(self, route):
+        kernel = marginal_of(validate_kernel(DENSE2, "ensemble"))
+        with pytest.raises(ValueError, match="mask 4 is outside"):
+            route(kernel, np.array([0, 3, 4, -1]))
+        with pytest.raises(ValueError, match="must be integers"):
+            route(kernel, np.array([0.0, 1.0]))
 
 
 class TestDistributionInvariants:

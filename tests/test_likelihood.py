@@ -432,3 +432,124 @@ class TestEmbeddedStack:
         for method in (point.gradient, point.hessian):
             with pytest.raises(np.linalg.LinAlgError):
                 method()
+
+
+def _stacked_problem(n, shape, rng):
+    """A table (dense or sparse by rng) and a stack of kernels on it, some outside the domain."""
+    table = TestBatchedSupport.sparse_table(n, rng) if n > 1 and rng.random() < 0.5 else random_table(n, rng)
+    w = rng.normal(size=(*shape, n, n))
+    # ridges in (-0.6, 0.4): a negative one can make det(L + I) or a supported minor negative
+    ridge = 0.4 - rng.random((*shape, 1, 1))
+    return LikelihoodContext(table), w @ np.swapaxes(w, -1, -2) + ridge * np.eye(n)
+
+
+class TestStackedPoint:
+    """A (..., n, n) stack gives every kernel the bits of its one-kernel point."""
+
+    @pytest.mark.parametrize("shape", [(7,), (2, 3), (2, 2, 2)], ids=["1-axis", "2-axis", "3-axis"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_matches_one_kernel_calls(self, n, shape, rng):
+        outside = 0
+        for _ in range(4):
+            ctx, stack = _stacked_problem(n, shape, rng)
+            point = LikelihoodPoint(ctx, stack)
+            values, grads, hessians = point.value, point.gradient(), point.hessian()
+            assert values.shape == shape
+            assert grads.shape == (*shape, n, n) and hessians.shape == (*shape, n * n, n * n)
+            for index in np.ndindex(*shape):
+                one = LikelihoodPoint(ctx, stack[index])
+                assert np.array_equal(values[index], one.value)
+                assert np.array_equal(grads[index], one.gradient())
+                assert np.array_equal(hessians[index], one.hessian())
+                outside += one.value == -np.inf
+            assert np.array_equal(log_likelihood(ctx, stack), values)
+            assert np.array_equal(gradient(ctx, stack), grads)
+            assert np.array_equal(hessian(ctx, stack), hessians)
+        assert outside
+
+    def test_one_kernel_gives_a_float(self, rng):
+        ctx, stack = _stacked_problem(3, (2,), rng)
+        assert type(log_likelihood(ctx, stack[0])) is float
+        assert log_likelihood(ctx, stack[None, 0]).shape == (1,)
+
+    # {0, 1, 2} (mask 7) is exactly singular in SINGULAR_MINOR; SINGULAR_NORMALIZER has det(L + I) = 0
+    SINGULAR_MINOR = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [1.0, 1.0, 2.0]])
+    SINGULAR_NORMALIZER = np.diag([-1.0, 1.0, 1.0])
+
+    @pytest.mark.parametrize("order, error", [
+        (("minor", "normalizer"), SingularPrincipalMinor),
+        (("normalizer", "minor"), np.linalg.LinAlgError),
+    ], ids=["minor-first", "normalizer-first"])
+    def test_raises_what_the_first_singular_kernel_raises(self, order, error, rng):
+        probs = np.zeros(8)
+        probs[[0, 2, 7]] = 1.0 / 3.0
+        ctx = LikelihoodContext(DistributionTable(probs))
+        kernels = {"minor": self.SINGULAR_MINOR, "normalizer": self.SINGULAR_NORMALIZER}
+        fine = random_kernel(3, rng, jitter=0.3).entries
+        stack = np.stack([fine, kernels[order[0]], fine, kernels[order[1]]]).reshape(2, 2, 3, 3)
+        point = LikelihoodPoint(ctx, stack)
+        assert np.array_equal(point.value == -np.inf, [[False, True], [False, True]])
+        for method in (point.gradient, point.hessian):
+            with pytest.raises(error) as info:
+                method()
+            if error is SingularPrincipalMinor:
+                assert info.value.mask == 7
+            with pytest.raises(error):
+                getattr(LikelihoodPoint(ctx, kernels[order[0]]), method.__name__)()
+
+
+def _loop_fd_gradient(ctx, kernel):
+    """The per-entry loop that ``fd_gradient`` ran before it stacked its bumps."""
+    entries = np.array(kernel, dtype=float)
+    n = entries.shape[0]
+    out = np.empty((n, n))
+    for i in range(n):
+        for j in range(n):
+            h = 1e-5 * (1.0 + abs(entries[i, j]))
+            bump = np.zeros_like(entries)
+            if i == j:
+                bump[i, i] = h
+            else:
+                bump[i, j] = h / 2.0
+                bump[j, i] = h / 2.0
+            out[i, j] = (log_likelihood(ctx, entries + bump) - log_likelihood(ctx, entries - bump)) / (2.0 * h)
+    return out
+
+
+def _loop_fd_hessian(ctx, kernel):
+    """The per-column loop that ``fd_hessian`` ran before it stacked its bumps."""
+    entries = np.array(kernel, dtype=float)
+    n = entries.shape[0]
+    out = np.empty((n * n, n * n))
+    for k in range(n):
+        for l in range(n):
+            h = 1e-5 * (1.0 + abs(entries[k, l]))
+            bump = np.zeros_like(entries)
+            bump[k, l] = h
+            diff = (gradient(ctx, entries + bump) - gradient(ctx, entries - bump)) / (2.0 * h)
+            out[:, k * n + l] = diff.reshape(-1)
+    return out
+
+
+class TestStackedFiniteDifferences:
+    """One call on the stacked bumps gives the bits of the per-entry loops."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_matches_the_loops(self, n, rng):
+        for _ in range(4):
+            ctx = LikelihoodContext(random_table(n, rng))
+            kernel = random_kernel(n, rng, jitter=0.3).entries
+            assert np.array_equal(fd_gradient(ctx, kernel), _loop_fd_gradient(ctx, kernel))
+            stacked = fd_hessian(ctx, kernel)
+            assert np.array_equal(stacked, _loop_fd_hessian(ctx, kernel)) and stacked.flags.c_contiguous
+
+    def test_bumps_that_leave_the_domain(self):
+        # {0, 1} is supported and singular at [[1, 1], [1, 1]]: half the bumps make its
+        # determinant negative, so differences are infinite; at [[1, 2], [2, 1]] every bump does (NaN)
+        ctx = LikelihoodContext(DistributionTable(np.array([0.25, 0.25, 0.25, 0.25])))
+        for entries in ([[1.0, 1.0], [1.0, 1.0]], [[1.0, 2.0], [2.0, 1.0]]):
+            fd = fd_gradient(ctx, entries)
+            assert not np.isfinite(fd).any()
+            np.testing.assert_array_equal(fd, _loop_fd_gradient(ctx, entries))
+            np.testing.assert_array_equal(fd_hessian(ctx, entries), _loop_fd_hessian(ctx, entries))
+        assert np.isnan(fd).all()
