@@ -35,7 +35,7 @@ SYMMETRY_TOL = 1e-10
 #: Largest ground set for which dense 2^n tables are built.
 MAX_DENSE_GROUND_SET = 20
 
-#: Masks factorized per batch by the ensemble route (enumerate_distribution, ensemble_probability).
+#: Masks factorized per batch by enumerate_distribution and by both routes' mask arrays.
 _ENUMERATION_CHUNK = 1 << 12
 
 #: Sign classes tabulated at once by sign_distance; bounds its table at large n.
@@ -195,8 +195,8 @@ def _minor_probabilities(entries: np.ndarray, index: np.ndarray, log_norm: float
 def _size_groups(masks: bytes, n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     """The intp masks in ``masks`` split by size: (positions, index stack) per size, read-only.
 
-    Memoized on the masks' bytes: enumeration and both routes of the
-    probability check ask for the same 2^n masks at every kernel of a size.
+    Memoized on the masks' bytes: enumeration and the containment minors of
+    the probability check ask for the same 2^n masks at every kernel of a size.
     """
     masks = np.frombuffer(masks, dtype=np.intp)
     bits = masks[:, None] >> np.arange(n) & 1
@@ -210,24 +210,12 @@ def _size_groups(masks: bytes, n: int) -> tuple[tuple[np.ndarray, np.ndarray], .
     return tuple(groups)
 
 
-def _subset_probabilities(entries: np.ndarray, masks: np.ndarray, log_norm: float) -> np.ndarray:
-    """Atomic probabilities of the subsets in the flat intp mask array ``masks``.
-
-    Factorizes by size within chunks of ``_ENUMERATION_CHUNK`` masks, so the
-    index stacks stay bounded however many masks there are.
-    """
-    probs = np.empty(masks.size)
-    for start in range(0, masks.size, _ENUMERATION_CHUNK):
-        for where, index in _size_groups(masks[start:start + _ENUMERATION_CHUNK].tobytes(), entries.shape[0]):
-            probs[start + where] = _minor_probabilities(entries, index, log_norm)
-    return probs
-
-
 def _checked_masks(mask, n: int) -> np.ndarray:
     """One mask or an array of them as an integer array; ValueError unless each is in [0, 2^n)."""
     masks = np.asarray(mask) if np.ndim(mask) else np.asarray(int(mask))
     # a Python int past int64 makes an object array, which the range test below refuses
-    if masks.dtype.kind not in "iuO":
+    if masks.dtype.kind not in "iuO" or masks.dtype.kind == "O" and not all(
+            isinstance(m, (int, np.integer)) and not isinstance(m, bool) for m in masks.flat):
         raise ValueError(f"masks must be integers, not {masks.dtype}")
     outside = (masks < 0) | (masks >= 1 << n)
     if outside.any():
@@ -250,13 +238,24 @@ def ensemble_probability(kernel, mask):
     used so large ground sets do not underflow. ``mask`` is one mask, for
     a float, or an integer array of them, for an array of its shape whose
     entries are the bits of the one-mask calls: a mask's minor is
-    factorized alone whatever else is asked, by the rule
+    factorized alone whatever else is asked. The index stacks come from
+    :func:`subset_indices`, mask by mask, apart from the bit table that
     :func:`enumerate_distribution` uses. ValueError unless every mask is
     in [0, 2^n).
     """
     entries = as_array(kernel)
     masks = _checked_masks(mask, entries.shape[0])
-    probs = _subset_probabilities(entries, masks.ravel(), _log_normalizer(entries)).reshape(masks.shape)
+    log_norm = _log_normalizer(entries)
+    flat = masks.ravel()
+    probs = np.empty(flat.size)
+    for start in range(0, flat.size, _ENUMERATION_CHUNK):
+        subsets = [subset_indices(m) for m in flat[start:start + _ENUMERATION_CHUNK].tolist()]
+        sizes = np.array([len(subset) for subset in subsets], dtype=np.intp)
+        for k in np.unique(sizes):
+            where = np.nonzero(sizes == k)[0]
+            index = np.array([subsets[i] for i in where], dtype=np.intp).reshape(where.size, k)
+            probs[start + where] = _minor_probabilities(entries, index, log_norm)
+    probs = probs.reshape(masks.shape)
     return float(probs) if probs.ndim == 0 else probs
 
 
@@ -283,17 +282,21 @@ def atomic_probability_from_marginal(kernel, mask):
     I_Abar is the diagonal indicator of the complement of A, so the value
     agrees with the ensemble route whenever K is the marginal of L.
     ``mask`` is one mask, for a float, or an integer array of M masks, for
-    an array of its shape: one batched ``slogdet`` of an (M, n, n) stack,
-    each entry the bits of its one-mask call. ValueError unless every mask
-    is in [0, 2^n).
+    an array of its shape: one batched ``slogdet`` of an (M, n, n) stack
+    per ``_ENUMERATION_CHUNK`` masks, each entry the bits of its one-mask
+    call. ValueError unless every mask is in [0, 2^n).
     """
     entries = as_array(kernel)
     n = entries.shape[0]
     masks = _checked_masks(mask, n)
-    outside = (masks.reshape(-1, 1) >> np.arange(n) & 1) == 0
-    _, logdet = np.linalg.slogdet(entries - outside[:, :, None] * np.eye(n))
-    # a singular matrix has sign 0 and logdet -inf, which exp maps to probability 0
-    probs = np.exp(logdet).reshape(masks.shape)
+    flat = masks.ravel()
+    probs = np.empty(flat.size)
+    for start in range(0, flat.size, _ENUMERATION_CHUNK):
+        outside = (flat[start:start + _ENUMERATION_CHUNK, None] >> np.arange(n) & 1) == 0
+        _, logdet = np.linalg.slogdet(entries - outside[:, :, None] * np.eye(n))
+        # a singular matrix has sign 0 and logdet -inf, which exp maps to probability 0
+        probs[start:start + _ENUMERATION_CHUNK] = np.exp(logdet)
+    probs = probs.reshape(masks.shape)
     return float(probs) if probs.ndim == 0 else probs
 
 
@@ -311,7 +314,13 @@ def enumerate_distribution(kernel) -> DistributionTable:
     entries = as_array(kernel)
     n = entries.shape[0]
     _check_dense(n)
-    return DistributionTable(_subset_probabilities(entries, np.arange(1 << n, dtype=np.intp), _log_normalizer(entries)))
+    log_norm = _log_normalizer(entries)
+    probs = np.empty(1 << n)
+    for start in range(0, 1 << n, _ENUMERATION_CHUNK):
+        masks = np.arange(start, min(start + _ENUMERATION_CHUNK, 1 << n), dtype=np.intp)
+        for where, index in _size_groups(masks.tobytes(), n):
+            probs[start + where] = _minor_probabilities(entries, index, log_norm)
+    return DistributionTable(probs)
 
 
 def inclusion_probabilities(table: DistributionTable) -> np.ndarray:

@@ -162,10 +162,6 @@ class LikelihoodPoint:
     def gradient(self) -> np.ndarray:
         """See :func:`gradient`."""
         padded = self._padded()
-        if padded.ndim == 3:
-            # one kernel, as in every Newton iteration: fixed-rank shapes cost less per call than a stack's
-            m, n = padded.shape[:2]
-            return (self._coef @ padded.reshape(m, n * n)).reshape(n, n)
         *batch, m, n, _ = padded.shape
         return (self._coef @ padded.reshape(*batch, m, n * n)).reshape(*batch, n, n)
 
@@ -174,11 +170,6 @@ class LikelihoodPoint:
         padded = self._padded()
         # outer[(i,k),(l,j)] = -sum_s coef_s A_s[i,k] A_s[l,j], and
         # tensor[i,j,k,l] = d gradient_{ij} / d L_{kl} is its (i,j,k,l) reordering
-        if padded.ndim == 3:
-            m, n = padded.shape[:2]
-            flat = padded.reshape(m, n * n)
-            outer = (flat.T * -self._coef) @ flat
-            return outer.reshape(n, n, n, n).transpose(0, 3, 1, 2).reshape(n * n, n * n)
         *batch, m, n, _ = padded.shape
         flat = padded.reshape(*batch, m, n * n)
         outer = (flat.swapaxes(-1, -2) * -self._coef) @ flat

@@ -5,8 +5,12 @@ stay independent of the analytic derivations they check. There are two:
 :func:`fd_gradient` differences the objective, :func:`fd_hessian` the
 gradient. Each stacks its 2 N^2 bumped kernels and makes one call of the
 public routine on the stack, which gives every kernel the bits of its
-own call. The curvature in the vech chart ((a, b, c) at N = 2) is
-J^T @ fd_hessian @ J, J from :func:`~dppmle.likelihood.vech_embedding`.
+own call. That call holds 2 N^2 (m + 1) N x N floats for a table with m
+supported masks, O(N^4 2^N) with full support, several times over for
+the inverse and its temporaries: about 17 MB per array at N = 8 and 164 MB
+at N = 10, where a loop over the bumps held one kernel's stack. The
+curvature in the vech chart ((a, b, c) at N = 2) is J^T @ fd_hessian @ J,
+J from :func:`~dppmle.likelihood.vech_embedding`.
 """
 
 from __future__ import annotations

@@ -59,9 +59,11 @@ def probability_route_deviation(seed: int, kernels: int, max_size: int) -> float
     minor; each table sums to 1. Each route runs once per kernel over all
     2^n masks, and the minors are one ``det`` per subset size.
 
-    The direct and table routes share ``kernels._minor_probabilities``, so
-    their comparison checks only how each turns masks into index stacks;
-    the marginal routes, the atomic probabilities |det(K - I_Abar)| and
+    The direct and table routes share ``kernels._minor_probabilities`` but
+    build their index stacks apart, the direct route mask by mask through
+    ``subset_indices`` and the table from ``kernels._size_groups``' bit
+    table, so their comparison checks only that wiring and reads exactly 0
+    when both are right; the marginal routes, the atomic probabilities |det(K - I_Abar)| and
     the containment minors against the zeta transform of the table, are
     the independent ones. ConfigError unless ``kernels`` passes
     :func:`~dppmle.sampling._count` and ``max_size`` is an integer of at

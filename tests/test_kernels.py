@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from dppmle import kernels as kernels_module
 from dppmle.errors import (
     DppError,
     EigenvalueOutOfRange,
@@ -216,6 +217,22 @@ class TestMaskArrays:
             route(kernel, np.array([0, 3, 4, -1]))
         with pytest.raises(ValueError, match="must be integers"):
             route(kernel, np.array([0.0, 1.0]))
+        # an object array passes only Python or numpy integers to the range test
+        for bad in ([0.5], [1, 2.0], [True], [np.float64(1.0)]):
+            with pytest.raises(ValueError, match="must be integers"):
+                route(kernel, np.array(bad, dtype=object))
+        assert np.array_equal(route(kernel, np.array([1, np.int64(2)], dtype=object)), route(kernel, np.array([1, 2])))
+
+    def test_chunks_do_not_change_bits(self, rng, monkeypatch):
+        kernel = random_kernel(4, rng)
+        marginal = marginal_of(kernel)
+        masks = rng.permutation(16)
+        whole = ensemble_probability(kernel, masks), atomic_probability_from_marginal(marginal, masks)
+        table = enumerate_distribution(kernel).probs
+        monkeypatch.setattr(kernels_module, "_ENUMERATION_CHUNK", 3)
+        assert np.array_equal(ensemble_probability(kernel, masks), whole[0])
+        assert np.array_equal(atomic_probability_from_marginal(marginal, masks), whole[1])
+        assert np.array_equal(enumerate_distribution(kernel).probs, table)
 
 
 class TestDistributionInvariants:
