@@ -314,12 +314,12 @@ def enumerate_distribution(kernel) -> DistributionTable:
     entries = as_array(kernel)
     n = entries.shape[0]
     _check_dense(n)
-    log_norm = _log_normalizer(entries)
+    logdet_norm = _log_normalizer(entries)
     probs = np.empty(1 << n)
     for start in range(0, 1 << n, _ENUMERATION_CHUNK):
         masks = np.arange(start, min(start + _ENUMERATION_CHUNK, 1 << n), dtype=np.intp)
         for where, index in _size_groups(masks.tobytes(), n):
-            probs[start + where] = _minor_probabilities(entries, index, log_norm)
+            probs[masks[where]] = _minor_probabilities(entries, index, logdet_norm)
     return DistributionTable(probs)
 
 
